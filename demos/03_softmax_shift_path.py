@@ -10,10 +10,9 @@ shift. The two routes agree bit for bit.
 
 import numpy as np
 
-from scalefold.quantizers import (logsqrt2_dequantize,
+from scalefold.quantizers import (base_change_scale, logsqrt2_dequantize,
                                   logsqrt2_dequantize_shift,
                                   logsqrt2_quantize, parity_indicator)
-from scalefold.reparam import base_change_scale
 
 rng = np.random.default_rng(3)
 bits, s = 4, 0.9375

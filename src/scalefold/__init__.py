@@ -16,13 +16,14 @@ from .model import (ACTIVATION_SITES, SITES, WEIGHT_SITES, BlockWeights,
                     ModelConfig, block_forward, model_forward, site_names)
 from .pipeline import (EvalReport, PipelineError, QuantizeConfig, calibrate_model,
                        evaluate, quantize_model, reparameterize_model, run_pipeline)
-from .quantizers import (Granularity, QuantParams, Scheme, fake_quantize,
-                         log2_dequantize, log2_dequantize_shift, log2_quantize,
-                         logsqrt2_dequantize, logsqrt2_dequantize_shift,
-                         logsqrt2_quantize, uniform_dequantize, uniform_quantize)
+from .quantizers import (Granularity, QuantParams, Scheme, base_change_scale,
+                         fake_quantize, log2_dequantize, log2_dequantize_shift,
+                         log2_quantize, logsqrt2_dequantize,
+                         logsqrt2_dequantize_shift, logsqrt2_quantize,
+                         uniform_dequantize, uniform_quantize)
 from .reparam import (ReparamRecord, apply_affine_adjustment,
-                      apply_weight_compensation, base_change_scale,
-                      build_reparam_record, reparameterize_layernorm_site)
+                      apply_weight_compensation, build_reparam_record,
+                      reparameterize_layernorm_site)
 from .synth import SynthSpec, gen_activations, gen_model
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ class CalibConfig:
     scheme: Scheme = Scheme.UNIFORM
     granularity: Granularity = Granularity.PER_LAYER
     percentile: float = 100.0
-    samples: int = 32
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
@@ -29,8 +28,6 @@ class CalibConfig:
             raise ValueError(f"bit width {self.bits} outside [2, 8]")
         if not 50.0 < float(self.percentile) <= 100.0:
             raise ValueError("percentile must lie in (50, 100]")
-        if int(self.samples) < 1:
-            raise ValueError("samples must be positive")
 
 
 def percentile_bounds(x, p):

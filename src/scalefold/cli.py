@@ -133,7 +133,6 @@ def _cmd_eval(args):
     print(f"code equality:     {report.code_equality_rate:.6f}")
     for name, rate in sorted(report.code_equality.items()):
         print(f"  {name}: {rate:.6f}")
-    print(f"calibration time:  {report.calibration_seconds:.3f}s")
     print("layernorm ablation (end-to-end mse):")
     for name in ("layer_wise", "channel_wise", "reparam"):
         if name in report.ln_ablation:

@@ -5,10 +5,13 @@ The forward pass is deliberately plain: LayerNorm -> multi-head attention
 input (activation or weight) passes through exactly one hook that either
 fake-quantizes it or leaves it alone; LayerNorm and Softmax always run in
 float64. A `capture` dict collects the pre-hook tensors at each named site,
-which is how calibration and evaluation observe the model.
+which is how calibration and evaluation observe the model. Every forward
+function takes one (patches, dim) sample or an (n, patches, dim) stack; a
+stack runs as one pass, and each of its samples comes out bit-identical to
+running that sample alone.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -123,12 +126,6 @@ class QuantHooks:
     w_1: QuantParams | None = None
     w_2: QuantParams | None = None
 
-    def get(self, site):
-        return getattr(self, site)
-
-    def with_sites(self, **kwargs):
-        return replace(self, **kwargs)
-
 
 _BYPASS = QuantHooks()
 
@@ -150,36 +147,40 @@ def layernorm_forward(x, gamma, beta, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * as_tensor(gamma) + as_tensor(beta)
 
 
+def _tokens(x, cfg):
+    x = as_tensor(x)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (cfg.patches, cfg.dim):
+        raise ShapeError(
+            f"expected ({cfg.patches}, {cfg.dim}) tokens or a stack of them, got {x.shape}")
+    return x
+
+
+def _split_heads(t, cfg):
+    # (..., patches, dim) -> (..., heads, patches, head_dim), head-major columns
+    return t.reshape(t.shape[:-1] + (cfg.heads, cfg.head_dim)).swapaxes(-3, -2)
+
+
 def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
-    """Multi-head self-attention on already-normalized tokens."""
+    """Multi-head self-attention on already-normalized tokens, all heads at once."""
     hooks = hooks or _BYPASS
-    x_ln = as_tensor(x_ln)
-    if x_ln.shape != (cfg.patches, cfg.dim):
-        raise ShapeError(f"expected ({cfg.patches}, {cfg.dim}) tokens, got {x_ln.shape}")
-    d, dh = cfg.dim, cfg.head_dim
+    x_ln = _tokens(x_ln, cfg)
+    d = cfg.dim
 
     qkv = matmul(_apply(x_ln, hooks.ln1_out), _apply(w.w_qkv, hooks.w_qkv)) + w.b_qkv
-    q, k, v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
+    q, k, v = qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]
     _cap(capture, prefix, "attn_q", q)
     _cap(capture, prefix, "attn_k", k)
     _cap(capture, prefix, "attn_v", v)
-    qh = _apply(q, hooks.attn_q)
-    kh = _apply(k, hooks.attn_k)
-    vh = _apply(v, hooks.attn_v)
 
-    heads = []
-    attn = np.empty((cfg.heads, cfg.patches, cfg.patches))
-    for i in range(cfg.heads):
-        cols = slice(i * dh, (i + 1) * dh)
-        scores = matmul(qh[:, cols], kh[:, cols].T) / np.sqrt(float(dh))
-        attn[i] = rowwise_softmax(scores)
+    qh = _split_heads(_apply(q, hooks.attn_q), cfg)
+    kh = _split_heads(_apply(k, hooks.attn_k), cfg)
+    vh = _split_heads(_apply(v, hooks.attn_v), cfg)
+    attn = rowwise_softmax(matmul(qh, kh.swapaxes(-1, -2)) / np.sqrt(float(cfg.head_dim)))
     _cap(capture, prefix, "attn_a", attn)
-    for i in range(cfg.heads):
-        cols = slice(i * dh, (i + 1) * dh)
-        a = _apply(attn[i], hooks.attn_a)
-        heads.append(matmul(a, vh[:, cols]))
+    heads = matmul(_apply(attn, hooks.attn_a), vh)
 
-    merged = np.concatenate(heads, axis=1)
+    # merge back: head i owns columns i*head_dim:(i+1)*head_dim again
+    merged = heads.swapaxes(-3, -2).reshape(x_ln.shape)
     _cap(capture, prefix, "msa_proj_in", merged)
     out = matmul(_apply(merged, hooks.msa_proj_in), _apply(w.w_o, hooks.w_o))
     return out + w.b_o
@@ -188,9 +189,7 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
 def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
     """Two-layer MLP with exact-CDF GELU on already-normalized tokens."""
     hooks = hooks or _BYPASS
-    y_ln = as_tensor(y_ln)
-    if y_ln.shape != (cfg.patches, cfg.dim):
-        raise ShapeError(f"expected ({cfg.patches}, {cfg.dim}) tokens, got {y_ln.shape}")
+    y_ln = _tokens(y_ln, cfg)
     hidden = gelu(matmul(_apply(y_ln, hooks.ln2_out), _apply(w.w_1, hooks.w_1)) + w.b_1)
     _cap(capture, prefix, "gelu_out", hidden)
     return matmul(_apply(hidden, hooks.gelu_out), _apply(w.w_2, hooks.w_2)) + w.b_2
@@ -198,7 +197,7 @@ def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
 
 def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
     """One encoder block: x + MSA(LN(x)), then y + MLP(LN(y))."""
-    x = as_tensor(x)
+    x = _tokens(x, cfg)
     x1 = layernorm_forward(x, w.gamma1, w.beta1, cfg.eps)
     _cap(capture, prefix, "ln1_out", x1)
     y = msa_forward(x1, w, cfg, hooks, capture, prefix) + x
@@ -208,7 +207,12 @@ def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
 
 
 def model_forward(x, blocks, cfg, hooks=None, capture=None):
-    """Run all blocks. `hooks` is one QuantHooks per block, or None for all-bypass."""
+    """Run all blocks on one (patches, dim) sample or an (n, patches, dim) stack.
+
+    `hooks` is one QuantHooks per block, or None for all-bypass. Captures keep
+    the input's leading axis: a stack captures (n, patches, dim) per site and
+    (n, heads, patches, patches) at attn_a.
+    """
     if hooks is not None and len(hooks) != len(blocks):
         raise ShapeError(f"{len(hooks)} hook sets for {len(blocks)} blocks")
     out = as_tensor(x)

@@ -1,17 +1,18 @@
 """Calibrate -> fold -> quantize, as staged container transforms.
 
-The flow has no optimization loop. One capture pass fits every quantizer
-from data (channel-wise affine on the post-LayerNorm sites, a sqrt(2)-base
-log quantizer on post-Softmax, layer-wise affine elsewhere, channel-wise
-min/max on weights). The fold stage then rewrites each LayerNorm site's
-affine parameters and consumer weights so a single layer-wise quantizer
-reproduces the channel-wise codes, refits the rewritten weights, and swaps
-the post-Softmax dequantizer onto the power-of-two shift path. The quantize
-stage emits integer weight codes. Each stage appends to a logical pass log;
-identical inputs produce byte-identical containers.
+The flow has no optimization loop. One capture pass, a single forward over
+the whole calibration stack, fits every quantizer from data (channel-wise
+affine on the post-LayerNorm sites, a sqrt(2)-base log quantizer on
+post-Softmax, layer-wise affine elsewhere, channel-wise min/max on weights).
+The fold stage then rewrites each LayerNorm site's affine parameters and
+consumer weights so a single layer-wise quantizer reproduces the
+channel-wise codes, refits the rewritten weights and the downstream sites
+with the same site fitter as calibration, and swaps the post-Softmax
+dequantizer onto the power-of-two shift path. The quantize stage emits
+integer weight codes. Each stage appends to a logical pass log; identical
+inputs produce byte-identical containers.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,9 @@ from .container import blocks_from_container, container_from_model
 from .model import (ACTIVATION_SITES, WEIGHT_SITES, QuantHooks, model_forward)
 from .quantizers import (Granularity, QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
-                         logsqrt2_quantize, uniform_quantize)
-from .reparam import (ReparamRecord, base_change_scale,
-                      reparameterize_layernorm_site)
+                         logsqrt2_dequantize_shift, logsqrt2_quantize,
+                         uniform_quantize)
+from .reparam import ReparamRecord, reparameterize_layernorm_site
 from .tensors import as_tensor
 
 # LayerNorm site -> (affine params, consumer weight/bias) within a block
@@ -75,40 +76,30 @@ def _check_acts(cfg, acts):
 
 
 def capture_activations(blocks, cfg, acts, hooks=None):
-    """Forward every sample, stacking each site's tensors along a new axis 0."""
-    acts = _check_acts(cfg, acts)
-    pools = {}
-    for x in acts:
-        cap = {}
-        model_forward(x, blocks, cfg, hooks=hooks, capture=cap)
-        for key, val in cap.items():
-            pools.setdefault(key, []).append(val)
-    return {k: np.stack(v) for k, v in pools.items()}
+    """Forward the whole stack in one pass; each site's capture keeps axis 0."""
+    caps = {}
+    model_forward(_check_acts(cfg, acts), blocks, cfg, hooks=hooks, capture=caps)
+    return caps
 
 
-def recalibrate_weights(weight, bits):
-    """Channel-wise min/max affine fit over a weight matrix's output columns."""
-    cfg = CalibConfig(bits=bits, granularity=Granularity.PER_CHANNEL, percentile=100.0)
-    return calibrate_tensor(weight, cfg, channel_axis=1)
+def _fit_sites(blocks, caps, qcfg):
+    """Fit the layer-wise, post-Softmax and weight sites of every block.
 
-
-def _site_params(blocks, cfg, caps, qcfg):
-    """Fit every site from captured activations and current weights."""
-    a_chan = CalibConfig(bits=qcfg.bits_a, granularity=Granularity.PER_CHANNEL,
-                         percentile=qcfg.percentile)
+    Activation sites fit from the captured stacks, weights by channel-wise
+    min/max over their output columns.
+    """
     a_layer = CalibConfig(bits=qcfg.bits_a, percentile=qcfg.percentile)
     a_log = CalibConfig(bits=qcfg.bits_a, scheme=Scheme.LOG_SQRT2, percentile=100.0)
+    w_chan = CalibConfig(bits=qcfg.bits_w, granularity=Granularity.PER_CHANNEL,
+                         percentile=100.0)
     sites = {}
     for i, bw in enumerate(blocks):
         pre = f"block{i}."
-        for site in ("ln1_out", "ln2_out"):
-            # captured stacks are (n, patches, dim): channels on the last axis
-            sites[pre + site] = calibrate_tensor(caps[pre + site], a_chan, channel_axis=-1)
         sites[pre + "attn_a"] = calibrate_tensor(caps[pre + "attn_a"], a_log)
         for site in PLAIN_SITES:
             sites[pre + site] = calibrate_tensor(caps[pre + site], a_layer)
         for site in WEIGHT_SITES:
-            sites[pre + site] = recalibrate_weights(getattr(bw, site), qcfg.bits_w)
+            sites[pre + site] = calibrate_tensor(getattr(bw, site), w_chan, channel_axis=1)
     return sites
 
 
@@ -137,14 +128,18 @@ def calibrate_model(model_c, acts, qcfg=None):
     cfg, blocks = blocks_from_container(model_c)
     acts = _check_acts(cfg, acts)
     caps = capture_activations(blocks, cfg, acts)
-    sites = _site_params(blocks, cfg, caps, qcfg)
 
-    naive = {}
+    a_chan = CalibConfig(bits=qcfg.bits_a, granularity=Granularity.PER_CHANNEL,
+                         percentile=qcfg.percentile)
     a_layer = CalibConfig(bits=qcfg.bits_a, percentile=qcfg.percentile)
+    sites, naive = {}, {}
     for i in range(cfg.blocks):
-        for site in ("ln1_out", "ln2_out"):
+        for site in LN_SITES:
             key = f"block{i}.{site}"
+            # captured stacks are (n, patches, dim): channels on the last axis
+            sites[key] = calibrate_tensor(caps[key], a_chan, channel_axis=-1)
             naive[key] = calibrate_tensor(caps[key], a_layer)
+    sites.update(_fit_sites(blocks, caps, qcfg))
 
     out = container_from_model(cfg, blocks, stage="calibrated")
     out.meta["quantize_config"] = qcfg.to_json()
@@ -162,11 +157,11 @@ def reparameterize_model(calib_c, acts):
     """Stage 2: fold channel-wise LayerNorm quantizers into layer-wise ones.
 
     Each LayerNorm site independently gets its variation factors folded into
-    the affine parameters and the consuming projection. The rewritten
-    projections are refitted from scratch (strictly after compensation; the
-    pass log keeps the ordering on record), activation statistics for the
-    downstream sites are recomputed through the adjusted model, and the
-    post-Softmax dequantizer is marked for the base-changed shift path.
+    the affine parameters and the consuming projection. After compensation
+    the rewritten projections are refitted from scratch, activation
+    statistics for the downstream sites are recomputed through the adjusted
+    model, and the post-Softmax dequantizer is marked for the base-changed
+    shift path.
     """
     if calib_c.stage != "calibrated":
         raise PipelineError(f"fold stage expects a calibrated container, got {calib_c.stage!r}")
@@ -199,20 +194,8 @@ def reparameterize_model(calib_c, acts):
     _append_pass(out.meta, "weight-compensate")
 
     # refit everything that the fold touched or that flows downstream of it
-    caps = capture_activations(blocks, cfg, acts)
-    a_layer = CalibConfig(bits=qcfg.bits_a, percentile=qcfg.percentile)
-    a_log = CalibConfig(bits=qcfg.bits_a, scheme=Scheme.LOG_SQRT2, percentile=100.0)
-    for i, bw in enumerate(blocks):
-        pre = f"block{i}."
-        for site in PLAIN_SITES:
-            sites[pre + site] = calibrate_tensor(caps[pre + site], a_layer)
-        sites[pre + "attn_a"] = calibrate_tensor(caps[pre + "attn_a"], a_log)
-        for site in WEIGHT_SITES:
-            sites[pre + site] = recalibrate_weights(getattr(bw, site), qcfg.bits_w)
+    sites.update(_fit_sites(blocks, capture_activations(blocks, cfg, acts), qcfg))
     _append_pass(out.meta, "weight-recalibrate")
-    steps = {p["name"]: p["step"] for p in out.meta["passes"]}
-    if steps["weight-recalibrate"] <= steps["weight-compensate"]:
-        raise PipelineError("weight re-calibration must run strictly after compensation")
     _append_pass(out.meta, "softmax-base-change")
 
     out.meta["sites"] = _sites_to_json(sites)
@@ -264,7 +247,6 @@ class EvalReport:
     output_cosine: float
     code_equality: dict
     code_equality_rate: float
-    calibration_seconds: float
     ln_ablation: dict
     softmax_ablation: dict
 
@@ -283,7 +265,6 @@ class EvalReport:
             "output_cosine": self.output_cosine,
             "code_equality": dict(self.code_equality),
             "code_equality_rate": self.code_equality_rate,
-            "calibration_seconds": self.calibration_seconds,
             "ln_ablation": dict(self.ln_ablation),
             "softmax_ablation": dict(self.softmax_ablation),
         }
@@ -298,19 +279,6 @@ def _config_match(fp_c, q_c):
             )
 
 
-def _forward_all(blocks, cfg, acts, hooks=None, capture=False):
-    outs = np.empty((acts.shape[0], cfg.patches, cfg.dim))
-    pools = {}
-    for i, x in enumerate(acts):
-        cap = {} if capture else None
-        outs[i] = model_forward(x, blocks, cfg, hooks=hooks, capture=cap)
-        if capture:
-            for key, val in cap.items():
-                pools.setdefault(key, []).append(val)
-    caps = {k: np.stack(v) for k, v in pools.items()} if capture else None
-    return outs, caps
-
-
 def _mse(a, b):
     return float(np.mean((as_tensor(a) - as_tensor(b)) ** 2))
 
@@ -319,11 +287,11 @@ def evaluate(fp_c, q_c, acts):
     """Compare the quantized container against the float model on held-out data.
 
     Reports per-site quantization MSE, end-to-end output MSE and cosine
-    similarity, the integer-code-equality rate at every folded site, the
-    wall-clock cost of a calibration pass, and two ablations: end-to-end MSE
-    with naive layer-wise / channel-wise / folded LayerNorm quantizers, and
-    post-Softmax reconstruction MSE under log2 / log-sqrt2 / the base-changed
-    shift path.
+    similarity, the integer-code-equality rate at every folded site, and
+    two ablations: end-to-end MSE with naive layer-wise / channel-wise /
+    folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
+    log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
+    once over the whole held-out stack; nothing is refitted here.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -331,15 +299,14 @@ def evaluate(fp_c, q_c, acts):
     cfg, fp_blocks = blocks_from_container(fp_c)
     _, q_blocks = blocks_from_container(q_c)
     acts = _check_acts(cfg, acts)
-    qcfg = QuantizeConfig.from_json(q_c.meta["quantize_config"])
     sites = _sites_from_json(q_c.meta["sites"])
     records = {k: ReparamRecord.from_json(v)
                for k, v in q_c.meta.get("reparam_records", {}).items()}
 
-    fp_out, fp_caps = _forward_all(fp_blocks, cfg, acts, capture=True)
-
-    q_hooks = hooks_from_sites(cfg, sites)
-    q_out, q_caps = _forward_all(q_blocks, cfg, acts, hooks=q_hooks, capture=True)
+    fp_caps, q_caps = {}, {}
+    fp_out = model_forward(acts, fp_blocks, cfg, capture=fp_caps)
+    q_out = model_forward(acts, q_blocks, cfg, hooks=hooks_from_sites(cfg, sites),
+                          capture=q_caps)
 
     per_site_mse = {}
     for name, qp in sorted(sites.items()):
@@ -381,8 +348,7 @@ def evaluate(fp_c, q_c, acts):
         layer_sites = dict(pre_sites)
         layer_sites.update(naive_ln)
         for label, table in (("layer_wise", layer_sites), ("channel_wise", chan_sites)):
-            hooks = hooks_from_sites(cfg, table)
-            out, _ = _forward_all(fp_blocks, cfg, acts, hooks=hooks)
+            out = model_forward(acts, fp_blocks, cfg, hooks=hooks_from_sites(cfg, table))
             ln_ablation[label] = _mse(out, fp_out)
         ln_ablation["reparam"] = output_mse
 
@@ -397,18 +363,12 @@ def evaluate(fp_c, q_c, acts):
         err2 = log2_dequantize(codes2, s, bits) - a
         codesq = logsqrt2_quantize(a, s, bits)
         errq = logsqrt2_dequantize(codesq, s, bits) - a
-        # inference route: parity-adjusted scales, power-of-two shift
-        rb = np.ldexp(base_change_scale(s, codesq), np.floor_divide(-codesq, 2))
-        errb = rb - a
+        # inference route: parity-adjusted scales on the integer shift path
+        errb = logsqrt2_dequantize_shift(codesq, s, bits) - a
         for label, err in (("log2", err2), ("log_sqrt2", errq), ("base_changed", errb)):
             sq[label][0] += float(np.sum(err ** 2))
             sq[label][1] += err.size
     softmax_ablation = {k: v[0] / v[1] for k, v in sq.items()}
-
-    # wall-clock cost of one full quantizer fit on this data
-    t0 = time.perf_counter()
-    calibrate_model(fp_c, acts, qcfg)
-    calibration_seconds = time.perf_counter() - t0
 
     return EvalReport(
         per_site_mse=per_site_mse,
@@ -416,7 +376,6 @@ def evaluate(fp_c, q_c, acts):
         output_cosine=output_cosine,
         code_equality=code_equality,
         code_equality_rate=code_equality_rate,
-        calibration_seconds=calibration_seconds,
         ln_ablation=ln_ablation,
         softmax_ablation=softmax_ablation,
     )

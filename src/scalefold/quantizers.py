@@ -209,13 +209,25 @@ def parity_indicator(codes):
     return as_int_tensor(codes) & np.int32(1)
 
 
+def base_change_scale(s, codes):
+    """Dequantization scales for half-power codes on the power-of-two path.
+
+    s~ = s * (parity(code) * (sqrt(2) - 1) + 1): odd codes carry the extra
+    sqrt(2), even codes reconstruct on the plain power-of-two grid.
+    """
+    s = float(np.asarray(s).reshape(()))
+    if not (s > 0 and np.isfinite(s)):
+        raise ValueError("scale must be positive and finite")
+    return s * (parity_indicator(codes) * (SQRT2 - 1.0) + 1.0)
+
+
 def logsqrt2_dequantize(codes, s, bits=None):
     """Reconstruct s * sqrt(2)**(-code) via the shift-friendly split.
 
     Odd codes fold one sqrt(2) into the scale, even codes leave it alone;
     what remains is a plain power-of-two factor:
 
-        s_adj = s * (parity * (sqrt(2) - 1) + 1)
+        s_adj = s * (parity * (sqrt(2) - 1) + 1)     (base_change_scale)
         x_hat = s_adj * 2**floor(-code / 2)
 
     The result equals s * sqrt(2)**(-code) to within one ulp.
@@ -225,9 +237,7 @@ def logsqrt2_dequantize(codes, s, bits=None):
         raise ValueError("codes must be nonnegative")
     if bits is not None:
         codes = _check_codes(codes, bits)
-    s = float(np.asarray(s).reshape(()))
-    s_adj = s * (parity_indicator(codes) * (SQRT2 - 1.0) + 1.0)
-    return np.ldexp(s_adj, np.floor_divide(-codes, 2))
+    return np.ldexp(base_change_scale(s, codes), np.floor_divide(-codes, 2))
 
 
 def _shift_pow2(exponents, frac):
@@ -263,10 +273,8 @@ def logsqrt2_dequantize_shift(codes, s, bits):
     """
     codes = _check_codes(codes, bits)
     frac = _qmax(bits)
-    s = float(np.asarray(s).reshape(()))
-    s_adj = s * (parity_indicator(codes) * (SQRT2 - 1.0) + 1.0)
     mant = _shift_pow2((codes + 1) >> 1, frac)
-    return np.ldexp(s_adj * mant, -frac)
+    return np.ldexp(base_change_scale(s, codes) * mant, -frac)
 
 
 def fake_quantize(x, qp):

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizers import (Granularity, QuantParams, Scheme, SQRT2,
-                         parity_indicator)
+from .quantizers import Granularity, QuantParams, Scheme
 from .tensors import as_tensor
 
 
@@ -155,15 +154,14 @@ class SiteReparam:
     bias: np.ndarray
     layer_params: QuantParams
     record: ReparamRecord
-    needs_weight_recalibration: bool = True
 
 
 def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
     """Fold one normalization site end to end.
 
     Returns the adjusted affine parameters, the compensated consumer weights
-    (flagged as needing a fresh quantizer fit), the layer-wise quantizer
-    parameters, and the audit record.
+    (which need a fresh quantizer fit), the layer-wise quantizer parameters,
+    and the audit record.
     """
     record = build_reparam_record(channel_params)
     gamma_adj, beta_adj = apply_affine_adjustment(gamma, beta, record)
@@ -175,17 +173,5 @@ def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
         bias=bias_adj,
         layer_params=record.target_params(),
         record=record,
-        needs_weight_recalibration=True,
     )
 
-
-def base_change_scale(s, codes):
-    """Dequantization scales for half-power codes on the power-of-two path.
-
-    s~ = s * (parity(code) * (sqrt(2) - 1) + 1): odd codes carry the extra
-    sqrt(2), even codes reconstruct on the plain power-of-two grid.
-    """
-    s = float(np.asarray(s).reshape(()))
-    if not (s > 0 and np.isfinite(s)):
-        raise ValueError("scale must be positive and finite")
-    return s * (parity_indicator(codes) * (SQRT2 - 1.0) + 1.0)

@@ -182,5 +182,3 @@ class TestCalibConfig:
             CalibConfig(percentile=50.0)
         with pytest.raises(ValueError):
             CalibConfig(percentile=101.0)
-        with pytest.raises(ValueError):
-            CalibConfig(samples=0)

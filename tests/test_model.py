@@ -288,12 +288,6 @@ class TestHooks:
         out = block_forward(x, w, cfg, hooks=hooks)
         assert out.shape == (cfg.patches, cfg.dim)
 
-    def test_with_sites(self):
-        qp = QuantParams(Scheme.LOG2, 4, scale=np.array([1.0]))
-        hooks = QuantHooks().with_sites(attn_a=qp)
-        assert hooks.get("attn_a") is qp
-        assert hooks.get("ln1_out") is None
-
 
 class TestModelForward:
     def test_capture_covers_all_sites(self):
@@ -306,6 +300,45 @@ class TestModelForward:
                                       for s in ACTIVATION_SITES)
         assert sorted(site_names(cfg)) == sorted(
             f"block{i}.{s}" for i in range(3) for s in SITES)
+
+    def test_stack_equals_per_sample_loop(self):
+        """One pass over an (n, patches, dim) stack is the per-sample loop, bit for bit.
+
+        The hooks include a per-channel site and a log-sqrt2 site, and every
+        captured site must match the stacked per-sample captures exactly.
+        """
+        cfg = ModelConfig(patches=4, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=2)
+        blocks = [random_block(cfg, 40 + i) for i in range(2)]
+        xs = np.random.default_rng(41).normal(size=(6, cfg.patches, cfg.dim))
+        chan = QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.1, 0.5, cfg.dim),
+                           zero_point=np.arange(cfg.dim, dtype=np.int64),
+                           granularity=Granularity.PER_CHANNEL, channel_axis=-1)
+        log_qp = QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))
+        layer = QuantParams(Scheme.UNIFORM, 4, scale=np.array([0.3]),
+                            zero_point=np.array([8], dtype=np.int64))
+        hooks = [QuantHooks(ln1_out=chan, attn_a=log_qp, gelu_out=layer)] * 2
+
+        caps = {}
+        got = model_forward(xs, blocks, cfg, hooks=hooks, capture=caps)
+        singles = []
+        for x in xs:
+            cap = {}
+            singles.append((model_forward(x, blocks, cfg, hooks=hooks, capture=cap), cap))
+        np.testing.assert_array_equal(got, np.stack([out for out, _ in singles]))
+        assert sorted(caps) == sorted(singles[0][1])
+        for key, val in caps.items():
+            want = np.stack([cap[key] for _, cap in singles])
+            assert val.shape == want.shape
+            np.testing.assert_array_equal(val, want)
+        assert caps["block0.attn_a"].shape == (6, cfg.heads, cfg.patches, cfg.patches)
+
+    def test_stack_with_wrong_trailing_shape_rejected(self):
+        cfg = small_cfg()
+        blocks = [random_block(cfg, 42)]
+        for shape in ((3, cfg.patches + 1, cfg.dim), (3, cfg.patches, cfg.dim + 1),
+                      (2, 3, cfg.patches, cfg.dim)):
+            with pytest.raises(ShapeError):
+                model_forward(np.zeros(shape), blocks, cfg)
 
     def test_hooks_length_mismatch(self):
         cfg = small_cfg()

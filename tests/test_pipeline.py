@@ -207,7 +207,6 @@ class TestEvaluate:
     def test_output_metrics_sane(self, report):
         assert 0.0 <= report.output_mse
         assert 0.5 < report.output_cosine <= 1.0
-        assert report.calibration_seconds > 0.0
         assert len(report.per_site_mse) == 12 * CFG.blocks
         assert all(v >= 0 for v in report.per_site_mse.values())
 
@@ -232,11 +231,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="negative"):
             EvalReport(per_site_mse={"x": -1.0}, output_mse=0.0, output_cosine=1.0,
                        code_equality={}, code_equality_rate=1.0,
-                       calibration_seconds=0.1, ln_ablation={}, softmax_ablation={})
+                       ln_ablation={}, softmax_ablation={})
         with pytest.raises(ValueError, match="rate"):
             EvalReport(per_site_mse={}, output_mse=0.0, output_cosine=1.0,
                        code_equality={"x": 1.5}, code_equality_rate=1.0,
-                       calibration_seconds=0.1, ln_ablation={}, softmax_ablation={})
+                       ln_ablation={}, softmax_ablation={})
 
 
 class TestHooksFromSites:

@@ -62,6 +62,36 @@ class TestMatmul:
                 expect[i, j] = acc
         np.testing.assert_array_equal(matmul(a, b), expect)
 
+    def test_stack_times_matrix_equals_per_slice(self):
+        """A 3-D stack against a 2-D weight sums each slice as a 2-D product.
+
+        8 * 64 * 128 outputs are 2**16, so the flattened rows span more than
+        one block of the rank-1 loop.
+        """
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(8, 64, 24))
+        b = rng.normal(size=(24, 128))
+        got = matmul(a, b)
+        assert got.shape == (8, 64, 128)
+        for i in range(len(a)):
+            np.testing.assert_array_equal(got[i], matmul(a[i], b))
+
+    def test_batched_heads_equal_per_slice(self):
+        """(n, h, p, dh) x (n, h, dh, p) equals the per-(n, h) 2-D products."""
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(5, 4, 64, 16))
+        b = rng.normal(size=(5, 4, 16, 64))
+        got = matmul(a, b)
+        assert got.shape == (5, 4, 64, 64)
+        assert got.size > 2 ** 15
+        for i in range(5):
+            for j in range(4):
+                np.testing.assert_array_equal(got[i, j], matmul(a[i, j], b[i, j]))
+
+    def test_batch_axes_must_broadcast(self):
+        with pytest.raises(ShapeError):
+            matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+
     def test_repeated_runs_identical(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(8, 8))
