@@ -47,22 +47,22 @@ def percentile_bounds(x, p):
 def compute_affine_params(lo, hi, bits):
     """Fit scale and zero point to a clip range: s = (hi-lo)/(2**bits - 1).
 
-    The zero point round(-lo/s) is clipped into the code range so it is
-    always a representable code; a constant tensor (hi == lo) falls back to
-    DEGENERATE_SCALE instead of dividing by zero.
+    lo and hi are scalars or equal-shaped arrays (one range per channel);
+    the result has their shape. The zero point round(-lo/s) is clipped into
+    the code range so it is always a representable code; a constant range
+    (hi == lo) falls back to DEGENERATE_SCALE instead of dividing by zero.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("bounds must be finite")
-    if hi < lo:
+    if np.any(hi < lo):
         raise ValueError(f"upper bound {hi} below lower bound {lo}")
     qmax = (1 << bits) - 1
     s = (hi - lo) / qmax
-    if not s > 0.0:
-        s = DEGENERATE_SCALE
-    z = int(np.clip(np.rint(-lo / s), 0, qmax))
-    return s, z
+    s = np.where(s > 0.0, s, DEGENERATE_SCALE)
+    z = np.clip(np.rint(-lo / s), 0, qmax).astype(np.int64)
+    return s[()], z[()]
 
 
 def _log_scale(hi):
@@ -84,25 +84,18 @@ def calibrate_tensor(x, cfg, channel_axis=None):
 
     if cfg.scheme is Scheme.UNIFORM:
         if cfg.granularity is Granularity.PER_LAYER:
-            lo, hi = percentile_bounds(x, p)
-            s, z = compute_affine_params(lo, hi, cfg.bits)
-            return QuantParams(Scheme.UNIFORM, cfg.bits, scale=np.array([s]),
-                               zero_point=np.array([z], dtype=np.int64))
-        if channel_axis is None:
+            rows, channel_axis = x.reshape(1, -1), None
+        elif channel_axis is None:
             raise ValueError("per-channel calibration needs a channel_axis")
-        axis = channel_axis % x.ndim
-        chans = np.moveaxis(x, axis, 0).reshape(x.shape[axis], -1)
-        lows = np.percentile(chans, 100.0 - p, axis=1)
-        highs = np.percentile(chans, p, axis=1)
-        fitted = [compute_affine_params(lo, hi, cfg.bits) for lo, hi in zip(lows, highs)]
+        else:
+            axis = channel_axis % x.ndim
+            rows = np.moveaxis(x, axis, 0).reshape(x.shape[axis], -1)
+        lows, highs = np.percentile(rows, [100.0 - p, p], axis=1)
+        s, z = compute_affine_params(lows, highs, cfg.bits)
         # keep the caller's axis convention (e.g. -1 survives a change of ndim
         # between the stacked calibration capture and single-sample tensors)
-        return QuantParams(
-            Scheme.UNIFORM, cfg.bits,
-            scale=np.array([f[0] for f in fitted]),
-            zero_point=np.array([f[1] for f in fitted], dtype=np.int64),
-            granularity=Granularity.PER_CHANNEL, channel_axis=channel_axis,
-        )
+        return QuantParams(Scheme.UNIFORM, cfg.bits, scale=s, zero_point=z,
+                           granularity=cfg.granularity, channel_axis=channel_axis)
 
     # log schemes: layer-wise scale from the upper bound
     if cfg.granularity is not Granularity.PER_LAYER:

@@ -9,7 +9,7 @@ import json
 import os
 import sys
 
-from .container import (ContainerError, container_from_activations,
+from .container import (activations_from_container, container_from_activations,
                         container_from_model, read_container, write_container)
 from .model import ModelConfig
 from .pipeline import (PipelineError, QuantizeConfig, calibrate_model,
@@ -69,8 +69,16 @@ def build_parser():
     return parser
 
 
+# top-level keys of a `gen --config` file
+_GEN_KEYS = ("model", "synth", "calib_batches", "eval_batches")
+
+
 def _cmd_gen(args):
     overrides = _load_json(args.config) if args.config else {}
+    if not (isinstance(overrides, dict) and set(overrides) <= set(_GEN_KEYS)
+            and all(isinstance(overrides.get(k, {}), dict) for k in ("model", "synth"))):
+        raise ValueError(f"--config takes an object with keys from {list(_GEN_KEYS)}, "
+                         "with objects under model and synth")
     cfg = ModelConfig.from_json({**ModelConfig().to_json(), **overrides.get("model", {})})
     spec_d = {**SynthSpec().to_json(), **overrides.get("synth", {})}
     if args.seed is not None:
@@ -99,7 +107,6 @@ def _cmd_gen(args):
 
 
 def _acts(path):
-    from .container import activations_from_container
     return activations_from_container(read_container(path))
 
 
@@ -133,13 +140,11 @@ def _cmd_eval(args):
     print(f"code equality:     {report.code_equality_rate:.6f}")
     for name, rate in sorted(report.code_equality.items()):
         print(f"  {name}: {rate:.6f}")
-    print("layernorm ablation (end-to-end mse):")
-    for name in ("layer_wise", "channel_wise", "reparam"):
-        if name in report.ln_ablation:
-            print(f"  {name}: {report.ln_ablation[name]:.6e}")
-    print("softmax ablation (site mse):")
-    for name in ("log2", "log_sqrt2", "base_changed"):
-        print(f"  {name}: {report.softmax_ablation[name]:.6e}")
+    for title, arms in (("layernorm ablation (end-to-end mse)", report.ln_ablation),
+                        ("softmax ablation (site mse)", report.softmax_ablation)):
+        print(f"{title}:")
+        for name, mse in arms.items():
+            print(f"  {name}: {mse:.6e}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
@@ -193,10 +198,7 @@ def cli_main(argv=None):
         return int(e.code) if e.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ContainerError, PipelineError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (PipelineError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

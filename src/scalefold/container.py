@@ -17,7 +17,8 @@ deterministic: equal containers produce equal bytes.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,9 +29,10 @@ MAGIC = b"RVQM0001"
 FORMAT_VERSION = 1
 
 _DTYPES = {"f32": np.dtype("<f4"), "i32": np.dtype("<i4")}
+# JSON type of each field of a tensor-table entry
+_ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int, "length": int}
 
-WEIGHT_FIELDS = ("gamma1", "beta1", "w_qkv", "b_qkv", "w_o", "b_o",
-                 "gamma2", "beta2", "w_1", "b_1", "w_2", "b_2")
+WEIGHT_FIELDS = tuple(f.name for f in fields(BlockWeights))
 
 
 class ContainerError(ValueError):
@@ -53,7 +55,10 @@ class ModelContainer:
         return self.meta.get("stage")
 
     def config(self):
-        return ModelConfig.from_json(self.meta["model_config"])
+        try:
+            return ModelConfig.from_json(self.meta["model_config"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ContainerError(f"bad model_config: {type(e).__name__}: {e}") from None
 
 
 def _payload_dtype(arr):
@@ -100,23 +105,29 @@ def from_bytes(raw):
         manifest = json.loads(raw[16:16 + doc_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ContainerError(f"manifest is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ContainerError(f"manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise ContainerError(f"unsupported format version {manifest.get('format_version')}")
+    if not isinstance(manifest.get("tensors"), list):
+        raise ContainerError("manifest has no tensor list")
     blob = raw[16 + doc_len:]
 
     tensors = {}
-    for entry in manifest.get("tensors", []):
-        name = entry["name"]
+    for entry in manifest["tensors"]:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), t) for k, t in _ENTRY_TYPES.items())
+                and all(isinstance(v, int) and v >= 0 for v in entry["shape"])):
+            raise ContainerError(f"malformed tensor entry {entry!r}")
+        name, tag, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
         if name in tensors:
             raise ContainerError(f"duplicate tensor name {name!r}")
-        tag = entry["dtype"]
         if tag not in _DTYPES:
             raise ContainerError(f"tensor {name!r} has unknown dtype {tag!r}")
-        shape = tuple(int(v) for v in entry["shape"])
-        offset, length = int(entry["offset"]), int(entry["length"])
+        offset, length = entry["offset"], entry["length"]
         if offset < 0 or length < 0 or offset + length > len(blob):
             raise ContainerError(f"tensor {name!r} extends past the blob")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         if count * _DTYPES[tag].itemsize != length:
             raise ContainerError(f"tensor {name!r}: shape {shape} does not match byte length {length}")
         flat = np.frombuffer(blob, dtype=_DTYPES[tag], count=count, offset=offset)
@@ -191,4 +202,6 @@ def container_from_activations(cfg, acts):
 def activations_from_container(container):
     if container.kind != "activations":
         raise ContainerError(f"expected an activations container, got kind {container.kind!r}")
+    if "activations" not in container.tensors:
+        raise ContainerError("activations container has no activations tensor")
     return container.tensors["activations"]

@@ -11,7 +11,7 @@ stack runs as one pass, and each of its samples comes out bit-identical to
 running that sample alone.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,11 +31,25 @@ ACTIVATION_SITES = (
     "msa_proj_in", "ln2_out", "gelu_out",
 )
 WEIGHT_SITES = ("w_qkv", "w_o", "w_1", "w_2")
-SITES = ACTIVATION_SITES + WEIGHT_SITES
+
+
+class JsonFields:
+    """JSON form of a flat dataclass: exactly its fields, by name."""
+
+    def to_json(self):
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, d):
+        expected = sorted(f.name for f in fields(cls))
+        got = sorted(d) if isinstance(d, dict) else type(d).__name__
+        if got != expected:
+            raise ValueError(f"{cls.__name__} expects keys {expected}, got {got}")
+        return cls(**d)
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonFields):
     """Dimensions of the toy encoder."""
 
     patches: int = 16
@@ -56,18 +70,6 @@ class ModelConfig:
             )
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-
-    def to_json(self):
-        return {
-            "patches": self.patches, "dim": self.dim, "heads": self.heads,
-            "head_dim": self.head_dim, "mlp_dim": self.mlp_dim,
-            "blocks": self.blocks, "eps": self.eps,
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(**{k: d[k] for k in
-                      ("patches", "dim", "heads", "head_dim", "mlp_dim", "blocks", "eps")})
 
 
 @dataclass
@@ -220,8 +222,3 @@ def model_forward(x, blocks, cfg, hooks=None, capture=None):
         h = hooks[i] if hooks is not None else None
         out = block_forward(out, w, cfg, hooks=h, capture=capture, prefix=f"block{i}.")
     return out
-
-
-def site_names(cfg):
-    """All hook-site names of the model, block-qualified, forward order."""
-    return [f"block{i}.{s}" for i in range(cfg.blocks) for s in SITES]

@@ -9,17 +9,18 @@ consumer weights so a single layer-wise quantizer reproduces the
 channel-wise codes, refits the rewritten weights and the downstream sites
 with the same site fitter as calibration, and swaps the post-Softmax
 dequantizer onto the power-of-two shift path. The quantize stage emits
-integer weight codes. Each stage appends to a logical pass log; identical
-inputs produce byte-identical containers.
+integer weight codes. The fold and quantize stages carry their input's
+metadata whole and add their own. Each stage appends to a logical pass log;
+identical inputs produce byte-identical containers.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .calibration import CalibConfig, calibrate_tensor
 from .container import blocks_from_container, container_from_model
-from .model import (ACTIVATION_SITES, WEIGHT_SITES, QuantHooks, model_forward)
+from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, QuantHooks, model_forward
 from .quantizers import (Granularity, QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
                          logsqrt2_dequantize_shift, logsqrt2_quantize,
@@ -41,7 +42,7 @@ class PipelineError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuantizeConfig:
+class QuantizeConfig(JsonFields):
     """Bit widths and the activation clip percentile."""
 
     bits_w: int = 4
@@ -54,15 +55,6 @@ class QuantizeConfig:
                 raise ValueError(f"{name} outside [2, 8]")
         if not 50.0 < float(self.percentile) <= 100.0:
             raise ValueError("percentile must lie in (50, 100]")
-
-    def to_json(self):
-        return {"bits_w": self.bits_w, "bits_a": self.bits_a,
-                "percentile": self.percentile}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(bits_w=int(d["bits_w"]), bits_a=int(d["bits_a"]),
-                   percentile=float(d["percentile"]))
 
 
 def _check_acts(cfg, acts):
@@ -187,8 +179,7 @@ def reparameterize_model(calib_c, acts):
             records[key] = res.record
 
     out = container_from_model(cfg, blocks, stage="reparameterized")
-    out.meta.update({k: v for k, v in calib_c.meta.items()
-                     if k in ("quantize_config", "calib", "ablation", "passes")})
+    out.meta = {**calib_c.meta, **out.meta}
     _append_pass(out.meta, "fold-records")
     _append_pass(out.meta, "affine-adjust")
     _append_pass(out.meta, "weight-compensate")
@@ -211,9 +202,7 @@ def quantize_model(rep_c):
     cfg, blocks = blocks_from_container(rep_c)
     sites = _sites_from_json(rep_c.meta["sites"])
     out = container_from_model(cfg, blocks, stage="quantized")
-    out.meta.update({k: v for k, v in rep_c.meta.items()
-                     if k in ("quantize_config", "calib", "ablation", "passes",
-                              "sites", "reparam_records", "softmax_dequant")})
+    out.meta = {**rep_c.meta, **out.meta}
     for i, bw in enumerate(blocks):
         for site in WEIGHT_SITES:
             key = f"block{i}.{site}"
@@ -259,15 +248,7 @@ class EvalReport:
                 raise ValueError(f"code-equality rate at {name} outside [0, 1]")
 
     def to_json(self):
-        return {
-            "per_site_mse": dict(self.per_site_mse),
-            "output_mse": self.output_mse,
-            "output_cosine": self.output_cosine,
-            "code_equality": dict(self.code_equality),
-            "code_equality_rate": self.code_equality_rate,
-            "ln_ablation": dict(self.ln_ablation),
-            "softmax_ablation": dict(self.softmax_ablation),
-        }
+        return asdict(self)
 
 
 def _config_match(fp_c, q_c):
@@ -291,7 +272,9 @@ def evaluate(fp_c, q_c, acts):
     two ablations: end-to-end MSE with naive layer-wise / channel-wise /
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
     log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
-    once over the whole held-out stack; nothing is refitted here.
+    once over the whole held-out stack; nothing is refitted here. A quantized
+    container lacking a LayerNorm site's fold record or either ablation
+    table raises PipelineError naming what is missing.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -300,8 +283,14 @@ def evaluate(fp_c, q_c, acts):
     _, q_blocks = blocks_from_container(q_c)
     acts = _check_acts(cfg, acts)
     sites = _sites_from_json(q_c.meta["sites"])
-    records = {k: ReparamRecord.from_json(v)
-               for k, v in q_c.meta.get("reparam_records", {}).items()}
+    ln_keys = sorted(f"block{i}.{site}" for i in range(cfg.blocks) for site in LN_SITES)
+    needed = [("reparam_records", key) for key in ln_keys]
+    needed += [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")]
+    missing = [f"{top}.{key}" for top, key in needed if key not in q_c.meta.get(top, {})]
+    if missing:
+        raise PipelineError(f"quantized container lacks {', '.join(missing)}")
+    records = {k: ReparamRecord.from_json(q_c.meta["reparam_records"][k]) for k in ln_keys}
+    abl = q_c.meta["ablation"]
 
     fp_caps, q_caps = {}, {}
     fp_out = model_forward(acts, fp_blocks, cfg, capture=fp_caps)
@@ -327,7 +316,7 @@ def evaluate(fp_c, q_c, acts):
     # full float64 precision on the float model's activations
     code_equality = {}
     hits = total = 0
-    for name, rec in sorted(records.items()):
+    for name, rec in records.items():
         x = fp_caps[name]
         codes_chan = uniform_quantize(x, rec.source)
         adjusted = (x + rec.source.scale * rec.r2) / rec.r1
@@ -336,21 +325,16 @@ def evaluate(fp_c, q_c, acts):
         code_equality[name] = float(np.mean(eq))
         hits += int(eq.sum())
         total += eq.size
-    code_equality_rate = float(hits / total) if total else 1.0
+    code_equality_rate = float(hits / total)
 
     # ablation 1: LayerNorm-site granularity, end to end
-    abl = q_c.meta.get("ablation", {})
-    pre_sites = _sites_from_json(abl.get("precalib_sites", {}))
-    naive_ln = _sites_from_json(abl.get("ln_layer_wise", {}))
+    chan_sites = _sites_from_json(abl["precalib_sites"])
+    layer_sites = {**chan_sites, **_sites_from_json(abl["ln_layer_wise"])}
     ln_ablation = {}
-    if pre_sites and naive_ln:
-        chan_sites = dict(pre_sites)
-        layer_sites = dict(pre_sites)
-        layer_sites.update(naive_ln)
-        for label, table in (("layer_wise", layer_sites), ("channel_wise", chan_sites)):
-            out = model_forward(acts, fp_blocks, cfg, hooks=hooks_from_sites(cfg, table))
-            ln_ablation[label] = _mse(out, fp_out)
-        ln_ablation["reparam"] = output_mse
+    for label, table in (("layer_wise", layer_sites), ("channel_wise", chan_sites)):
+        out = model_forward(acts, fp_blocks, cfg, hooks=hooks_from_sites(cfg, table))
+        ln_ablation[label] = _mse(out, fp_out)
+    ln_ablation["reparam"] = output_mse
 
     # ablation 2: post-Softmax quantizer family, on the captured tensors
     sq = {"log2": [0.0, 0], "log_sqrt2": [0.0, 0], "base_changed": [0.0, 0]}

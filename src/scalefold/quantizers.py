@@ -100,15 +100,19 @@ class QuantParams:
 
     @classmethod
     def from_json(cls, d):
-        zp = d.get("zero_point")
-        return cls(
-            scheme=Scheme(d["scheme"]),
-            bits=int(d["bits"]),
-            scale=np.asarray(d["scale"], dtype=np.float64),
-            zero_point=None if zp is None else np.asarray(zp, dtype=np.int64),
-            granularity=Granularity(d.get("granularity", "per_layer")),
-            channel_axis=d.get("channel_axis"),
-        )
+        """Inverse of `to_json`; malformed input raises ValueError."""
+        try:
+            zp, axis = d.get("zero_point"), d.get("channel_axis")
+            return cls(
+                scheme=Scheme(d["scheme"]),
+                bits=int(d["bits"]),
+                scale=np.asarray(d["scale"], dtype=np.float64),
+                zero_point=None if zp is None else np.asarray(zp, dtype=np.int64),
+                granularity=Granularity(d.get("granularity", "per_layer")),
+                channel_axis=None if axis is None else int(axis),
+            )
+        except (AttributeError, KeyError, OverflowError, TypeError) as e:
+            raise ValueError(f"malformed quantizer params: {type(e).__name__}: {e}") from None
 
 
 def _param_view(vec, x, qp):
@@ -242,12 +246,12 @@ def logsqrt2_dequantize(codes, s, bits=None):
 
 def _shift_pow2(exponents, frac):
     # 2**(-k) as an exact fixed-point integer: (1 << frac) >> k, then an
-    # exact rescale by 2**-frac. Python ints keep the shift exact for any
-    # frac; the mantissas are powers of two, so float conversion is exact.
+    # exact rescale by 2**-frac. The frac + 1 levels are shifted once with
+    # Python ints, which stay exact for any frac, and the exponents index
+    # them; the levels are powers of two, so float conversion is exact.
     one = 1 << frac
-    flat = [float(one >> int(k)) for k in np.ravel(exponents)]
-    mant = np.array(flat, dtype=np.float64).reshape(np.shape(exponents))
-    return mant
+    levels = np.array([float(one >> k) for k in range(frac + 1)])
+    return levels[exponents]
 
 
 def log2_dequantize_shift(codes, s, bits):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockWeights
+from .model import BlockWeights, JsonFields
 
 # Expected span (max - min) of about a thousand standard-normal draws.
 # Post-LayerNorm channels are near standard normal over tokens, so an affine
@@ -43,7 +43,7 @@ _ACT_STREAM_TAG = 977
 
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(JsonFields):
     """Generator targets; defaults give the reference difficulty profile."""
 
     seed: int = 0
@@ -60,20 +60,6 @@ class SynthSpec:
             raise ValueError("attention_sharpness must be positive")
         if int(self.batch) < 1:
             raise ValueError("batch must be positive")
-
-    def to_json(self):
-        return {
-            "seed": self.seed,
-            "channel_range_min": self.channel_range_min,
-            "channel_range_mean": self.channel_range_mean,
-            "channel_range_max": self.channel_range_max,
-            "attention_sharpness": self.attention_sharpness,
-            "batch": self.batch,
-        }
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(**d)
 
 
 def _span_targets(n, lo, mid, hi, rng):

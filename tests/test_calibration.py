@@ -76,6 +76,22 @@ class TestComputeAffineParams:
                              zero_point=np.array([z], dtype=np.int64))
             assert uniform_dequantize(np.array([z], dtype=np.int32), qp)[0] == 0.0
 
+    def test_array_call_equals_scalar_calls(self):
+        """One call over per-channel bounds is the per-channel scalar fits, bit for bit."""
+        rng = np.random.default_rng(45)
+        lo = np.concatenate([-rng.uniform(0.0, 5.0, 30), [2.0, 0.0, -1.0, 7.5]])
+        hi = np.concatenate([rng.uniform(0.0, 5.0, 30), [2.0, 0.0, -0.5, 9.0]])
+        for bits in (2, 4, 8):
+            s, z = compute_affine_params(lo, hi, bits)
+            assert s.shape == z.shape == lo.shape and z.dtype == np.int64
+            pairs = [compute_affine_params(a, b, bits) for a, b in zip(lo, hi)]
+            np.testing.assert_array_equal(s, [p[0] for p in pairs])
+            np.testing.assert_array_equal(z, [p[1] for p in pairs])
+
+    def test_inverted_bound_in_an_array_rejected(self):
+        with pytest.raises(ValueError):
+            compute_affine_params(np.array([0.0, 1.0]), np.array([1.0, 0.5]), 4)
+
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
             compute_affine_params(1.0, 0.0, 4)
@@ -108,6 +124,17 @@ class TestCalibrateTensor:
         qc = calibrate_tensor(x, cfg_c, channel_axis=1)
         ql = calibrate_tensor(x, cfg_l)
         assert ql.scale[0] >= qc.scale.max()
+
+    def test_per_channel_equals_per_layer_fit_of_each_channel(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(5, 7, 6)) * rng.uniform(0.1, 4.0, size=6)
+        x[..., 2] = 1.5  # a constant channel takes the degenerate scale
+        chan = calibrate_tensor(x, CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL,
+                                               percentile=99.0), channel_axis=-1)
+        for c in range(x.shape[-1]):
+            layer = calibrate_tensor(x[..., c], CalibConfig(bits=4, percentile=99.0))
+            assert chan.scale[c] == layer.scale[0]
+            assert chan.zero_point[c] == layer.zero_point[0]
 
     def test_channel_axis_is_preserved_verbatim(self):
         """A negative axis must survive so params fit tensors of other ranks.

@@ -135,6 +135,21 @@ class TestExitCodes:
         assert cli_main(["inspect", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {**SMALL, "calib_batch": 6},
+        {**SMALL, "model": {"dims": 32}},
+        {**SMALL, "synth": {"sed": 1}},
+        {**SMALL, "model": [32]},
+        [SMALL],
+    ])
+    def test_gen_rejects_unknown_config_keys(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rc = cli_main(["gen", "--out", str(tmp_path / "out"), "--config", str(cfg_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
     def test_config_mismatch_names_key(self, workspace, tmp_path, capsys):
         small_model = tmp_path / "small"
         cfg_path = tmp_path / "cfg.json"

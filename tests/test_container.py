@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalefold.container import (
     FORMAT_VERSION,
@@ -20,6 +21,7 @@ from scalefold.container import (
     write_container,
 )
 from scalefold.model import ModelConfig
+from scalefold.pipeline import QuantizeConfig, run_pipeline
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 
 
@@ -143,6 +145,80 @@ class TestMalformed:
             from_bytes(raw)
 
 
+def _raw(manifest, blob=b""):
+    doc = json.dumps(manifest).encode()
+    return MAGIC + len(doc).to_bytes(8, "little") + doc + blob
+
+
+class TestMalformedManifest:
+    ENTRY = {"name": "x", "shape": [1], "dtype": "f32", "offset": 0, "length": 4}
+
+    @pytest.mark.parametrize("manifest", [
+        [FORMAT_VERSION],
+        {"format_version": FORMAT_VERSION},
+        {"format_version": FORMAT_VERSION, "tensors": 3},
+        {"format_version": FORMAT_VERSION, "tensors": [7]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "name": None}]},
+        {"format_version": FORMAT_VERSION,
+         "tensors": [{k: v for k, v in ENTRY.items() if k != "name"}]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "shape": 1}]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "shape": "1"}]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "shape": [-1, -1]}]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "shape": [1.0]}]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "dtype": ["f32"]}]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "offset": "0"}]},
+    ])
+    def test_rejected_with_container_error(self, manifest):
+        with pytest.raises(ContainerError):
+            from_bytes(_raw(manifest, b"\x00" * 4))
+
+    @pytest.mark.parametrize("meta", [
+        {}, {"model_config": None}, {"model_config": []},
+        {"model_config": {**ModelConfig().to_json(), "dims": 8}},
+        {"model_config": {**ModelConfig().to_json(), "dim": None}},
+    ])
+    def test_bad_model_config_is_container_error(self, meta):
+        with pytest.raises(ContainerError, match="model_config"):
+            ModelContainer(meta={"kind": "model", **meta}).config()
+
+
+@pytest.fixture(scope="module")
+def quantized_bytes():
+    """A small quantized container: manifest with sites, records and a pass log."""
+    cfg = ModelConfig(patches=2, dim=4, heads=1, head_dim=4, mlp_dim=4, blocks=1)
+    spec = SynthSpec(seed=9)
+    acts = gen_activations(cfg, spec, 2)
+    q = run_pipeline(container_from_model(cfg, gen_model(cfg, spec)), acts,
+                     QuantizeConfig(bits_w=3, bits_a=3))
+    return to_bytes(q)
+
+
+class TestFuzz:
+    """Damaged bytes of a valid container either parse or raise ContainerError."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_truncation(self, quantized_bytes, data):
+        cut = data.draw(st.integers(0, len(quantized_bytes) - 1))
+        try:
+            from_bytes(quantized_bytes[:cut])
+        except ContainerError:
+            pass
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.data())
+    def test_single_byte_change(self, quantized_bytes, data):
+        raw = quantized_bytes
+        head = 16 + int.from_bytes(raw[8:16], "little")
+        # most of the schema lives in the manifest, so aim half the draws there
+        pos = data.draw(st.one_of(st.integers(0, head - 1), st.integers(0, len(raw) - 1)))
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
+        try:
+            from_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1:])
+        except ContainerError:
+            pass
+
+
 class TestModelPacking:
     def test_model_round_trip(self):
         cfg = ModelConfig()
@@ -191,4 +267,9 @@ class TestActivationsPacking:
         cfg = ModelConfig()
         c = container_from_model(cfg, gen_model(cfg, SynthSpec()))
         with pytest.raises(ContainerError, match="activations"):
+            activations_from_container(c)
+
+    def test_missing_tensor_is_container_error(self):
+        c = ModelContainer(meta={"kind": "activations"})
+        with pytest.raises(ContainerError, match="no activations tensor"):
             activations_from_container(c)

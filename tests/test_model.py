@@ -10,7 +10,6 @@ import pytest
 
 from scalefold.model import (
     ACTIVATION_SITES,
-    SITES,
     WEIGHT_SITES,
     BlockWeights,
     ModelConfig,
@@ -20,7 +19,6 @@ from scalefold.model import (
     mlp_forward,
     model_forward,
     msa_forward,
-    site_names,
 )
 from scalefold.quantizers import QuantParams, Scheme
 from scalefold.reparam import reparameterize_layernorm_site
@@ -298,8 +296,6 @@ class TestModelForward:
         model_forward(x, blocks, cfg, capture=caps)
         assert sorted(caps) == sorted(f"block{i}.{s}" for i in range(3)
                                       for s in ACTIVATION_SITES)
-        assert sorted(site_names(cfg)) == sorted(
-            f"block{i}.{s}" for i in range(3) for s in SITES)
 
     def test_stack_equals_per_sample_loop(self):
         """One pass over an (n, patches, dim) stack is the per-sample loop, bit for bit.
@@ -353,6 +349,18 @@ class TestModelForward:
         with pytest.raises(ValueError):
             ModelConfig(patches=0, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=1)
 
+    def test_config_json_round_trip(self):
+        cfg = ModelConfig(patches=4, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=3)
+        assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    def test_config_json_keys_must_equal_fields(self):
+        d = ModelConfig().to_json()
+        with pytest.raises(ValueError, match="dims"):
+            ModelConfig.from_json({**d, "dims": 64})
+        del d["dim"]
+        with pytest.raises(ValueError, match="expects keys"):
+            ModelConfig.from_json(d)
+
     def test_block_weights_shape_validation(self):
         cfg = small_cfg()
         w = random_block(cfg, 34)
@@ -362,4 +370,3 @@ class TestModelForward:
 
     def test_weight_sites_enumeration(self):
         assert set(WEIGHT_SITES) == {"w_qkv", "w_o", "w_1", "w_2"}
-        assert len(SITES) == 12

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from scalefold.container import (blocks_from_container, container_from_model,
-                                 from_bytes, to_bytes)
+from scalefold.container import (ModelContainer, blocks_from_container,
+                                 container_from_model, from_bytes, to_bytes)
 from scalefold.model import ModelConfig, WEIGHT_SITES
 from scalefold.pipeline import (
     EvalReport,
@@ -54,6 +54,14 @@ class TestQuantizeConfig:
     def test_json_round_trip(self):
         qcfg = QuantizeConfig(bits_w=3, bits_a=5, percentile=99.0)
         assert QuantizeConfig.from_json(qcfg.to_json()) == qcfg
+
+    def test_json_keys_must_equal_fields(self):
+        d = QuantizeConfig().to_json()
+        with pytest.raises(ValueError, match="bits_w"):
+            QuantizeConfig.from_json({**d, "bits": 8})
+        del d["bits_w"]
+        with pytest.raises(ValueError, match="bits_w"):
+            QuantizeConfig.from_json(d)
 
 
 class TestStageGating:
@@ -185,6 +193,14 @@ class TestDeterminism:
 
         assert build() == build()
 
+    def test_later_stages_carry_metadata_whole(self, chain):
+        model_c, calib, calib_c = chain[0], chain[1], chain[3]
+        tagged = ModelContainer(meta={**calib_c.meta, "origin": {"run": 7}},
+                                tensors=calib_c.tensors)
+        rep_c = reparameterize_model(tagged, calib)
+        assert rep_c.meta["origin"] == {"run": 7}
+        assert quantize_model(rep_c).meta["origin"] == {"run": 7}
+
     def test_run_pipeline_matches_staged_calls(self, chain):
         model_c, calib, q_c = chain[0], chain[1], chain[5]
         assert to_bytes(run_pipeline(model_c, calib)) == to_bytes(q_c)
@@ -226,6 +242,23 @@ class TestEvaluate:
         d = report.to_json()
         assert d["output_mse"] == report.output_mse
         assert d["code_equality_rate"] == 1.0
+
+    @pytest.mark.parametrize("top, key", [
+        ("reparam_records", None), ("reparam_records", "block1.ln2_out"),
+        ("ablation", "precalib_sites"), ("ablation", "ln_layer_wise"),
+    ])
+    def test_missing_fold_data_is_named(self, chain, top, key):
+        """A container stripped of what evaluate reads fails; it must not pass vacuously."""
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        meta = {**q_c.meta}
+        if key is None:
+            del meta[top]
+            key = "block0.ln1_out"
+        else:
+            meta[top] = {k: v for k, v in meta[top].items() if k != key}
+        stripped = ModelContainer(meta=meta, tensors=q_c.tensors)
+        with pytest.raises(PipelineError, match=f"{top}.{key}"):
+            evaluate(model_c, stripped, held_out)
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="negative"):

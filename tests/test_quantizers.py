@@ -94,6 +94,18 @@ class TestQuantParams:
         np.testing.assert_array_equal(back.zero_point, qp.zero_point)
         assert back.channel_axis == qp.channel_axis
 
+    @pytest.mark.parametrize("change", [
+        {"bits": None}, {"scale": {"a": 1.0}}, {"zero_point": {"a": 1}}, {"channel_axis": []},
+    ])
+    def test_json_malformed_raises_value_error(self, change):
+        d = {**uparams([1.0, 2.0], [3, 4], 6, axis=-1).to_json(), **change}
+        with pytest.raises(ValueError, match="malformed"):
+            QuantParams.from_json(d)
+
+    def test_json_not_an_object_raises_value_error(self):
+        with pytest.raises(ValueError):
+            QuantParams.from_json(["uniform", 4])
+
 
 class TestUniform:
     def test_direct_evaluation(self):

@@ -153,3 +153,7 @@ class TestSynthSpec:
         spec = SynthSpec(seed=4, channel_range_min=1.0, channel_range_mean=2.0,
                          channel_range_max=3.0, attention_sharpness=0.7, batch=8)
         assert SynthSpec.from_json(spec.to_json()) == spec
+
+    def test_json_rejects_unknown_key(self):
+        with pytest.raises(ValueError, match="attention_sharpnes"):
+            SynthSpec.from_json({**SynthSpec().to_json(), "attention_sharpnes": 2.0})
