@@ -2,20 +2,26 @@
 
 The forward pass is deliberately plain: LayerNorm -> multi-head attention
 -> residual, then LayerNorm -> MLP -> residual. Every matrix-multiplication
-input (activation or weight) passes through exactly one hook that either
-fake-quantizes it or leaves it alone; LayerNorm and Softmax always run in
-float64. A `capture` dict collects the pre-hook tensors at each named site,
-which is how calibration and evaluation observe the model. Every forward
-function takes one (patches, dim) sample or an (n, patches, dim) stack; a
-stack runs as one pass, and each of its samples comes out bit-identical to
-running that sample alone.
+input (activation or weight) passes through exactly one hook that quantizes
+it or leaves it alone; LayerNorm, Softmax and GELU always run in float64.
+A product whose two hooks are uniform affine with scales that factor out of
+the inner sum (a layer-wise activation times a layer-wise or per-output-
+channel weight) runs on the integer codes as an exact BLAS GEMM; any other
+product fake-quantizes its operands and sums them with the pinned-order
+`tensors.matmul`. The unhooked float forward is always the pinned loop.
+A `capture` dict collects the pre-hook tensors at each named site, which is
+how calibration and evaluation observe the model. Every forward function
+takes one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
+as one pass, and each of its samples comes out bit-identical to running
+that sample alone.
 """
 
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .quantizers import QuantParams, fake_quantize
+from .quantizers import QuantParams, Scheme, fake_quantize, uniform_quantize
 from .tensors import ShapeError, as_tensor, gelu, matmul, rowwise_softmax
 
 # Activation sites, in forward order. Each is the input of one matmul:
@@ -34,17 +40,28 @@ WEIGHT_SITES = ("w_qkv", "w_o", "w_1", "w_2")
 
 
 class JsonFields:
-    """JSON form of a flat dataclass: exactly its fields, by name."""
+    """JSON form of a flat dataclass of int and float fields: exactly its fields, by name."""
 
     def to_json(self):
         return asdict(self)
 
     @classmethod
     def from_json(cls, d):
+        """Inverse of `to_json`; wrong keys or a value of the wrong type raise ValueError.
+
+        A float field takes any real number, an int field only an integer;
+        booleans are neither.
+        """
         expected = sorted(f.name for f in fields(cls))
         got = sorted(d) if isinstance(d, dict) else type(d).__name__
         if got != expected:
             raise ValueError(f"{cls.__name__} expects keys {expected}, got {got}")
+        for f in fields(cls):
+            kind = numbers.Real if f.type is float else numbers.Integral
+            value = d[f.name]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{cls.__name__}.{f.name} must be {f.type.__name__}, "
+                                 f"got {type(value).__name__} {value!r}")
         return cls(**d)
 
 
@@ -136,6 +153,41 @@ def _apply(x, qp):
     return x if qp is None else fake_quantize(x, qp)
 
 
+def _same(t):
+    return t
+
+
+def _centred(t, qp):
+    # codes minus zero points; the zero point is one value or one per last-axis
+    # channel, so it broadcasts without a channel view
+    return np.subtract(uniform_quantize(t, qp), qp.zero_point, dtype=np.float64)
+
+
+def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
+    """`x @ w` with x through hook `qx` and w through `qw`.
+
+    `lhs` and `rhs` rearrange the hooked operands (the attention head split);
+    hooks act on x and w as given. When both hooks are uniform affine, `qx`
+    has one scale and `qw`'s scale is one value or, with no `rhs`, one per
+    output column, both scales leave the inner sum:
+
+        x^ @ w^ = ((c_x - z_x) @ (c_w - z_w)) * (s_x * s_w)
+
+    The centred codes are integers with |c - z| <= 255 (QuantParams caps bits
+    at 8), so every partial sum of the float64 BLAS product is an integer
+    below k * 255**2, far under 2**53 for any inner size k that fits in
+    memory: the GEMM is exact, and bit-identical at any blocking or thread
+    count. Every other product (no hook, a log-scheme operand, per-channel
+    activation scales) fake-quantizes both operands and runs the pinned loop.
+    """
+    x_int = qx is not None and qx.scheme is Scheme.UNIFORM and qx.scale.size == 1
+    w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (
+        qw.scale.size == 1 or rhs is _same and qw.channel_axis % w.ndim == w.ndim - 1)
+    if not (x_int and w_int):
+        return matmul(lhs(_apply(x, qx)), rhs(_apply(w, qw)))
+    return (lhs(_centred(x, qx)) @ rhs(_centred(w, qw))) * (qx.scale * qw.scale)
+
+
 def _cap(capture, prefix, site, value):
     if capture is not None:
         capture[prefix + site] = value
@@ -168,23 +220,27 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     x_ln = _tokens(x_ln, cfg)
     d = cfg.dim
 
-    qkv = matmul(_apply(x_ln, hooks.ln1_out), _apply(w.w_qkv, hooks.w_qkv)) + w.b_qkv
+    qkv = _qmatmul(x_ln, hooks.ln1_out, w.w_qkv, hooks.w_qkv) + w.b_qkv
     q, k, v = qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]
     _cap(capture, prefix, "attn_q", q)
     _cap(capture, prefix, "attn_k", k)
     _cap(capture, prefix, "attn_v", v)
 
-    qh = _split_heads(_apply(q, hooks.attn_q), cfg)
-    kh = _split_heads(_apply(k, hooks.attn_k), cfg)
-    vh = _split_heads(_apply(v, hooks.attn_v), cfg)
-    attn = rowwise_softmax(matmul(qh, kh.swapaxes(-1, -2)) / np.sqrt(float(cfg.head_dim)))
+    def heads_of(t):
+        return _split_heads(t, cfg)
+
+    def keys_of(t):
+        return _split_heads(t, cfg).swapaxes(-1, -2)
+
+    scores = _qmatmul(q, hooks.attn_q, k, hooks.attn_k, heads_of, keys_of)
+    attn = rowwise_softmax(scores / np.sqrt(float(cfg.head_dim)))
     _cap(capture, prefix, "attn_a", attn)
-    heads = matmul(_apply(attn, hooks.attn_a), vh)
+    heads = _qmatmul(attn, hooks.attn_a, v, hooks.attn_v, rhs=heads_of)
 
     # merge back: head i owns columns i*head_dim:(i+1)*head_dim again
     merged = heads.swapaxes(-3, -2).reshape(x_ln.shape)
     _cap(capture, prefix, "msa_proj_in", merged)
-    out = matmul(_apply(merged, hooks.msa_proj_in), _apply(w.w_o, hooks.w_o))
+    out = _qmatmul(merged, hooks.msa_proj_in, w.w_o, hooks.w_o)
     return out + w.b_o
 
 
@@ -192,9 +248,9 @@ def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
     """Two-layer MLP with exact-CDF GELU on already-normalized tokens."""
     hooks = hooks or _BYPASS
     y_ln = _tokens(y_ln, cfg)
-    hidden = gelu(matmul(_apply(y_ln, hooks.ln2_out), _apply(w.w_1, hooks.w_1)) + w.b_1)
+    hidden = gelu(_qmatmul(y_ln, hooks.ln2_out, w.w_1, hooks.w_1) + w.b_1)
     _cap(capture, prefix, "gelu_out", hidden)
-    return matmul(_apply(hidden, hooks.gelu_out), _apply(w.w_2, hooks.w_2)) + w.b_2
+    return _qmatmul(hidden, hooks.gelu_out, w.w_2, hooks.w_2) + w.b_2
 
 
 def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):

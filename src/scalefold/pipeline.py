@@ -103,6 +103,29 @@ def _sites_from_json(d):
     return {name: QuantParams.from_json(v) for name, v in d.items()}
 
 
+def _ln_keys(cfg):
+    return sorted(f"block{i}.{site}" for i in range(cfg.blocks) for site in LN_SITES)
+
+
+def _require(container, paths):
+    """Raise PipelineError naming every key path absent from the container's metadata.
+
+    A path is a tuple of keys into nested objects, for example
+    ("reparam_records", "block0.ln1_out").
+    """
+    def present(path):
+        node = container.meta
+        for key in path:
+            if not isinstance(node, dict) or key not in node:
+                return False
+            node = node[key]
+        return True
+
+    missing = [".".join(path) for path in paths if not present(path)]
+    if missing:
+        raise PipelineError(f"{container.stage} container lacks {', '.join(missing)}")
+
+
 def _append_pass(meta, name):
     log = list(meta.get("passes", []))
     log.append({"step": len(log) + 1, "name": name})
@@ -157,6 +180,7 @@ def reparameterize_model(calib_c, acts):
     """
     if calib_c.stage != "calibrated":
         raise PipelineError(f"fold stage expects a calibrated container, got {calib_c.stage!r}")
+    _require(calib_c, [("quantize_config",), ("sites",)])
     cfg, blocks = blocks_from_container(calib_c)
     acts = _check_acts(cfg, acts)
     qcfg = QuantizeConfig.from_json(calib_c.meta["quantize_config"])
@@ -196,10 +220,15 @@ def reparameterize_model(calib_c, acts):
 
 
 def quantize_model(rep_c):
-    """Stage 3: emit integer codes for every weight tensor."""
+    """Stage 3: emit integer codes for every weight tensor.
+
+    The folded container must carry its site table and a fold record per
+    LayerNorm site; PipelineError names whatever is missing.
+    """
     if rep_c.stage != "reparameterized":
         raise PipelineError(f"quantize stage expects a folded container, got {rep_c.stage!r}")
     cfg, blocks = blocks_from_container(rep_c)
+    _require(rep_c, [("sites",)] + [("reparam_records", key) for key in _ln_keys(cfg)])
     sites = _sites_from_json(rep_c.meta["sites"])
     out = container_from_model(cfg, blocks, stage="quantized")
     out.meta = {**rep_c.meta, **out.meta}
@@ -273,8 +302,9 @@ def evaluate(fp_c, q_c, acts):
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
     log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
     once over the whole held-out stack; nothing is refitted here. A quantized
-    container lacking a LayerNorm site's fold record or either ablation
-    table raises PipelineError naming what is missing.
+    container lacking its site table, a LayerNorm site's fold record or
+    either ablation table raises PipelineError naming what is missing, as
+    does a malformed fold record.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -282,14 +312,19 @@ def evaluate(fp_c, q_c, acts):
     cfg, fp_blocks = blocks_from_container(fp_c)
     _, q_blocks = blocks_from_container(q_c)
     acts = _check_acts(cfg, acts)
+    ln_keys = _ln_keys(cfg)
+    _require(q_c, [("sites",)] + [("reparam_records", key) for key in ln_keys]
+             + [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")])
     sites = _sites_from_json(q_c.meta["sites"])
-    ln_keys = sorted(f"block{i}.{site}" for i in range(cfg.blocks) for site in LN_SITES)
-    needed = [("reparam_records", key) for key in ln_keys]
-    needed += [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")]
-    missing = [f"{top}.{key}" for top, key in needed if key not in q_c.meta.get(top, {})]
-    if missing:
-        raise PipelineError(f"quantized container lacks {', '.join(missing)}")
-    records = {k: ReparamRecord.from_json(q_c.meta["reparam_records"][k]) for k in ln_keys}
+    records = {}
+    for key in ln_keys:
+        try:
+            records[key] = ReparamRecord.from_json(q_c.meta["reparam_records"][key])
+        except ValueError as e:
+            raise PipelineError(f"fold record reparam_records.{key}: {e}") from None
+        if records[key].channels != cfg.dim:
+            raise PipelineError(f"fold record reparam_records.{key} has "
+                                f"{records[key].channels} channels, the model {cfg.dim}")
     abl = q_c.meta["ablation"]
 
     fp_caps, q_caps = {}, {}

@@ -75,13 +75,17 @@ class ReparamRecord:
 
     @classmethod
     def from_json(cls, d):
-        return cls(
-            r1=np.asarray(d["r1"], dtype=np.float64),
-            r2=np.asarray(d["r2"], dtype=np.int64),
-            target_scale=float(d["target_scale"]),
-            target_zero=int(d["target_zero"]),
-            source=QuantParams.from_json(d["source"]),
-        )
+        """Inverse of `to_json`; malformed input raises ValueError."""
+        try:
+            return cls(
+                r1=np.asarray(d["r1"], dtype=np.float64),
+                r2=np.asarray(d["r2"]),
+                target_scale=float(d["target_scale"]),
+                target_zero=int(d["target_zero"]),
+                source=QuantParams.from_json(d["source"]),
+            )
+        except (KeyError, OverflowError, TypeError) as e:
+            raise ValueError(f"malformed fold record: {type(e).__name__}: {e}") from None
 
 
 def build_reparam_record(channel_params):

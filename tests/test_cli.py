@@ -4,8 +4,15 @@ import json
 
 import pytest
 
+import numpy as np
+
+import scalefold.model
 from scalefold.cli import cli_main
-from scalefold.container import read_container
+from scalefold.container import (ModelContainer, activations_from_container,
+                                 blocks_from_container, read_container, write_container)
+from scalefold.model import WEIGHT_SITES, model_forward
+from scalefold.pipeline import hooks_from_sites, run_pipeline
+from scalefold.quantizers import QuantParams
 
 SMALL = {"calib_batches": 6, "eval_batches": 4}
 
@@ -89,6 +96,47 @@ class TestChain:
         assert (other / "model_fp.rvq").read_bytes() != workspace["fp"].read_bytes()
 
 
+@pytest.mark.parametrize("chain", ["library", "cli"])
+def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, chain):
+    """The hooked forward's integer path runs on the container's own `.codes` tensors.
+
+    A spy on the `uniform_quantize` that `model` calls records the codes of
+    each weight site's hook; a weight that took the fake-quant route instead
+    would be missing.
+    """
+    calib = activations_from_container(read_container(workspace["calib_data"]))
+    if chain == "library":
+        q_c = run_pipeline(read_container(workspace["fp"]), calib)
+    else:
+        q_c = read_container(workspace["quantized"])
+    cfg, blocks = blocks_from_container(q_c)
+    hooks = hooks_from_sites(cfg, {k: QuantParams.from_json(v)
+                                   for k, v in q_c.meta["sites"].items()})
+    seen = {}
+    quantize = scalefold.model.uniform_quantize
+
+    def spy(x, qp):
+        seen[id(qp)] = codes = quantize(x, qp)
+        return codes
+
+    monkeypatch.setattr(scalefold.model, "uniform_quantize", spy)
+    model_forward(calib[:1], blocks, cfg, hooks=hooks)
+    for i, h in enumerate(hooks):
+        for site in WEIGHT_SITES:
+            np.testing.assert_array_equal(seen[id(getattr(h, site))],
+                                          q_c.tensors[f"block{i}.{site}.codes"])
+
+
+def _strip(c, path):
+    """A copy of container `c` without the metadata entry at key path `path`."""
+    meta = json.loads(json.dumps(c.meta))
+    node = meta
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return ModelContainer(meta=meta, tensors=c.tensors)
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli_main([]) == 2
@@ -141,6 +189,8 @@ class TestExitCodes:
         {**SMALL, "synth": {"sed": 1}},
         {**SMALL, "model": [32]},
         [SMALL],
+        {**SMALL, "model": {"eps": "1e-5"}},
+        {**SMALL, "synth": {"batch": 4.0}},
     ])
     def test_gen_rejects_unknown_config_keys(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
@@ -163,3 +213,22 @@ class TestExitCodes:
                        "--data", str(small_model / "eval.rvq")])
         assert rc == 1
         assert "dim" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, stage, path, named", [
+        ("eval", "quantized", ("sites",), "sites"),
+        ("eval", "quantized", ("reparam_records", "block0.ln2_out", "r1"), "r1"),
+        ("quantize", "folded", ("reparam_records",), "reparam_records"),
+    ])
+    def test_missing_metadata_is_data_error(self, workspace, tmp_path, capsys,
+                                            command, stage, path, named):
+        bad = tmp_path / "bad.rvq"
+        write_container(_strip(read_container(workspace[stage]), path), bad)
+        if command == "eval":
+            argv = ["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                    "--data", str(workspace["eval_data"])]
+        else:
+            argv = ["quantize", "--model", str(bad), "--out", str(tmp_path / "q.rvq")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "q.rvq").exists()

@@ -14,17 +14,21 @@ from scalefold.model import (
     BlockWeights,
     ModelConfig,
     QuantHooks,
+    _qmatmul,
     block_forward,
     layernorm_forward,
     mlp_forward,
     model_forward,
     msa_forward,
 )
-from scalefold.quantizers import QuantParams, Scheme
+from scalefold.quantizers import QuantParams, Scheme, fake_quantize
 from scalefold.reparam import reparameterize_layernorm_site
 from scalefold.calibration import CalibConfig, calibrate_tensor
+from scalefold.container import blocks_from_container, container_from_model
+from scalefold.pipeline import QuantizeConfig, hooks_from_sites, run_pipeline
 from scalefold.quantizers import Granularity
-from scalefold.tensors import ShapeError
+from scalefold.synth import SynthSpec, gen_activations, gen_model
+from scalefold.tensors import ShapeError, gelu, matmul, rowwise_softmax
 
 
 def small_cfg():
@@ -73,6 +77,44 @@ def reference_mlp(y_ln, w):
 def reference_block(x, w, cfg):
     y = reference_msa(reference_layernorm(x, w.gamma1, w.beta1, cfg.eps), w, cfg) + x
     return reference_mlp(reference_layernorm(y, w.gamma2, w.beta2, cfg.eps), w) + y
+
+
+def fake_quant_forward(x, blocks, cfg, hooks):
+    """The hooked encoder with every operand fake-quantized, summed by the pinned loop.
+
+    Each hook acts on its operand before the head split, as in the model; the
+    LayerNorm, Softmax and GELU kernels are the library's, so the matmul route
+    is the only difference.
+    """
+    def fq(t, qp):
+        return t if qp is None else fake_quantize(t, qp)
+
+    def heads(t):
+        return t.reshape(t.shape[:-1] + (cfg.heads, cfg.head_dim)).swapaxes(-3, -2)
+
+    for w, h in zip(blocks, hooks):
+        x1 = layernorm_forward(x, w.gamma1, w.beta1, cfg.eps)
+        q, k, v = np.split(matmul(fq(x1, h.ln1_out), fq(w.w_qkv, h.w_qkv)) + w.b_qkv, 3, axis=-1)
+        scores = matmul(heads(fq(q, h.attn_q)), heads(fq(k, h.attn_k)).swapaxes(-1, -2))
+        attn = rowwise_softmax(scores / np.sqrt(float(cfg.head_dim)))
+        merged = matmul(fq(attn, h.attn_a), heads(fq(v, h.attn_v))).swapaxes(-3, -2)
+        merged = merged.reshape(x.shape)
+        y = matmul(fq(merged, h.msa_proj_in), fq(w.w_o, h.w_o)) + w.b_o + x
+        y1 = layernorm_forward(y, w.gamma2, w.beta2, cfg.eps)
+        hidden = gelu(matmul(fq(y1, h.ln2_out), fq(w.w_1, h.w_1)) + w.b_1)
+        x = matmul(fq(hidden, h.gelu_out), fq(w.w_2, h.w_2)) + w.b_2 + y
+    return x
+
+
+def layer_params(scale, zero, bits=4):
+    return QuantParams(Scheme.UNIFORM, bits, scale=np.array([scale]),
+                       zero_point=np.array([zero], dtype=np.int64))
+
+
+def column_params(w, bits=4):
+    """Per-output-channel min/max weight params, as the pipeline fits them."""
+    return calibrate_tensor(w, CalibConfig(bits=bits, granularity=Granularity.PER_CHANNEL,
+                                           percentile=100.0), channel_axis=1)
 
 
 class TestLayerNorm:
@@ -286,6 +328,24 @@ class TestHooks:
         out = block_forward(x, w, cfg, hooks=hooks)
         assert out.shape == (cfg.patches, cfg.dim)
 
+    def test_per_channel_attention_operands_keep_their_channels(self):
+        """Per-channel hooks on q, k and v quantize along dim, before the head split.
+
+        Their scales do not factor out of the head products, so the forward
+        must equal fake quantization on the pinned loop exactly. patches ==
+        dim, so a dim-long scale vector would also broadcast over the wrong axis.
+        """
+        cfg = ModelConfig(patches=8, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=1)
+        blocks = [random_block(cfg, 28)]
+        x = np.random.default_rng(29).normal(size=(2, cfg.patches, cfg.dim))
+        chan = QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.05, 0.4, cfg.dim),
+                           zero_point=np.full(cfg.dim, 8, dtype=np.int64),
+                           granularity=Granularity.PER_CHANNEL, channel_axis=-1)
+        hooks = [QuantHooks(attn_q=chan, attn_k=chan, attn_v=chan, attn_a=layer_params(1 / 15, 0),
+                            **{s: column_params(getattr(blocks[0], s)) for s in WEIGHT_SITES})]
+        np.testing.assert_array_equal(model_forward(x, blocks, cfg, hooks=hooks),
+                                      fake_quant_forward(x, blocks, cfg, hooks))
+
 
 class TestModelForward:
     def test_capture_covers_all_sites(self):
@@ -300,8 +360,11 @@ class TestModelForward:
     def test_stack_equals_per_sample_loop(self):
         """One pass over an (n, patches, dim) stack is the per-sample loop, bit for bit.
 
-        The hooks include a per-channel site and a log-sqrt2 site, and every
-        captured site must match the stacked per-sample captures exactly.
+        The first hook set holds a per-channel activation site and a log-sqrt2
+        site, which run the pinned loop; the second has layer-wise activations
+        and per-output-channel weights at every site, so every product runs on
+        the integer path. Every captured site must match the stacked
+        per-sample captures exactly.
         """
         cfg = ModelConfig(patches=4, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=2)
         blocks = [random_block(cfg, 40 + i) for i in range(2)]
@@ -310,23 +373,72 @@ class TestModelForward:
                            zero_point=np.arange(cfg.dim, dtype=np.int64),
                            granularity=Granularity.PER_CHANNEL, channel_axis=-1)
         log_qp = QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))
-        layer = QuantParams(Scheme.UNIFORM, 4, scale=np.array([0.3]),
-                            zero_point=np.array([8], dtype=np.int64))
-        hooks = [QuantHooks(ln1_out=chan, attn_a=log_qp, gelu_out=layer)] * 2
+        mixed = [QuantHooks(ln1_out=chan, attn_a=log_qp, gelu_out=layer_params(0.3, 8))] * 2
+        acts = {s: layer_params(0.3, 8) for s in ACTIVATION_SITES}
+        acts["attn_a"] = layer_params(1 / 15, 0)
+        all_affine = [QuantHooks(**acts, **{s: column_params(getattr(bw, s)) for s in WEIGHT_SITES})
+                      for bw in blocks]
 
-        caps = {}
-        got = model_forward(xs, blocks, cfg, hooks=hooks, capture=caps)
-        singles = []
-        for x in xs:
-            cap = {}
-            singles.append((model_forward(x, blocks, cfg, hooks=hooks, capture=cap), cap))
-        np.testing.assert_array_equal(got, np.stack([out for out, _ in singles]))
-        assert sorted(caps) == sorted(singles[0][1])
-        for key, val in caps.items():
-            want = np.stack([cap[key] for _, cap in singles])
-            assert val.shape == want.shape
-            np.testing.assert_array_equal(val, want)
-        assert caps["block0.attn_a"].shape == (6, cfg.heads, cfg.patches, cfg.patches)
+        for hooks in (mixed, all_affine):
+            caps = {}
+            got = model_forward(xs, blocks, cfg, hooks=hooks, capture=caps)
+            singles = []
+            for x in xs:
+                cap = {}
+                singles.append((model_forward(x, blocks, cfg, hooks=hooks, capture=cap), cap))
+            np.testing.assert_array_equal(got, np.stack([out for out, _ in singles]))
+            assert sorted(caps) == sorted(singles[0][1])
+            for key, val in caps.items():
+                want = np.stack([cap[key] for _, cap in singles])
+                assert val.shape == want.shape
+                np.testing.assert_array_equal(val, want)
+            assert caps["block0.attn_a"].shape == (6, cfg.heads, cfg.patches, cfg.patches)
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_hooked_forward_matches_fake_quant_pinned_loop(self, bits):
+        """The integer path agrees with fake-quantized operands on the pinned loop.
+
+        The two differ only in float rounding of the scale products (about
+        1e-16 relative per product), so the end-to-end output must agree
+        within 1e-12 of its largest magnitude at both bit widths.
+        """
+        cfg = ModelConfig(patches=8, dim=32, heads=2, head_dim=16, mlp_dim=64, blocks=2)
+        spec = SynthSpec(seed=bits)
+        model_c = container_from_model(cfg, gen_model(cfg, spec))
+        q_c = run_pipeline(model_c, gen_activations(cfg, spec, 4),
+                           QuantizeConfig(bits_w=bits, bits_a=bits))
+        sites = {k: QuantParams.from_json(v) for k, v in q_c.meta["sites"].items()}
+        hooks = hooks_from_sites(cfg, sites)
+        blocks = blocks_from_container(q_c)[1]
+        xs = gen_activations(cfg, spec, 3, stream=1)
+        got = model_forward(xs, blocks, cfg, hooks=hooks)
+        want = fake_quant_forward(xs, blocks, cfg, hooks)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_integer_path_is_exact_at_worst_case_codes(self):
+        """Every centred code at |c - z| = 255: the product is the exact integer sum.
+
+        Activation codes sit at 255 with zero point 0; weight column j sits at
+        the other end of its grid from its zero point, alternating sign. With
+        power-of-two scales the output divided by s_x * s_w is an integer,
+        which must equal the Python-int dot product of the centred codes.
+        """
+        k, n = 4099, 6   # k * 255**2 is odd and needs 28 bits: float32 sums round it
+        s_x, s_w = 2.0 ** -4, 2.0 ** -np.arange(1, n + 1)
+        qx = layer_params(s_x, 0, bits=8)
+        z_w = np.where(np.arange(n) % 2 == 0, 0, 255)
+        qw = QuantParams(Scheme.UNIFORM, 8, scale=s_w, zero_point=z_w.astype(np.int64),
+                         granularity=Granularity.PER_CHANNEL, channel_axis=1)
+        x = np.full((2, 3, k), 300.0 * s_x)          # clips to code 255
+        w = np.tile(np.where(z_w == 0, 1e3, -1e3) * s_w, (k, 1))   # clips to 255 or 0
+        got = _qmatmul(x, qx, w, qw) / (s_x * s_w)
+        c_x = np.full((k,), 255, dtype=object)
+        c_w = np.tile(np.where(z_w == 0, 255, -255).astype(object), (k, 1))
+        exact = c_x @ c_w
+        assert all(abs(v) == k * 255 * 255 for v in exact)
+        for row in got.reshape(-1, n):
+            assert [int(v) for v in row] == list(exact)
+            assert all(float(v) == v for v in row)
 
     def test_stack_with_wrong_trailing_shape_rejected(self):
         cfg = small_cfg()
@@ -352,6 +464,16 @@ class TestModelForward:
     def test_config_json_round_trip(self):
         cfg = ModelConfig(patches=4, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=3)
         assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("eps", "1e-5"), ("patches", 16.0), ("patches", True), ("dim", None), ("eps", [1e-5]),
+    ])
+    def test_config_json_value_types_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig.from_json({**ModelConfig().to_json(), field: value})
+
+    def test_config_json_takes_an_int_for_a_float(self):
+        assert ModelConfig.from_json({**ModelConfig().to_json(), "eps": 1}).eps == 1
 
     def test_config_json_keys_must_equal_fields(self):
         d = ModelConfig().to_json()

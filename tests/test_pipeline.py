@@ -75,6 +75,22 @@ class TestStageGating:
         with pytest.raises(PipelineError, match="folded"):
             quantize_model(calib_c)
 
+    @pytest.mark.parametrize("key", ["quantize_config", "sites"])
+    def test_fold_requires_config_and_sites(self, chain, key):
+        calib, calib_c = chain[1], chain[3]
+        meta = {k: v for k, v in calib_c.meta.items() if k != key}
+        with pytest.raises(PipelineError, match=f"lacks {key}"):
+            reparameterize_model(ModelContainer(meta=meta, tensors=calib_c.tensors), calib)
+
+    @pytest.mark.parametrize("records", [None, {}, {"block0.ln1_out": {}}])
+    def test_quantize_requires_fold_records(self, chain, records):
+        rep_c = chain[4]
+        meta = {k: v for k, v in rep_c.meta.items() if k != "reparam_records"}
+        if records is not None:
+            meta["reparam_records"] = records
+        with pytest.raises(PipelineError, match="reparam_records.block0.ln2_out"):
+            quantize_model(ModelContainer(meta=meta, tensors=rep_c.tensors))
+
     def test_evaluate_requires_quantized(self, chain):
         model_c, held_out, rep_c = chain[0], chain[2], chain[4]
         with pytest.raises(PipelineError, match="quantized"):
@@ -259,6 +275,33 @@ class TestEvaluate:
         stripped = ModelContainer(meta=meta, tensors=q_c.tensors)
         with pytest.raises(PipelineError, match=f"{top}.{key}"):
             evaluate(model_c, stripped, held_out)
+
+    @pytest.mark.parametrize("field", ["r1", "r2", "target_scale", "target_zero", "source"])
+    def test_malformed_fold_record_is_named(self, chain, field):
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        records = {**q_c.meta["reparam_records"]}
+        records["block1.ln1_out"] = {k: v for k, v in records["block1.ln1_out"].items()
+                                     if k != field}
+        stripped = ModelContainer(meta={**q_c.meta, "reparam_records": records},
+                                  tensors=q_c.tensors)
+        with pytest.raises(PipelineError, match=f"block1.ln1_out.*{field}"):
+            evaluate(model_c, stripped, held_out)
+
+    def test_fold_record_of_wrong_width_is_named(self, chain):
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        records = {**q_c.meta["reparam_records"]}
+        rec = records["block0.ln2_out"]
+        records["block0.ln2_out"] = {**rec, "r1": rec["r1"][:-1], "r2": rec["r2"][:-1]}
+        stripped = ModelContainer(meta={**q_c.meta, "reparam_records": records},
+                                  tensors=q_c.tensors)
+        with pytest.raises(PipelineError, match="block0.ln2_out has 63 channels"):
+            evaluate(model_c, stripped, held_out)
+
+    def test_missing_site_table_is_named(self, chain):
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        meta = {k: v for k, v in q_c.meta.items() if k != "sites"}
+        with pytest.raises(PipelineError, match="lacks sites"):
+            evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="negative"):

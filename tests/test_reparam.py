@@ -100,6 +100,22 @@ class TestBuildRecord:
         assert back.target_zero == rec.target_zero
         np.testing.assert_array_equal(back.source.scale, rec.source.scale)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.pop("r1"), lambda d: d.pop("source"), lambda d: d.update(r2=None),
+        lambda d: d.update(target_scale=[1.0]), lambda d: d.update(r2=[0.5, 1, 2]),
+        lambda d: d.update(source=[]), lambda d: d.update(r1=[1.0]),
+    ])
+    def test_malformed_json_is_value_error(self, mutate):
+        d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
+        mutate(d)
+        with pytest.raises(ValueError):
+            ReparamRecord.from_json(d)
+
+    @pytest.mark.parametrize("d", [None, [], "r1"])
+    def test_non_object_json_is_value_error(self, d):
+        with pytest.raises(ValueError, match="malformed fold record"):
+            ReparamRecord.from_json(d)
+
 
 class TestAffineAdjustment:
     def test_worked_example(self):
