@@ -73,6 +73,13 @@ def build_parser():
 _GEN_KEYS = ("model", "synth", "calib_batches", "eval_batches")
 
 
+def _batch_count(overrides, key, default):
+    n = overrides.get(key, default)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"--config {key} must be a positive integer, got {n!r}")
+    return n
+
+
 def _cmd_gen(args):
     overrides = _load_json(args.config) if args.config else {}
     if not (isinstance(overrides, dict) and set(overrides) <= set(_GEN_KEYS)
@@ -84,8 +91,8 @@ def _cmd_gen(args):
     if args.seed is not None:
         spec_d["seed"] = args.seed
     spec = SynthSpec.from_json(spec_d)
-    n_calib = int(overrides.get("calib_batches", spec.batch))
-    n_eval = int(overrides.get("eval_batches", spec.batch))
+    n_calib, n_eval = (_batch_count(overrides, key, spec.batch)
+                       for key in ("calib_batches", "eval_batches"))
 
     os.makedirs(args.out, exist_ok=True)
     blocks = gen_model(cfg, spec)

@@ -6,8 +6,10 @@ input (activation or weight) passes through exactly one hook that quantizes
 it or leaves it alone; LayerNorm, Softmax and GELU always run in float64.
 A product whose two hooks are uniform affine with scales that factor out of
 the inner sum (a layer-wise activation times a layer-wise or per-output-
-channel weight) runs on the integer codes as an exact BLAS GEMM; any other
-product fake-quantizes its operands and sums them with the pinned-order
+channel weight) runs on the integer codes as an exact BLAS GEMM, and so does
+A @ V with a log-sqrt2 A, through the parity split of A's codes into
+power-of-two matrices. Any other product (a per-channel activation hook)
+fake-quantizes its operands and sums them with the pinned-order
 `tensors.matmul`. The unhooked float forward is always the pinned loop.
 A `capture` dict collects the pre-hook tensors at each named site, which is
 how calibration and evaluation observe the model. Every forward function
@@ -21,7 +23,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .quantizers import QuantParams, Scheme, fake_quantize, uniform_quantize
+from .quantizers import (SQRT2, QuantParams, Scheme, fake_quantize, logsqrt2_quantize,
+                         parity_indicator, uniform_centred)
 from .tensors import ShapeError, as_tensor, gelu, matmul, rowwise_softmax
 
 # Activation sites, in forward order. Each is the input of one matmul:
@@ -157,10 +160,40 @@ def _same(t):
     return t
 
 
-def _centred(t, qp):
-    # codes minus zero points; the zero point is one value or one per last-axis
-    # channel, so it broadcasts without a channel view
-    return np.subtract(uniform_quantize(t, qp), qp.zero_point, dtype=np.float64)
+def _log_sqrt2_matmul(a, qa, vc, v_qmax):
+    """Half-power codes of `a` times the centred integer codes `vc`, unscaled.
+
+    With c = logsqrt2_quantize(a), e = (c + 1) >> 1 and p = c & 1, the
+    dequantized operand is s * 2**-e * (sqrt(2) if p else 1): an even and an
+    odd power-of-two matrix. Exponents run in fixed bands of `width`, set by
+    the inner size k and V's bit width only, so that in band [lo, hi] the
+    entries 2**(hi - e) keep every partial sum an integer below
+    k * v_qmax * 2**(width - 1) <= 2**51: each band is one exact GEMM of the
+    even rows stacked over the odd rows, combined as
+    ldexp(R_even + sqrt(2) * R_odd, -hi) band by band in order. A band that
+    no code falls in adds exactly zero, so it is skipped; a stack therefore
+    sums the same bands as each of its samples alone, bit for bit.
+    """
+    codes = logsqrt2_quantize(a, qa.scale[0], qa.bits)
+    e = (codes + 1) >> 1
+    odd = parity_indicator(codes).astype(bool)
+    even = ~odd
+    rows, k = a.shape[-2:]
+    width = 52 - (k * v_qmax - 1).bit_length()      # 52 - ceil(log2(k * v_qmax))
+    band = e // width
+    acc = np.zeros(a.shape[:-1] + vc.shape[-1:])
+    split = np.empty(a.shape[:-2] + (2 * rows, k))
+    for b in range(int(band.max(initial=0)) + 1):
+        inband = band == b
+        if not inband.any():
+            continue
+        hi = (b + 1) * width - 1
+        # 2**(hi - e) where the code is in the band and of the half's parity, else 0
+        np.ldexp(inband & even, hi - e, out=split[..., :rows, :], dtype=np.float64)
+        np.ldexp(inband & odd, hi - e, out=split[..., rows:, :], dtype=np.float64)
+        r = split @ vc
+        acc += np.ldexp(r[..., :rows, :] + SQRT2 * r[..., rows:, :], -hi)
+    return acc
 
 
 def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
@@ -177,15 +210,26 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
     at 8), so every partial sum of the float64 BLAS product is an integer
     below k * 255**2, far under 2**53 for any inner size k that fits in
     memory: the GEMM is exact, and bit-identical at any blocking or thread
-    count. Every other product (no hook, a log-scheme operand, per-channel
-    activation scales) fake-quantizes both operands and runs the pinned loop.
+    count. A stack times one weight matrix runs as one (rows, k) GEMM. When
+    `qx` is log-sqrt2 instead (A of A @ V) and `x` is not rearranged, the
+    product runs on the parity split of A's codes, again as exact integer
+    GEMMs (`_log_sqrt2_matmul`). Every other product (no hook, a per-channel
+    activation) fake-quantizes both operands and runs the pinned loop.
     """
-    x_int = qx is not None and qx.scheme is Scheme.UNIFORM and qx.scale.size == 1
     w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (
         qw.scale.size == 1 or rhs is _same and qw.channel_axis % w.ndim == w.ndim - 1)
-    if not (x_int and w_int):
+    x_scheme = None if qx is None else qx.scheme
+    if w_int and x_scheme is Scheme.UNIFORM and qx.scale.size == 1:
+        xc, wc = lhs(uniform_centred(x, qx)), rhs(uniform_centred(w, qw))
+        if wc.ndim == 2:
+            prod = (xc.reshape(-1, xc.shape[-1]) @ wc).reshape(xc.shape[:-1] + wc.shape[-1:])
+        else:
+            prod = xc @ wc
+    elif w_int and x_scheme is Scheme.LOG_SQRT2 and lhs is _same:
+        prod = _log_sqrt2_matmul(x, qx, rhs(uniform_centred(w, qw)), qw.qmax)
+    else:
         return matmul(lhs(_apply(x, qx)), rhs(_apply(w, qw)))
-    return (lhs(_centred(x, qx)) @ rhs(_centred(w, qw))) * (qx.scale * qw.scale)
+    return prod * (qx.scale * qw.scale)
 
 
 def _cap(capture, prefix, site, value):

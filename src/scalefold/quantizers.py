@@ -136,17 +136,30 @@ def _check_codes(codes, bits):
     return codes
 
 
-def uniform_quantize(x, qp):
-    """Map values onto the affine integer grid: clip(round(x/s) + z, 0, 2**b - 1).
+def uniform_centred(x, qp):
+    """Affine codes minus their zero points: clip(round(x/s), -z, 2**b - 1 - z).
 
-    Rounding is round-half-to-even. Returns int32 codes of x's shape.
+    Rounding is round-half-to-even. Returns float64 integer values of x's
+    shape, ready to be multiplied as they are; `uniform_quantize` adds z back.
     """
     if qp.scheme is not Scheme.UNIFORM:
         raise ValueError(f"uniform quantizer got {qp.scheme.value} params")
     x = as_tensor(x)
     s = _param_view(qp.scale, x, qp)
     z = _param_view(qp.zero_point, x, qp)
-    codes = np.clip(np.rint(x / s) + z, 0.0, float(qp.qmax))
+    out = np.divide(x, s, out=np.empty(x.shape))
+    np.rint(out, out=out)
+    np.maximum(out, -z, out=out)
+    return np.minimum(out, qp.qmax - z, out=out)
+
+
+def uniform_quantize(x, qp):
+    """Map values onto the affine integer grid: clip(round(x/s) + z, 0, 2**b - 1).
+
+    Rounding is round-half-to-even. Returns int32 codes of x's shape.
+    """
+    codes = uniform_centred(x, qp)
+    codes += _param_view(qp.zero_point, codes, qp)
     return codes.astype(np.int32)
 
 
@@ -174,6 +187,13 @@ def _log_ratio(x, s, bits, label):
     return x, s
 
 
+def _clip_codes(raw, bits):
+    # round and clip a freshly computed log-domain array in place
+    np.rint(raw, out=raw)
+    np.maximum(raw, 0.0, out=raw)
+    return np.minimum(raw, float(_qmax(bits)), out=raw).astype(np.int32)
+
+
 def log2_quantize(x, s, bits):
     """Power-of-two codes: clip(round(-log2(x/s)), 0, 2**bits - 1).
 
@@ -182,7 +202,7 @@ def log2_quantize(x, s, bits):
     x, s = _log_ratio(x, s, bits, "log2_quantize")
     with np.errstate(divide="ignore"):
         raw = -np.log2(x / s)
-    return np.clip(np.rint(raw), 0.0, float(_qmax(bits))).astype(np.int32)
+    return _clip_codes(raw, bits)
 
 
 def log2_dequantize(codes, s, bits=None):
@@ -205,7 +225,7 @@ def logsqrt2_quantize(x, s, bits):
     x, s = _log_ratio(x, s, bits, "logsqrt2_quantize")
     with np.errstate(divide="ignore"):
         raw = -2.0 * np.log2(x / s)
-    return np.clip(np.rint(raw), 0.0, float(_qmax(bits))).astype(np.int32)
+    return _clip_codes(raw, bits)
 
 
 def parity_indicator(codes):

@@ -4,10 +4,11 @@ Everything operates on plain numpy arrays in C order, float64 throughout.
 The reduction order of `matmul` is pinned so results are bit-reproducible
 across runs and machines; the quantization equivalence checks rely on that.
 It runs every product of the unhooked float forward (which calibration, the
-fold's refit and every capture use), A @ V under the log-sqrt2 attention
-quantizer, and any hooked product whose scales do not factor out of the
-inner sum. Hooked affine products run as exact integer GEMMs instead (see
-`model`). 32-bit floats appear only in the file container, never in compute.
+fold's refit and every capture use) and any hooked product with a per-channel
+activation quantizer, whose scales do not factor out of the inner sum. The
+other hooked products, A @ V under the log-sqrt2 quantizer included, run as
+exact integer GEMMs instead (see `model`). 32-bit floats appear only in the
+file container, never in compute.
 """
 
 import math

@@ -100,9 +100,10 @@ class TestChain:
 def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, chain):
     """The hooked forward's integer path runs on the container's own `.codes` tensors.
 
-    A spy on the `uniform_quantize` that `model` calls records the codes of
-    each weight site's hook; a weight that took the fake-quant route instead
-    would be missing.
+    A spy on the `uniform_centred` kernel that `model` calls records the
+    centred codes of each weight site's hook; adding the zero point back must
+    give the container's codes bit for bit. A weight that took the fake-quant
+    route instead would be missing.
     """
     calib = activations_from_container(read_container(workspace["calib_data"]))
     if chain == "library":
@@ -113,18 +114,21 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
     hooks = hooks_from_sites(cfg, {k: QuantParams.from_json(v)
                                    for k, v in q_c.meta["sites"].items()})
     seen = {}
-    quantize = scalefold.model.uniform_quantize
+    centred = scalefold.model.uniform_centred
 
     def spy(x, qp):
-        seen[id(qp)] = codes = quantize(x, qp)
+        seen[id(qp)] = codes = centred(x, qp)
         return codes
 
-    monkeypatch.setattr(scalefold.model, "uniform_quantize", spy)
+    monkeypatch.setattr(scalefold.model, "uniform_centred", spy)
     model_forward(calib[:1], blocks, cfg, hooks=hooks)
     for i, h in enumerate(hooks):
         for site in WEIGHT_SITES:
-            np.testing.assert_array_equal(seen[id(getattr(h, site))],
-                                          q_c.tensors[f"block{i}.{site}.codes"])
+            qp = getattr(h, site)
+            shipped = q_c.tensors[f"block{i}.{site}.codes"]
+            codes = seen[id(qp)] + qp.zero_point
+            assert codes.shape == shipped.shape
+            np.testing.assert_array_equal(codes, shipped)
 
 
 def _strip(c, path):
@@ -191,6 +195,12 @@ class TestExitCodes:
         [SMALL],
         {**SMALL, "model": {"eps": "1e-5"}},
         {**SMALL, "synth": {"batch": 4.0}},
+        {**SMALL, "calib_batches": [1]},
+        {**SMALL, "eval_batches": None},
+        {**SMALL, "calib_batches": 2.7},
+        {**SMALL, "eval_batches": True},
+        {**SMALL, "calib_batches": 0},
+        {**SMALL, "eval_batches": "4"},
     ])
     def test_gen_rejects_unknown_config_keys(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"

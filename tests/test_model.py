@@ -5,9 +5,17 @@ formulas with einsum and numpy reductions, deliberately not sharing any code
 with the library, so agreement is meaningful.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
+import scalefold
 from scalefold.model import (
     ACTIVATION_SITES,
     WEIGHT_SITES,
@@ -21,7 +29,7 @@ from scalefold.model import (
     model_forward,
     msa_forward,
 )
-from scalefold.quantizers import QuantParams, Scheme, fake_quantize
+from scalefold.quantizers import QuantParams, Scheme, fake_quantize, logsqrt2_quantize
 from scalefold.reparam import reparameterize_layernorm_site
 from scalefold.calibration import CalibConfig, calibrate_tensor
 from scalefold.container import blocks_from_container, container_from_model
@@ -363,8 +371,11 @@ class TestModelForward:
         The first hook set holds a per-channel activation site and a log-sqrt2
         site, which run the pinned loop; the second has layer-wise activations
         and per-output-channel weights at every site, so every product runs on
-        the integer path. Every captured site must match the stacked
-        per-sample captures exactly.
+        the integer path; the third has an 8-bit log-sqrt2 A and a layer-wise V, so A @ V runs on
+        the parity split, on sharpened attention whose codes reach past the
+        first exponent band in some samples but not in others (constant
+        tokens attend uniformly), exact zeros (the deepest code) included.
+        Every captured site must match the stacked per-sample captures exactly.
         """
         cfg = ModelConfig(patches=4, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=2)
         blocks = [random_block(cfg, 40 + i) for i in range(2)]
@@ -378,14 +389,22 @@ class TestModelForward:
         acts["attn_a"] = layer_params(1 / 15, 0)
         all_affine = [QuantHooks(**acts, **{s: column_params(getattr(bw, s)) for s in WEIGHT_SITES})
                       for bw in blocks]
+        sharp = [random_block(cfg, 40 + i) for i in range(2)]
+        for bw in sharp:
+            bw.w_qkv = bw.w_qkv * 12
+        xs_sharp = xs.copy()
+        xs_sharp[::2] = np.arange(cfg.patches)[:, None]
+        parity = [QuantHooks(attn_a=QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([1.0])),
+                             attn_v=layer_params(0.05, 128, bits=8))] * 2
 
-        for hooks in (mixed, all_affine):
+        for hooks, bws, stack in ((mixed, blocks, xs), (all_affine, blocks, xs),
+                                  (parity, sharp, xs_sharp)):
             caps = {}
-            got = model_forward(xs, blocks, cfg, hooks=hooks, capture=caps)
+            got = model_forward(stack, bws, cfg, hooks=hooks, capture=caps)
             singles = []
-            for x in xs:
+            for x in stack:
                 cap = {}
-                singles.append((model_forward(x, blocks, cfg, hooks=hooks, capture=cap), cap))
+                singles.append((model_forward(x, bws, cfg, hooks=hooks, capture=cap), cap))
             np.testing.assert_array_equal(got, np.stack([out for out, _ in singles]))
             assert sorted(caps) == sorted(singles[0][1])
             for key, val in caps.items():
@@ -393,6 +412,13 @@ class TestModelForward:
                 assert val.shape == want.shape
                 np.testing.assert_array_equal(val, want)
             assert caps["block0.attn_a"].shape == (6, cfg.heads, cfg.patches, cfg.patches)
+
+        # the parity set's attention spans the bands as described
+        width = 52 - (cfg.patches * 255 - 1).bit_length()
+        a = caps["block0.attn_a"].reshape(len(xs_sharp), -1)
+        deepest_band = ((logsqrt2_quantize(a, 1.0, 8) + 1) >> 1).max(axis=1) // width
+        assert 0 in deepest_band and deepest_band.max() >= 2
+        assert (a == 0).any()
 
     @pytest.mark.parametrize("bits", [4, 8])
     def test_hooked_forward_matches_fake_quant_pinned_loop(self, bits):
@@ -439,6 +465,87 @@ class TestModelForward:
         for row in got.reshape(-1, n):
             assert [int(v) for v in row] == list(exact)
             assert all(float(v) == v for v in row)
+
+    def test_parity_split_agrees_with_a_50_digit_reference(self):
+        """A @ V on crafted log-sqrt2 codes that fill every exponent band.
+
+        k = 64 and an 8-bit V give bands of 52 - ceil(log2(64 * 255)) = 38
+        exponents, so the codes 0..255 (exponents 0..128) fall in four bands;
+        zeros of A take the deepest code. V sits at |c - z| = 255 throughout.
+        Each output must agree with the 50-digit sum of
+        s * sqrt(2)**-c * s_v * (c_v - z_v) within 1e-15 of the sum of the
+        terms' magnitudes.
+        """
+        k, s, s_v = 64, 0.8125, 2.0 ** -5 * 1.1
+        rng = np.random.default_rng(50)
+        codes = rng.integers(0, 256, size=(2, 3, k))
+        codes[..., :4] = [0, 75, 151, 228]       # first code of each band
+        qa = QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([s]))
+        a = np.where(codes == 255, 0.0, fake_quantize(s * 2.0 ** (-codes / 2), qa))
+        assert np.array_equal(logsqrt2_quantize(a, s, 8), codes)
+        assert (a == 0).any()
+        qv = layer_params(s_v, 0, bits=8)
+        v = np.full((k, 5), 300 * s_v)              # clips to code 255
+        got = _qmatmul(a, qa, v, qv)
+        with mpmath.workdps(50):
+            for row, out in zip(codes.reshape(-1, k), got.reshape(-1, 5)):
+                terms = [mpmath.mpf(s) * mpmath.sqrt(2) ** -int(c) * mpmath.mpf(s_v) * 255
+                         for c in row]
+                want, size = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+                for value in out:
+                    assert abs(mpmath.mpf(value) - want) <= 1e-15 * size
+
+    def test_parity_split_sums_each_band_exactly(self):
+        """Each band's GEMM is exact, so two bands of even codes round once.
+
+        With s = s_v = 1 and even codes 2e, A holds 2**-e and V its centred
+        codes, and e in 0..75 spans exactly two bands of 38. Each band's sum is
+        an exact integer times 2**-hi, so their one addition returns the
+        exact sum correctly rounded. A band wide enough to overflow 53 bits
+        would round inside the GEMM, and twice-rounded rows would show.
+        """
+        k, rows = 64, 400
+        rng = np.random.default_rng(51)
+        e = rng.integers(0, 76, size=(rows, k))
+        e[:, :2] = [0, 75]
+        qa = QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([1.0]))
+        c_v = rng.integers(0, 256, size=(k, 3))
+        got = _qmatmul(np.ldexp(1.0, -e), qa, c_v - 128.0, layer_params(1.0, 128, bits=8))
+        for row, out in zip(e, got):
+            for col, value in zip(c_v.T, out):
+                exact = sum(Fraction(int(c) - 128, 2 ** int(x)) for x, c in zip(row, col))
+                assert value == float(exact)
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_hooked_output_is_the_same_at_any_blas_thread_count(self, bits):
+        """Every hooked product is an exact integer GEMM, so BLAS threading changes no bit."""
+        script = textwrap.dedent(f"""
+            import hashlib
+            from scalefold.container import blocks_from_container, container_from_model
+            from scalefold.model import ModelConfig, model_forward
+            from scalefold.pipeline import QuantizeConfig, hooks_from_sites, run_pipeline
+            from scalefold.quantizers import QuantParams
+            from scalefold.synth import SynthSpec, gen_activations, gen_model
+            cfg = ModelConfig(patches=32, dim=64, heads=2, head_dim=32, mlp_dim=256, blocks=1)
+            spec = SynthSpec(seed={bits})
+            q_c = run_pipeline(container_from_model(cfg, gen_model(cfg, spec)),
+                               gen_activations(cfg, spec, 4),
+                               QuantizeConfig(bits_w={bits}, bits_a={bits}))
+            sites = {{k: QuantParams.from_json(v) for k, v in q_c.meta["sites"].items()}}
+            out = model_forward(gen_activations(cfg, spec, 4, stream=1),
+                                blocks_from_container(q_c)[1], cfg,
+                                hooks=hooks_from_sites(cfg, sites))
+            print(hashlib.sha256(out.tobytes()).hexdigest())
+        """)
+        src = os.path.dirname(os.path.dirname(scalefold.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                  capture_output=True, text=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1 and len(digests.pop()) == 64
 
     def test_stack_with_wrong_trailing_shape_rejected(self):
         cfg = small_cfg()
