@@ -9,8 +9,9 @@ the inner sum (a layer-wise activation times a layer-wise or per-output-
 channel weight) runs on the integer codes as an exact BLAS GEMM, and so does
 A @ V with a log-sqrt2 A, through the parity split of A's codes into
 power-of-two matrices. Any other product (a per-channel activation hook)
-fake-quantizes its operands and sums them with the pinned-order
-`tensors.matmul`. The unhooked float forward is always the pinned loop.
+fake-quantizes its operands and sums them with the float `tensors.matmul`,
+exact slice GEMMs combined in a fixed order, which also runs every product of
+the unhooked float forward.
 A `capture` dict collects the pre-hook tensors at each named site, which is
 how calibration and evaluation observe the model. Every forward function
 takes one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
@@ -214,7 +215,8 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
     `qx` is log-sqrt2 instead (A of A @ V) and `x` is not rearranged, the
     product runs on the parity split of A's codes, again as exact integer
     GEMMs (`_log_sqrt2_matmul`). Every other product (no hook, a per-channel
-    activation) fake-quantizes both operands and runs the pinned loop.
+    activation) fake-quantizes both operands and runs the float
+    `tensors.matmul`, which is also bit-identical at any thread count.
     """
     w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (
         qw.scale.size == 1 or rhs is _same and qw.channel_axis % w.ndim == w.ndim - 1)

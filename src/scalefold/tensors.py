@@ -1,14 +1,16 @@
 """Minimal dense float64 kernels for a small transformer forward pass.
 
 Everything operates on plain numpy arrays in C order, float64 throughout.
-The reduction order of `matmul` is pinned so results are bit-reproducible
-across runs and machines; the quantization equivalence checks rely on that.
-It runs every product of the unhooked float forward (which calibration, the
-fold's refit and every capture use) and any hooked product with a per-channel
-activation quantizer, whose scales do not factor out of the inner sum. The
-other hooked products, A @ V under the log-sqrt2 quantizer included, run as
-exact integer GEMMs instead (see `model`). 32-bit floats appear only in the
-file container, never in compute.
+`matmul` runs on BLAS but is bit-reproducible across runs and BLAS thread
+counts: it splits each operand into integer-valued slices whose products are
+exact float64 GEMMs, and combines them in a fixed order. The quantization
+equivalence checks rely on that. It runs every product of the unhooked float
+forward (which calibration, the fold's refit and every capture use) and any
+hooked product with a per-channel activation quantizer, whose scales do not
+factor out of the inner sum. The other hooked products, A @ V under the
+log-sqrt2 quantizer included, run as exact integer GEMMs on the codes instead
+(see `model`). 32-bit floats appear only in the file container, never in
+compute.
 """
 
 import math
@@ -37,20 +39,93 @@ def as_int_tensor(x):
     return np.ascontiguousarray(arr, dtype=np.int32)
 
 
-# Output elements per block of the rank-1 loop: 2**15 float64 values are
-# 256 KiB, so each block's accumulator stays cache-resident however large the
-# stacked batch grows, and a single sample of either model shape is one block.
+# Float64 values of working memory per chunk of the flattened batch: 2**15
+# are 256 KiB, so a chunk's slices and product stay cache-sized however large
+# the stacked batch grows. A chunk is never smaller than one row or matrix.
 _BLOCK_ELEMENTS = 1 << 15
+
+# Slices per operand; the products of slices s and t with s + t < _SLICES are kept.
+_SLICES = 3
+
+
+def _slice_bits(k):
+    """Bits per slice for inner size k: the largest beta with k * 2**(2 * beta) <= 2**53."""
+    return (53 - (k - 1).bit_length()) // 2
+
+
+def _exponents(x, axis):
+    """Per-line e with max |x| < 2**e along `axis` (0 for an all-zero line); rejects NaN/Inf."""
+    amax = np.maximum(x.max(axis=axis, keepdims=True, initial=0.0),
+                      -x.min(axis=axis, keepdims=True, initial=0.0))
+    if not np.isfinite(amax).all():
+        raise ValueError("matmul operands must be finite")
+    return np.frexp(amax)[1]
+
+
+def _slices(x, e, beta):
+    """Integer-valued slices q_s, |q_s| < 2**beta, with x ~ 2**e * sum_s q_s * 2**(-(s+1)*beta).
+
+    Scaling by a power of two and r - trunc(r) are exact; only an entry so
+    far below its line's max that the scaling makes it subnormal loses bits,
+    all far below the last slice. What the last slice truncates is below
+    2**(e - _SLICES * beta) in magnitude.
+    """
+    r = np.ldexp(x, beta - e)
+    qs = []
+    for _ in range(_SLICES - 1):
+        q = np.trunc(r)
+        r -= q
+        np.ldexp(r, beta, out=r)
+        qs.append(q)
+    qs.append(np.trunc(r, out=r))
+    return qs
+
+
+def _combine(qa, qb, beta, out, tmp):
+    """Sum of 2**(-(s+t)*beta) * (qa[s] @ qb[t]) over s + t < _SLICES, into `out`.
+
+    Every slice product is an exact BLAS GEMM: its partial sums are integers
+    below k * 2**(2 * beta) <= 2**53. The levels s + t are added least
+    significant first, each in increasing s, so the float rounding of the
+    combination happens in one fixed order.
+    """
+    for level in range(_SLICES - 1, -1, -1):
+        for s in range(level + 1):
+            if level == _SLICES - 1 and s == 0:
+                np.matmul(qa[s], qb[level - s], out=out)
+            else:
+                np.matmul(qa[s], qb[level - s], out=tmp)
+                out += tmp
+        if level:
+            np.ldexp(out, -beta, out=out)
 
 
 def matmul(a, b):
-    """Matrix product with a fixed, sequential reduction over the inner axis.
+    """Matrix product on exact BLAS GEMMs of fixed-width slices of its operands.
 
-    Accumulates rank-1 updates in inner-index order, so every output element
-    is summed exactly as a naive triple loop would sum it. Results are
-    therefore independent of BLAS blocking or threading and bit-stable
-    run to run. Leading axes broadcast as in `np.matmul`; each output matrix
-    is summed exactly as a 2-D product of its own slices would be.
+    Each row of `a` and each column of `b` is scaled by the power of two 2**-e
+    that bounds its max |value|, then cut into 3 slices of
+    beta = (53 - ceil(log2 k)) // 2 bits. The 6 slice products whose orders
+    sum to at most 2 run as float64 BLAS GEMMs on integer values whose partial
+    sums stay below 2**53, so each is exact at any BLAS blocking or thread
+    count. They are combined least significant first in a fixed order, and
+    2**(e_a + e_b - 2 * beta) is applied by one `ldexp` at the end, so a
+    result that is in range is never lost to an intermediate overflow or
+    underflow. Each output element therefore depends only on its own row of
+    `a` and column of `b`: a stack equals its per-sample loop bit for bit,
+    and results are bit-identical across runs and BLAS thread counts.
+
+    Against the exact sum of the k products, each output is within
+    2**-52 * |exact| + c * k * 2**(-3 * beta) * max|a_i.| * max|b_.j|. The
+    dropped slice products and the truncated residuals give c <= 12 in the
+    worst case, and rounding the combination adds at most a few more when
+    2 * beta is close to 53; the tests hold c = 8, which is 6e-17 of
+    max|a_i.| * max|b_.j| at k = 512 and 9e-19 at k = 64.
+
+    An all-zero row or column gives exact zeros, a subnormal row its product,
+    and a result beyond the float64 range inf, as in `np.matmul`. Non-finite
+    operands raise ValueError: no power-of-two scale bounds an infinite or
+    NaN row. Leading axes broadcast as in `np.matmul`.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -59,7 +134,8 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     (m, k), n = a.shape[-2:], b.shape[-1]
-    if b.ndim == 2:
+    batched = b.ndim > 2
+    if not batched:
         # every row of every slice meets the same matrix: one (rows, k) operand
         lhs, rhs = a.reshape(-1, k), b
         shape = a.shape[:-1] + (n,)
@@ -71,15 +147,27 @@ def matmul(a, b):
         lhs = np.broadcast_to(a, batch + (m, k)).reshape(-1, m, k)
         rhs = np.broadcast_to(b, batch + (k, n)).reshape(-1, k, n)
         shape = batch + (m, n)
-    out = np.zeros(lhs.shape[:-1] + (n,))
-    step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(out.shape[1:])))
+    beta = _slice_bits(k)
+    e_a = _exponents(lhs, -1)
+    e_b = _exponents(rhs, -2)
+    e_out = e_a - 2 * beta
+    if not batched:
+        qb = _slices(rhs, e_b, beta)
+    out = np.empty(lhs.shape[:-1] + (n,))
+    # working floats per unit of the flattened batch: the slices made in the
+    # loop, then the product buffer and the exponent sum of the final ldexp
+    sliced = math.prod(lhs.shape[1:]) + (math.prod(rhs.shape[1:]) if batched else 0)
+    unit = _SLICES * sliced + 2 * math.prod(out.shape[1:])
+    step = max(1, _BLOCK_ELEMENTS // max(1, unit))
+    tmp = np.empty((min(step, len(out)),) + out.shape[1:])
     for lo in range(0, len(out), step):
-        acc = out[lo:lo + step]
-        # operands with the inner axis leading, so each rank-1 term is two views
-        xs = np.moveaxis(lhs[lo:lo + step], -1, 0)[..., np.newaxis]
-        ys = rhs if b.ndim == 2 else np.moveaxis(rhs[lo:lo + step], -2, 0)[..., np.newaxis, :]
-        for x, y in zip(xs, ys):
-            acc += x * y
+        hi = min(lo + step, len(out))
+        acc = out[lo:hi]
+        # the chunk's slices live only for the call, so two chunks never overlap
+        _combine(_slices(lhs[lo:hi], e_a[lo:hi], beta),
+                 _slices(rhs[lo:hi], e_b[lo:hi], beta) if batched else qb,
+                 beta, acc, tmp[:hi - lo])
+        np.ldexp(acc, e_out[lo:hi] + (e_b[lo:hi] if batched else e_b), out=acc)
     return out.reshape(shape)
 
 

@@ -1,6 +1,10 @@
 """CLI tests: exit codes, the staged chain on disk, inspect output."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -129,6 +133,54 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
             codes = seen[id(qp)] + qp.zero_point
             assert codes.shape == shipped.shape
             np.testing.assert_array_equal(codes, shipped)
+
+
+# a CLI chain in a fresh process: the unhooked forward of the eval data, then q.rvq
+_THREADS_SCRIPT = textwrap.dedent("""
+    import hashlib, json, os, sys
+    from scalefold.cli import cli_main
+    from scalefold.container import activations_from_container, blocks_from_container, read_container
+    from scalefold.model import model_forward
+    out, config, bits = sys.argv[1], sys.argv[2], sys.argv[3]
+    def run(*argv):
+        assert cli_main(list(argv)) == 0
+    run("gen", "--out", out, "--seed", "3", "--config", config)
+    data = activations_from_container(read_container(os.path.join(out, "eval.rvq")))
+    cfg, blocks = blocks_from_container(read_container(os.path.join(out, "model_fp.rvq")))
+    print(hashlib.sha256(model_forward(data, blocks, cfg).tobytes()).hexdigest())
+    paths = {s: os.path.join(out, s + ".rvq") for s in ("model_fp", "calib", "c", "r", "q")}
+    run("calibrate", "--model", paths["model_fp"], "--data", paths["calib"], "--out", paths["c"],
+        "--bits-w", bits, "--bits-a", bits)
+    run("reparam", "--model", paths["c"], "--data", paths["calib"], "--out", paths["r"])
+    run("quantize", "--model", paths["r"], "--out", paths["q"])
+    with open(paths["q"], "rb") as fh:
+        print(hashlib.sha256(fh.read()).hexdigest())
+""")
+
+
+@pytest.mark.parametrize("model, bits", [
+    ({}, 4),
+    ({"patches": 64, "dim": 128, "heads": 4, "head_dim": 32, "mlp_dim": 512}, 8),
+], ids=["16x64-w4a4", "64x128-w8a8"])
+def test_float_forward_and_artifact_are_the_same_at_any_blas_thread_count(tmp_path, model, bits):
+    """The unhooked forward and the CLI's q.rvq are byte-equal at 1 and 2 BLAS threads.
+
+    Every float product runs as exact slice GEMMs and every hooked one as
+    exact integer GEMMs, so BLAS blocking and threading change no bit
+    anywhere in the chain.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model, "calib_batches": 4, "eval_batches": 2}))
+    src = os.path.dirname(os.path.dirname(scalefold.model.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path / threads),
+                               str(config), str(bits)],
+                              env=env, check=True, capture_output=True, text=True)
+        digests.append([line for line in done.stdout.split() if len(line) == 64])
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def _strip(c, path):

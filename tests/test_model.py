@@ -88,7 +88,7 @@ def reference_block(x, w, cfg):
 
 
 def fake_quant_forward(x, blocks, cfg, hooks):
-    """The hooked encoder with every operand fake-quantized, summed by the pinned loop.
+    """The hooked encoder with every operand fake-quantized, summed by `tensors.matmul`.
 
     Each hook acts on its operand before the head split, as in the model; the
     LayerNorm, Softmax and GELU kernels are the library's, so the matmul route
@@ -340,7 +340,7 @@ class TestHooks:
         """Per-channel hooks on q, k and v quantize along dim, before the head split.
 
         Their scales do not factor out of the head products, so the forward
-        must equal fake quantization on the pinned loop exactly. patches ==
+        must equal fake quantization on the float `tensors.matmul` exactly. patches ==
         dim, so a dim-long scale vector would also broadcast over the wrong axis.
         """
         cfg = ModelConfig(patches=8, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=1)
@@ -368,10 +368,12 @@ class TestModelForward:
     def test_stack_equals_per_sample_loop(self):
         """One pass over an (n, patches, dim) stack is the per-sample loop, bit for bit.
 
-        The first hook set holds a per-channel activation site and a log-sqrt2
-        site, which run the pinned loop; the second has layer-wise activations
-        and per-output-channel weights at every site, so every product runs on
-        the integer path; the third has an 8-bit log-sqrt2 A and a layer-wise V, so A @ V runs on
+        The first set is no hooks at all, the unhooked float forward on the
+        slice kernel of `tensors.matmul`; the second holds a per-channel
+        activation site and a log-sqrt2 site with no V hook, which fake-quantize
+        into the same kernel; the third has layer-wise activations and
+        per-output-channel weights at every site, so every product runs on
+        the integer path; the fourth has an 8-bit log-sqrt2 A and a layer-wise V, so A @ V runs on
         the parity split, on sharpened attention whose codes reach past the
         first exponent band in some samples but not in others (constant
         tokens attend uniformly), exact zeros (the deepest code) included.
@@ -397,8 +399,8 @@ class TestModelForward:
         parity = [QuantHooks(attn_a=QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([1.0])),
                              attn_v=layer_params(0.05, 128, bits=8))] * 2
 
-        for hooks, bws, stack in ((mixed, blocks, xs), (all_affine, blocks, xs),
-                                  (parity, sharp, xs_sharp)):
+        for hooks, bws, stack in ((None, blocks, xs), (mixed, blocks, xs),
+                                  (all_affine, blocks, xs), (parity, sharp, xs_sharp)):
             caps = {}
             got = model_forward(stack, bws, cfg, hooks=hooks, capture=caps)
             singles = []
@@ -421,8 +423,8 @@ class TestModelForward:
         assert (a == 0).any()
 
     @pytest.mark.parametrize("bits", [4, 8])
-    def test_hooked_forward_matches_fake_quant_pinned_loop(self, bits):
-        """The integer path agrees with fake-quantized operands on the pinned loop.
+    def test_hooked_forward_matches_fake_quant_float_matmul(self, bits):
+        """The integer path agrees with fake-quantized operands on the float `tensors.matmul`.
 
         The two differ only in float rounding of the scale products (about
         1e-16 relative per product), so the end-to-end output must agree
