@@ -10,7 +10,8 @@ import os
 import sys
 
 from .container import (activations_from_container, container_from_activations,
-                        container_from_model, read_container, write_container)
+                        container_from_model, from_bytes, payload_size, read_container,
+                        write_container)
 from .model import ModelConfig
 from .pipeline import (PipelineError, QuantizeConfig, calibrate_model,
                        evaluate, quantize_model, reparameterize_model)
@@ -160,16 +161,21 @@ def _cmd_eval(args):
 
 
 def _cmd_inspect(args):
-    c = read_container(args.path)
+    with open(args.path, "rb") as fh:
+        raw = fh.read()
+    c = from_bytes(raw)
     print(f"kind:  {c.kind}")
     if c.stage:
         print(f"stage: {c.stage}")
     if "model_config" in c.meta:
         print(f"model: {json.dumps(c.meta['model_config'], sort_keys=True)}")
+    # from_bytes has checked the header that holds the manifest's length
+    print(f"bytes: {len(raw)}  manifest={int.from_bytes(raw[8:16], 'little')}")
     print(f"tensors ({len(c.tensors)}):")
     for name in sorted(c.tensors):
         arr = c.tensors[name]
-        print(f"  {name}  shape={list(arr.shape)}  dtype={arr.dtype}")
+        tag, size = payload_size(name, arr)
+        print(f"  {name}  shape={list(arr.shape)}  dtype={tag}  bytes={size}")
     sites = c.meta.get("sites", {})
     if sites:
         print(f"sites ({len(sites)}):")

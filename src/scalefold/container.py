@@ -10,10 +10,17 @@ Layout:
 The manifest holds the format version, a stage marker, the model
 configuration, the tensor table (name, shape, dtype, byte offset, byte
 length relative to the blob), per-site quantizer parameters, fold records,
-and a logical pass log. Payload dtypes are "f32" (float32 LE) for weights
-and activations and "i32" (int32 LE) for integer codes. Compute stays in
+and a logical pass log. Payload dtypes are "f32" (float32 LE) for float
+tensors and "u8" (one unsigned byte) for integer codes; writing an integer
+tensor with a value outside [0, 255] raises ContainerError. Compute stays in
 float64; 32-bit floats exist only in this file format. Serialization is
 deterministic: equal containers produce equal bytes.
+
+A quantized container ships each weight matrix only as its codes,
+`block{i}.{w}.codes` in u8 for w in w_qkv, w_o, w_1 and w_2, next to float
+biases and LayerNorm parameters. `blocks_from_container` loads those codes
+as `CodeBlock`s centred on the zero points of their site in the site
+table; every other stage holds and loads float weights.
 """
 
 import json
@@ -22,13 +29,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import BlockWeights, ModelConfig
-from .tensors import as_int_tensor, as_tensor
+from .model import WEIGHT_SITES, BlockWeights, CodeBlock, ModelConfig
+from .quantizers import QuantParams
+from .tensors import ShapeError, as_tensor
 
 MAGIC = b"RVQM0001"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f32": np.dtype("<f4"), "i32": np.dtype("<i4")}
+_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 # JSON type of each field of a tensor-table entry
 _ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int, "length": int}
 
@@ -41,7 +49,7 @@ class ContainerError(ValueError):
 
 @dataclass
 class ModelContainer:
-    """In-memory form: manifest metadata plus named float64/int32 tensors."""
+    """In-memory form: manifest metadata plus named float64 or integer tensors."""
 
     meta: dict
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -61,12 +69,20 @@ class ModelContainer:
             raise ContainerError(f"bad model_config: {type(e).__name__}: {e}") from None
 
 
-def _payload_dtype(arr):
+def _payload_dtype(name, arr):
     if arr.dtype.kind == "f":
         return "f32"
     if arr.dtype.kind in "iu":
-        return "i32"
-    raise ContainerError(f"unsupported tensor dtype {arr.dtype}")
+        if arr.size and (arr.min() < 0 or arr.max() > 255):
+            raise ContainerError(f"integer tensor {name!r} has values outside [0, 255]")
+        return "u8"
+    raise ContainerError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
+
+
+def payload_size(name, arr):
+    """(dtype tag, byte length) of tensor `arr`'s payload in a container file."""
+    tag = _payload_dtype(name, arr)
+    return tag, arr.size * _DTYPES[tag].itemsize
 
 
 def to_bytes(container):
@@ -76,7 +92,7 @@ def to_bytes(container):
     offset = 0
     for name in sorted(container.tensors):
         arr = container.tensors[name]
-        tag = _payload_dtype(arr)
+        tag = _payload_dtype(name, arr)
         payload = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
         table.append({
             "name": name,
@@ -137,7 +153,7 @@ def from_bytes(raw):
             if not np.isfinite(arr).all():
                 raise ContainerError(f"tensor {name!r} contains non-finite values")
         else:
-            arr = as_int_tensor(arr)
+            arr = arr.copy()   # own its bytes: frombuffer's view is read-only
         tensors[name] = arr
 
     meta = {k: v for k, v in manifest.items() if k not in ("tensors", "format_version")}
@@ -171,20 +187,44 @@ def container_from_model(cfg, blocks, stage="fp", meta_extra=None):
     return ModelContainer(meta=meta, tensors=tensors)
 
 
+def _tensor(container, key):
+    if key not in container.tensors:
+        raise ContainerError(f"model container is missing tensor {key!r}")
+    return container.tensors[key]
+
+
+def _code_block(container, key):
+    """The weight at `key` of a quantized container, from its codes and its site."""
+    codes = _tensor(container, key + ".codes")
+    sites = container.meta.get("sites")
+    if not isinstance(sites, dict) or key not in sites:
+        raise ContainerError(f"quantized container has no site {key!r} for its codes")
+    try:
+        return CodeBlock.from_codes(codes, QuantParams.from_json(sites[key]))
+    except ValueError as e:
+        raise ContainerError(f"tensor {key + '.codes'!r} under site {key!r}: {e}") from None
+
+
 def blocks_from_container(container):
-    """Unpack (config, [BlockWeights]) from a model container."""
+    """Unpack (config, [BlockWeights]) from a model container.
+
+    A quantized container's weight matrices load as `CodeBlock`s, centred
+    once here. A missing tensor or site, a site that is not uniform affine,
+    codes past the site's range and shapes that do not fit the config raise
+    ContainerError naming them.
+    """
     if container.kind != "model":
         raise ContainerError(f"expected a model container, got kind {container.kind!r}")
     cfg = container.config()
+    codes = WEIGHT_SITES if container.stage == "quantized" else ()
     blocks = []
     for i in range(cfg.blocks):
-        kwargs = {}
-        for name in WEIGHT_FIELDS:
-            key = f"block{i}.{name}"
-            if key not in container.tensors:
-                raise ContainerError(f"model container is missing tensor {key!r}")
-            kwargs[name] = container.tensors[key]
-        blocks.append(BlockWeights(**kwargs).validate(cfg))
+        kwargs = {name: (_code_block if name in codes else _tensor)(container, f"block{i}.{name}")
+                  for name in WEIGHT_FIELDS}
+        try:
+            blocks.append(BlockWeights(**kwargs).validate(cfg))
+        except ShapeError as e:
+            raise ContainerError(f"block{i}: {e}") from None
     return cfg, blocks
 
 

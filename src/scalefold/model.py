@@ -12,6 +12,9 @@ power-of-two matrices. Any other product (a per-channel activation hook)
 fake-quantizes its operands and sums them with the float `tensors.matmul`,
 exact slice GEMMs combined in a fixed order, which also runs every product of
 the unhooked float forward.
+A block loaded from a quantized container holds its weight matrices as
+`CodeBlock`s, the shipped codes centred once at load, and each weight
+product multiplies those codes; no weight is quantized in the forward.
 A `capture` dict collects the pre-hook tensors at each named site, which is
 how calibration and evaluation observe the model. Every forward function
 takes one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
@@ -24,8 +27,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .quantizers import (SQRT2, QuantParams, Scheme, fake_quantize, logsqrt2_quantize,
-                         parity_indicator, uniform_centred)
+from .quantizers import (SQRT2, QuantParams, Scheme, centre_codes, fake_quantize,
+                         logsqrt2_quantize, param_view, parity_indicator, uniform_centred)
 from .tensors import ShapeError, as_tensor, gelu, matmul, rowwise_softmax
 
 # Activation sites, in forward order. Each is the input of one matmul:
@@ -93,30 +96,75 @@ class ModelConfig(JsonFields):
             raise ValueError("eps must be positive")
 
 
+@dataclass(frozen=True, eq=False)
+class CodeBlock:
+    """A weight matrix held as its shipped uniform affine codes, centred once.
+
+    `centred` is c - z as integer-valued float64, which the integer GEMMs of
+    `_qmatmul` multiply as it is; `params` is the weight site's quantizer.
+    `dequantize` gives s * (c - z), the bits `fake_quantize` gives on the
+    weight the codes were quantized from.
+    """
+
+    centred: np.ndarray
+    params: QuantParams
+
+    @classmethod
+    def from_codes(cls, codes, qp):
+        """Centre codes on qp's zero points; see `quantizers.centre_codes` for what raises."""
+        return cls(centre_codes(codes, qp), qp)
+
+    @property
+    def shape(self):
+        return self.centred.shape
+
+    @property
+    def ndim(self):
+        return self.centred.ndim
+
+    def dequantize(self):
+        return param_view(self.params.scale, self.centred, self.params) * self.centred
+
+    def check_hook(self, qp):
+        """The params to multiply with; a weight hook must be None or equal `params`."""
+        p = self.params
+        if qp is None or qp is p or (
+                (qp.scheme, qp.bits, qp.granularity, qp.channel_axis)
+                == (p.scheme, p.bits, p.granularity, p.channel_axis)
+                and np.array_equal(qp.scale, p.scale)
+                and np.array_equal(qp.zero_point, p.zero_point)):
+            return p
+        raise ValueError("a weight hook on shipped codes must be None or the codes' own params")
+
+
 @dataclass
 class BlockWeights:
     """Parameters of one encoder block.
 
     w_qkv columns are laid out [Q | K | V], each dim wide, head-major inside
-    (head i owns columns i*head_dim:(i+1)*head_dim of its third).
+    (head i owns columns i*head_dim:(i+1)*head_dim of its third). The four
+    weight matrices are float arrays, or `CodeBlock`s in a block loaded from
+    a quantized container.
     """
 
     gamma1: np.ndarray
     beta1: np.ndarray
-    w_qkv: np.ndarray
+    w_qkv: np.ndarray | CodeBlock
     b_qkv: np.ndarray
-    w_o: np.ndarray
+    w_o: np.ndarray | CodeBlock
     b_o: np.ndarray
     gamma2: np.ndarray
     beta2: np.ndarray
-    w_1: np.ndarray
+    w_1: np.ndarray | CodeBlock
     b_1: np.ndarray
-    w_2: np.ndarray
+    w_2: np.ndarray | CodeBlock
     b_2: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
-            setattr(self, f.name, as_tensor(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if not isinstance(value, CodeBlock):
+                setattr(self, f.name, as_tensor(value))
 
     def validate(self, cfg):
         d, f = cfg.dim, cfg.mlp_dim
@@ -154,7 +202,13 @@ _BYPASS = QuantHooks()
 
 
 def _apply(x, qp):
+    if isinstance(x, CodeBlock):
+        return x.dequantize()
     return x if qp is None else fake_quantize(x, qp)
+
+
+def _centred(w, qp):
+    return w.centred if isinstance(w, CodeBlock) else uniform_centred(w, qp)
 
 
 def _same(t):
@@ -217,18 +271,26 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
     GEMMs (`_log_sqrt2_matmul`). Every other product (no hook, a per-channel
     activation) fake-quantizes both operands and runs the float
     `tensors.matmul`, which is also bit-identical at any thread count.
+
+    `w` may be a `CodeBlock`, the shipped codes of a quantized container: its
+    own params are then `qw` (a hook given with it must be None or equal
+    them, else ValueError), its centred codes enter the integer GEMMs
+    directly and the float route dequantizes them, so no weight is quantized
+    here.
     """
+    if isinstance(w, CodeBlock):
+        qw = w.check_hook(qw)
     w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (
         qw.scale.size == 1 or rhs is _same and qw.channel_axis % w.ndim == w.ndim - 1)
     x_scheme = None if qx is None else qx.scheme
     if w_int and x_scheme is Scheme.UNIFORM and qx.scale.size == 1:
-        xc, wc = lhs(uniform_centred(x, qx)), rhs(uniform_centred(w, qw))
+        xc, wc = lhs(uniform_centred(x, qx)), rhs(_centred(w, qw))
         if wc.ndim == 2:
             prod = (xc.reshape(-1, xc.shape[-1]) @ wc).reshape(xc.shape[:-1] + wc.shape[-1:])
         else:
             prod = xc @ wc
     elif w_int and x_scheme is Scheme.LOG_SQRT2 and lhs is _same:
-        prod = _log_sqrt2_matmul(x, qx, rhs(uniform_centred(w, qw)), qw.qmax)
+        prod = _log_sqrt2_matmul(x, qx, rhs(_centred(w, qw)), qw.qmax)
     else:
         return matmul(lhs(_apply(x, qx)), rhs(_apply(w, qw)))
     return prod * (qx.scale * qw.scale)

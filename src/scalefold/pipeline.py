@@ -8,12 +8,16 @@ The fold stage then rewrites each LayerNorm site's affine parameters and
 consumer weights so a single layer-wise quantizer reproduces the
 channel-wise codes, refits the rewritten weights and the downstream sites
 with the same site fitter as calibration, and swaps the post-Softmax
-dequantizer onto the power-of-two shift path. The quantize stage emits
-integer weight codes. The fold and quantize stages carry their input's
-metadata whole and add their own. Each stage appends to a logical pass log;
-identical inputs produce byte-identical containers.
+dequantizer onto the power-of-two shift path. The quantize stage ships each
+weight matrix as u8 codes in place of its floats, which is what the forward
+of the loaded container multiplies, and records each weight site's
+quantization MSE, taken from the folded floats, for evaluation. The fold and
+quantize stages carry their input's metadata whole and add their own. Each
+stage appends to a logical pass log; identical inputs produce byte-identical
+containers.
 """
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,7 +28,7 @@ from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, QuantHooks, model
 from .quantizers import (Granularity, QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
                          logsqrt2_dequantize_shift, logsqrt2_quantize,
-                         uniform_quantize)
+                         uniform_dequantize, uniform_quantize)
 from .reparam import ReparamRecord, reparameterize_layernorm_site
 from .tensors import as_tensor
 
@@ -103,8 +107,8 @@ def _sites_from_json(d):
     return {name: QuantParams.from_json(v) for name, v in d.items()}
 
 
-def _ln_keys(cfg):
-    return sorted(f"block{i}.{site}" for i in range(cfg.blocks) for site in LN_SITES)
+def _site_keys(cfg, names):
+    return sorted(f"block{i}.{site}" for i in range(cfg.blocks) for site in names)
 
 
 def _require(container, paths):
@@ -126,6 +130,12 @@ def _require(container, paths):
         raise PipelineError(f"{container.stage} container lacks {', '.join(missing)}")
 
 
+def _require_floats(container, role):
+    """A quantized container holds codes, not the float weights that `role` needs."""
+    if container.stage == "quantized":
+        raise PipelineError(f"{role} needs float weights, got a quantized container")
+
+
 def _append_pass(meta, name):
     log = list(meta.get("passes", []))
     log.append({"step": len(log) + 1, "name": name})
@@ -140,6 +150,7 @@ def calibrate_model(model_c, acts, qcfg=None):
     parameters for the LayerNorm sites and the full pre-fold site table.
     """
     qcfg = qcfg or QuantizeConfig()
+    _require_floats(model_c, "calibration")
     cfg, blocks = blocks_from_container(model_c)
     acts = _check_acts(cfg, acts)
     caps = capture_activations(blocks, cfg, acts)
@@ -220,22 +231,30 @@ def reparameterize_model(calib_c, acts):
 
 
 def quantize_model(rep_c):
-    """Stage 3: emit integer codes for every weight tensor.
+    """Stage 3: replace every weight matrix by its u8 codes.
 
-    The folded container must carry its site table and a fold record per
-    LayerNorm site; PipelineError names whatever is missing.
+    `block{i}.{w}.codes` takes the place of `block{i}.{w}`, and
+    `weight_mse[block{i}.{w}]` records the site's quantization MSE on the
+    folded floats, which the quantized container no longer holds. The folded
+    container must carry a site per weight and a fold record per LayerNorm
+    site; PipelineError names whatever is missing.
     """
     if rep_c.stage != "reparameterized":
         raise PipelineError(f"quantize stage expects a folded container, got {rep_c.stage!r}")
     cfg, blocks = blocks_from_container(rep_c)
-    _require(rep_c, [("sites",)] + [("reparam_records", key) for key in _ln_keys(cfg)])
+    weight_keys = _site_keys(cfg, WEIGHT_SITES)
+    _require(rep_c, [("sites", key) for key in weight_keys]
+             + [("reparam_records", key) for key in _site_keys(cfg, LN_SITES)])
     sites = _sites_from_json(rep_c.meta["sites"])
     out = container_from_model(cfg, blocks, stage="quantized")
     out.meta = {**rep_c.meta, **out.meta}
-    for i, bw in enumerate(blocks):
-        for site in WEIGHT_SITES:
-            key = f"block{i}.{site}"
-            out.tensors[key + ".codes"] = uniform_quantize(getattr(bw, site), sites[key])
+    weight_mse = {}
+    for key in weight_keys:
+        w = out.tensors.pop(key)
+        codes = uniform_quantize(w, sites[key])
+        out.tensors[key + ".codes"] = codes.astype(np.uint8)
+        weight_mse[key] = _mse(uniform_dequantize(codes, sites[key]), w)
+    out.meta["weight_mse"] = weight_mse
     _append_pass(out.meta, "emit-codes")
     return out
 
@@ -302,20 +321,29 @@ def evaluate(fp_c, q_c, acts):
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
     log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
     once over the whole held-out stack; nothing is refitted here. A quantized
-    container lacking its site table, a LayerNorm site's fold record or
-    either ablation table raises PipelineError naming what is missing, as
-    does a malformed fold record.
+    container lacking its site table, a LayerNorm site's fold record, a
+    weight site's `weight_mse` or either ablation table raises PipelineError
+    naming what is missing, as does a malformed fold record or weight MSE;
+    all of this is checked before the weight codes load.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
         raise PipelineError(f"evaluate expects a quantized container, got stage {q_c.stage!r}")
+    _require_floats(fp_c, "the float reference of evaluate")
     cfg, fp_blocks = blocks_from_container(fp_c)
-    _, q_blocks = blocks_from_container(q_c)
     acts = _check_acts(cfg, acts)
-    ln_keys = _ln_keys(cfg)
+    ln_keys = _site_keys(cfg, LN_SITES)
+    weight_keys = _site_keys(cfg, WEIGHT_SITES)
     _require(q_c, [("sites",)] + [("reparam_records", key) for key in ln_keys]
+             + [("weight_mse", key) for key in weight_keys]
              + [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")])
     sites = _sites_from_json(q_c.meta["sites"])
+    weight_mse = {}
+    for key in weight_keys:
+        value = q_c.meta["weight_mse"][key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
+            raise PipelineError(f"weight_mse.{key} is {value!r}, not a nonnegative number")
+        weight_mse[key] = float(value)
     records = {}
     for key in ln_keys:
         try:
@@ -326,6 +354,7 @@ def evaluate(fp_c, q_c, acts):
             raise PipelineError(f"fold record reparam_records.{key} has "
                                 f"{records[key].channels} channels, the model {cfg.dim}")
     abl = q_c.meta["ablation"]
+    _, q_blocks = blocks_from_container(q_c)
 
     fp_caps, q_caps = {}, {}
     fp_out = model_forward(acts, fp_blocks, cfg, capture=fp_caps)
@@ -334,11 +363,8 @@ def evaluate(fp_c, q_c, acts):
 
     per_site_mse = {}
     for name, qp in sorted(sites.items()):
-        base, _, site = name.rpartition(".")
-        if site in WEIGHT_SITES:
-            idx = int(base.removeprefix("block"))
-            w = getattr(q_blocks[idx], site)
-            per_site_mse[name] = _mse(fake_quantize(w, qp), w)
+        if name in weight_mse:
+            per_site_mse[name] = weight_mse[name]
         else:
             seen = q_caps[name]
             per_site_mse[name] = _mse(fake_quantize(seen, qp), seen)

@@ -115,8 +115,8 @@ class QuantParams:
             raise ValueError(f"malformed quantizer params: {type(e).__name__}: {e}") from None
 
 
-def _param_view(vec, x, qp):
-    # reshape a per-channel parameter vector so it broadcasts along channel_axis
+def param_view(vec, x, qp):
+    """`vec` (a scale or zero-point vector) shaped to broadcast along x's channel axis."""
     if qp.granularity is Granularity.PER_LAYER:
         return vec[0]
     axis = qp.channel_axis % x.ndim
@@ -145,8 +145,8 @@ def uniform_centred(x, qp):
     if qp.scheme is not Scheme.UNIFORM:
         raise ValueError(f"uniform quantizer got {qp.scheme.value} params")
     x = as_tensor(x)
-    s = _param_view(qp.scale, x, qp)
-    z = _param_view(qp.zero_point, x, qp)
+    s = param_view(qp.scale, x, qp)
+    z = param_view(qp.zero_point, x, qp)
     out = np.divide(x, s, out=np.empty(x.shape))
     np.rint(out, out=out)
     np.maximum(out, -z, out=out)
@@ -159,18 +159,28 @@ def uniform_quantize(x, qp):
     Rounding is round-half-to-even. Returns int32 codes of x's shape.
     """
     codes = uniform_centred(x, qp)
-    codes += _param_view(qp.zero_point, codes, qp)
+    codes += param_view(qp.zero_point, codes, qp)
     return codes.astype(np.int32)
+
+
+def centre_codes(codes, qp):
+    """Affine codes minus their zero points, c - z, as integer-valued float64.
+
+    This is what `uniform_centred` returned for the values the codes came
+    from. Non-uniform params or codes outside [0, 2**b - 1] raise ValueError.
+    """
+    if qp.scheme is not Scheme.UNIFORM:
+        raise ValueError(f"uniform codes got {qp.scheme.value} params")
+    codes = _check_codes(codes, qp.bits)
+    centred = codes.astype(np.float64)
+    centred -= param_view(qp.zero_point, codes, qp)
+    return centred
 
 
 def uniform_dequantize(codes, qp):
     """Reconstruct s * (code - z) for codes produced by `uniform_quantize`."""
-    if qp.scheme is not Scheme.UNIFORM:
-        raise ValueError(f"uniform dequantizer got {qp.scheme.value} params")
-    codes = _check_codes(codes, qp.bits)
-    s = _param_view(qp.scale, codes, qp)
-    z = _param_view(qp.zero_point, codes, qp)
-    return s * (codes.astype(np.float64) - z)
+    centred = centre_codes(codes, qp)
+    return param_view(qp.scale, centred, qp) * centred
 
 
 def _log_ratio(x, s, bits, label):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -78,13 +79,19 @@ class TestChain:
         assert report["softmax_ablation"]["log_sqrt2"] == report["softmax_ablation"]["base_changed"]
 
     def test_inspect_summarizes(self, workspace, capsys):
-        assert cli_main(["inspect", str(workspace["quantized"])]) == 0
+        """The summary names the stage and accounts for every byte of the file."""
+        path = workspace["quantized"]
+        assert cli_main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert "kind:  model" in out
         assert "stage: quantized" in out
-        assert "block0.w_qkv.codes" in out
+        assert "block0.w_qkv.codes  shape=[64, 192]  dtype=u8  bytes=12288" in out
+        assert "block0.b_qkv  shape=[192]  dtype=f32  bytes=768" in out
         assert "fold records:" in out
         assert "emit-codes" in out
+        total, manifest = re.search(r"^bytes: (\d+)  manifest=(\d+)$", out, re.M).groups()
+        tensor_bytes = sum(int(b) for b in re.findall(r"  bytes=(\d+)$", out, re.M))
+        assert int(total) == path.stat().st_size == 16 + int(manifest) + tensor_bytes
 
     def test_gen_is_deterministic(self, workspace, tmp_path):
         again = tmp_path / "again"
@@ -102,12 +109,14 @@ class TestChain:
 
 @pytest.mark.parametrize("chain", ["library", "cli"])
 def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, chain):
-    """The hooked forward's integer path runs on the container's own `.codes` tensors.
+    """The quantized container holds only u8 codes, and the forward multiplies them.
 
-    A spy on the `uniform_centred` kernel that `model` calls records the
-    centred codes of each weight site's hook; adding the zero point back must
-    give the container's codes bit for bit. A weight that took the fake-quant
-    route instead would be missing.
+    Each loaded weight is a CodeBlock whose centred codes plus the zero
+    point are the stored codes, and the container holds no float weight
+    matrix. Spies on the two quantizer kernels that `model` calls record the
+    params of every call: no weight site's params (the hook's or the code
+    block's) reach either, while each weight product's activation takes the
+    integer route.
     """
     calib = activations_from_container(read_container(workspace["calib_data"]))
     if chain == "library":
@@ -117,22 +126,30 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
     cfg, blocks = blocks_from_container(q_c)
     hooks = hooks_from_sites(cfg, {k: QuantParams.from_json(v)
                                    for k, v in q_c.meta["sites"].items()})
-    seen = {}
-    centred = scalefold.model.uniform_centred
+    seen = {"uniform_centred": set(), "fake_quantize": set()}
 
-    def spy(x, qp):
-        seen[id(qp)] = codes = centred(x, qp)
-        return codes
+    def spy(name):
+        kernel = getattr(scalefold.model, name)
 
-    monkeypatch.setattr(scalefold.model, "uniform_centred", spy)
+        def call(x, qp):
+            seen[name].add(id(qp))
+            return kernel(x, qp)
+        return call
+
+    for name in seen:
+        monkeypatch.setattr(scalefold.model, name, spy(name))
     model_forward(calib[:1], blocks, cfg, hooks=hooks)
-    for i, h in enumerate(hooks):
+    for i, (bw, h) in enumerate(zip(blocks, hooks)):
         for site in WEIGHT_SITES:
-            qp = getattr(h, site)
-            shipped = q_c.tensors[f"block{i}.{site}.codes"]
-            codes = seen[id(qp)] + qp.zero_point
-            assert codes.shape == shipped.shape
-            np.testing.assert_array_equal(codes, shipped)
+            key = f"block{i}.{site}"
+            block, shipped = getattr(bw, site), q_c.tensors[key + ".codes"]
+            assert key not in q_c.tensors and shipped.dtype == np.uint8
+            assert block.shape == shipped.shape
+            np.testing.assert_array_equal(block.centred + block.params.zero_point, shipped)
+            for ids in seen.values():
+                assert id(getattr(h, site)) not in ids and id(block.params) not in ids
+        for site in ("ln1_out", "msa_proj_in", "ln2_out", "gelu_out"):
+            assert id(getattr(h, site)) in seen["uniform_centred"]
 
 
 # a CLI chain in a fresh process: the unhooked forward of the eval data, then q.rvq
@@ -280,6 +297,7 @@ class TestExitCodes:
         ("eval", "quantized", ("sites",), "sites"),
         ("eval", "quantized", ("reparam_records", "block0.ln2_out", "r1"), "r1"),
         ("quantize", "folded", ("reparam_records",), "reparam_records"),
+        ("eval", "quantized", ("weight_mse",), "weight_mse"),
     ])
     def test_missing_metadata_is_data_error(self, workspace, tmp_path, capsys,
                                             command, stage, path, named):

@@ -20,7 +20,7 @@ from scalefold.container import (
     to_bytes,
     write_container,
 )
-from scalefold.model import ModelConfig
+from scalefold.model import WEIGHT_SITES, CodeBlock, ModelConfig
 from scalefold.pipeline import QuantizeConfig, run_pipeline
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 
@@ -75,7 +75,25 @@ class TestRoundTrip:
     def test_in_memory_dtypes_after_read(self):
         back = from_bytes(to_bytes(tiny_container()))
         assert back.tensors["b.weight"].dtype == np.float64
-        assert back.tensors["a.codes"].dtype == np.int32
+        assert back.tensors["a.codes"].dtype == np.uint8
+
+    def test_u8_codes_round_trip_as_one_byte_each(self):
+        codes = np.arange(256, dtype=np.int64).reshape(16, 16)[::-1]
+        c = ModelContainer(meta={"kind": "model"}, tensors={"w.codes": codes})
+        raw = to_bytes(c)
+        entry = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])["tensors"][0]
+        assert entry["dtype"] == "u8" and entry["length"] == 256
+        back = from_bytes(raw).tensors["w.codes"]
+        assert back.dtype == np.uint8 and back.flags.writeable
+        np.testing.assert_array_equal(back, codes)
+        assert to_bytes(from_bytes(raw)) == raw
+
+    @pytest.mark.parametrize("values", [[0, 256], [-1, 3], [2**31 - 1]])
+    def test_integer_tensor_outside_u8_is_refused_on_write(self, values):
+        c = ModelContainer(meta={"kind": "model"},
+                           tensors={"w.codes": np.array(values, dtype=np.int64)})
+        with pytest.raises(ContainerError, match="'w.codes'.*outside"):
+            to_bytes(c)
 
 
 class TestMalformed:
@@ -193,15 +211,27 @@ def quantized_bytes():
     return to_bytes(q)
 
 
+def _parse_and_load(raw):
+    """from_bytes, then blocks_from_container on what parsed."""
+    blocks_from_container(from_bytes(raw))
+
+
 class TestFuzz:
-    """Damaged bytes of a valid container either parse or raise ContainerError."""
+    """Damaged bytes of a valid container either load or raise ContainerError.
+
+    Loading covers both parsing and `blocks_from_container`, which centres
+    the u8 codes against the damaged site table.
+    """
+
+    def test_undamaged_bytes_load(self, quantized_bytes):
+        _parse_and_load(quantized_bytes)
 
     @settings(deadline=None, max_examples=150)
     @given(st.data())
     def test_truncation(self, quantized_bytes, data):
         cut = data.draw(st.integers(0, len(quantized_bytes) - 1))
         try:
-            from_bytes(quantized_bytes[:cut])
+            _parse_and_load(quantized_bytes[:cut])
         except ContainerError:
             pass
 
@@ -214,7 +244,7 @@ class TestFuzz:
         pos = data.draw(st.one_of(st.integers(0, head - 1), st.integers(0, len(raw) - 1)))
         byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]))
         try:
-            from_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1:])
+            _parse_and_load(raw[:pos] + bytes([byte]) + raw[pos + 1:])
         except ContainerError:
             pass
 
@@ -248,6 +278,65 @@ class TestModelPacking:
         acts = container_from_activations(cfg, gen_activations(cfg, SynthSpec(), 2))
         with pytest.raises(ContainerError, match="model"):
             blocks_from_container(acts)
+
+    def test_float_shape_mismatch_is_container_error(self):
+        cfg = ModelConfig()
+        c = container_from_model(cfg, gen_model(cfg, SynthSpec()))
+        c.tensors["block0.b_o"] = np.zeros(cfg.dim + 1)
+        with pytest.raises(ContainerError, match="block0: b_o has shape"):
+            blocks_from_container(c)
+
+
+def _damage_codes(q, key, codes=None, site=None):
+    """A copy of quantized container q with tensor `key` and site `key`'s entry replaced.
+
+    None leaves one as it is; "drop" deletes it.
+    """
+    tensors, sites = dict(q.tensors), dict(q.meta["sites"])
+    for table, name, value in ((tensors, key + ".codes", codes), (sites, key, site)):
+        if isinstance(value, str):
+            del table[name]
+        elif value is not None:
+            table[name] = value
+    return ModelContainer(meta={**q.meta, "sites": sites}, tensors=tensors)
+
+
+class TestCodeBlocks:
+    """A quantized container loads its weights as codes, and rejects inconsistent ones."""
+
+    def test_weights_load_as_centred_codes(self, quantized_bytes):
+        q = from_bytes(quantized_bytes)
+        cfg, blocks = blocks_from_container(q)
+        assert not any(f"block0.{w}" in q.tensors for w in WEIGHT_SITES)
+        for w in WEIGHT_SITES:
+            block = getattr(blocks[0], w)
+            assert isinstance(block, CodeBlock)
+            assert block.centred.dtype == np.float64
+            np.testing.assert_array_equal(block.centred + block.params.zero_point,
+                                          q.tensors[f"block0.{w}.codes"])
+            assert block.params.to_json() == q.meta["sites"][f"block0.{w}"]
+
+    @pytest.mark.parametrize("codes, site, named", [
+        ("drop", None, "missing tensor 'block0.w_o.codes'"),
+        (None, "drop", "no site 'block0.w_o'"),
+        (None, {"scheme": "log2", "bits": 3, "scale": [0.5]}, "'block0.w_o'.*log2"),
+        (None, [1, 2], "'block0.w_o'.*malformed"),
+        (np.zeros((4, 5), dtype=np.uint8), None, "'block0.w_o.codes'.*5 channels"),
+        (np.zeros((5, 4), dtype=np.uint8), None, "block0: w_o has shape"),
+        (np.full((4, 4), 8, dtype=np.uint8), None, "'block0.w_o.codes'.*outside \\[0, 7\\]"),
+        (np.zeros((4, 4)), None, "'block0.w_o.codes'.*integer"),
+    ], ids=["no-codes", "no-site", "log-site", "bad-site", "channels", "shape", "past-qmax",
+            "float-codes"])
+    def test_inconsistent_codes_are_named(self, quantized_bytes, codes, site, named):
+        q = from_bytes(quantized_bytes)
+        with pytest.raises(ContainerError, match=named):
+            blocks_from_container(_damage_codes(q, "block0.w_o", codes, site))
+
+    def test_no_site_table_is_named(self, quantized_bytes):
+        q = from_bytes(quantized_bytes)
+        meta = {k: v for k, v in q.meta.items() if k != "sites"}
+        with pytest.raises(ContainerError, match="no site 'block0.w_qkv'"):
+            blocks_from_container(ModelContainer(meta=meta, tensors=q.tensors))
 
 
 class TestActivationsPacking:

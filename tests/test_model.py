@@ -20,6 +20,7 @@ from scalefold.model import (
     ACTIVATION_SITES,
     WEIGHT_SITES,
     BlockWeights,
+    CodeBlock,
     ModelConfig,
     QuantHooks,
     _qmatmul,
@@ -29,11 +30,13 @@ from scalefold.model import (
     model_forward,
     msa_forward,
 )
-from scalefold.quantizers import QuantParams, Scheme, fake_quantize, logsqrt2_quantize
+from scalefold.quantizers import (QuantParams, Scheme, fake_quantize, logsqrt2_quantize,
+                                  uniform_dequantize, uniform_quantize)
 from scalefold.reparam import reparameterize_layernorm_site
 from scalefold.calibration import CalibConfig, calibrate_tensor
-from scalefold.container import blocks_from_container, container_from_model
-from scalefold.pipeline import QuantizeConfig, hooks_from_sites, run_pipeline
+from scalefold.container import ModelContainer, blocks_from_container, container_from_model
+from scalefold.pipeline import (QuantizeConfig, calibrate_model, hooks_from_sites,
+                                quantize_model, reparameterize_model)
 from scalefold.quantizers import Granularity
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 from scalefold.tensors import ShapeError, gelu, matmul, rowwise_softmax
@@ -112,6 +115,19 @@ def fake_quant_forward(x, blocks, cfg, hooks):
         hidden = gelu(matmul(fq(y1, h.ln2_out), fq(w.w_1, h.w_1)) + w.b_1)
         x = matmul(fq(hidden, h.gelu_out), fq(w.w_2, h.w_2)) + w.b_2 + y
     return x
+
+
+def fold_and_quantize(cfg, spec, bits):
+    """(folded, quantized) containers of the synthetic model calibrated on 4 samples."""
+    calib = gen_activations(cfg, spec, 4)
+    calib_c = calibrate_model(container_from_model(cfg, gen_model(cfg, spec)), calib,
+                              QuantizeConfig(bits_w=bits, bits_a=bits))
+    rep_c = reparameterize_model(calib_c, calib)
+    return rep_c, quantize_model(rep_c)
+
+
+def site_table(c):
+    return {k: QuantParams.from_json(v) for k, v in c.meta["sites"].items()}
 
 
 def layer_params(scale, zero, bits=4):
@@ -424,24 +440,93 @@ class TestModelForward:
 
     @pytest.mark.parametrize("bits", [4, 8])
     def test_hooked_forward_matches_fake_quant_float_matmul(self, bits):
-        """The integer path agrees with fake-quantized operands on the float `tensors.matmul`.
+        """The integer path on the shipped codes agrees with fake-quantized folded floats.
 
-        The two differ only in float rounding of the scale products (about
-        1e-16 relative per product), so the end-to-end output must agree
-        within 1e-12 of its largest magnitude at both bit widths.
+        The model multiplies the quantized container's codes; the reference
+        fake-quantizes the folded container's float weights with the same
+        sites and sums every product on the float `tensors.matmul`. The two
+        differ only in float rounding of the scale products (about 1e-16
+        relative per product), so the end-to-end output must agree within
+        1e-12 of its largest magnitude at both bit widths.
         """
         cfg = ModelConfig(patches=8, dim=32, heads=2, head_dim=16, mlp_dim=64, blocks=2)
         spec = SynthSpec(seed=bits)
-        model_c = container_from_model(cfg, gen_model(cfg, spec))
-        q_c = run_pipeline(model_c, gen_activations(cfg, spec, 4),
-                           QuantizeConfig(bits_w=bits, bits_a=bits))
-        sites = {k: QuantParams.from_json(v) for k, v in q_c.meta["sites"].items()}
-        hooks = hooks_from_sites(cfg, sites)
-        blocks = blocks_from_container(q_c)[1]
+        rep_c, q_c = fold_and_quantize(cfg, spec, bits)
+        hooks = hooks_from_sites(cfg, site_table(q_c))
         xs = gen_activations(cfg, spec, 3, stream=1)
-        got = model_forward(xs, blocks, cfg, hooks=hooks)
-        want = fake_quant_forward(xs, blocks, cfg, hooks)
+        got = model_forward(xs, blocks_from_container(q_c)[1], cfg, hooks=hooks)
+        want = fake_quant_forward(xs, blocks_from_container(rep_c)[1], cfg, hooks)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("step", [1, -1])
+    def test_flipping_one_shipped_code_changes_the_hooked_output(self, step):
+        """One stored code moved by +-1 moves the output to that of the moved weight.
+
+        The loaded block differs from the unflipped one in exactly that
+        centred code, the hooked output changes, and it equals (within the
+        1e-12 of the test above) the fake-quant float path on the weights
+        dequantized from the flipped codes, s * (c - z).
+        """
+        cfg = ModelConfig(patches=8, dim=32, heads=2, head_dim=16, mlp_dim=64, blocks=2)
+        spec = SynthSpec(seed=5)
+        _, q_c = fold_and_quantize(cfg, spec, 4)
+        sites = site_table(q_c)
+        hooks = hooks_from_sites(cfg, sites)
+        xs = gen_activations(cfg, spec, 3, stream=1)
+        # the last product, whose output no later quantizer can round away
+        key = "block1.w_2.codes"
+        codes = q_c.tensors[key].astype(np.int64)
+        idx = tuple(np.argwhere((codes + step >= 0) & (codes + step <= 15))[0])
+        codes[idx] += step
+        flipped = ModelContainer(meta=q_c.meta,
+                                 tensors={**q_c.tensors, key: codes.astype(np.uint8)})
+        before, after = blocks_from_container(q_c)[1], blocks_from_container(flipped)[1]
+        moved = after[1].w_2.centred - before[1].w_2.centred
+        assert np.argwhere(moved).tolist() == [list(idx)] and moved[idx] == step
+
+        base = model_forward(xs, before, cfg, hooks=hooks)
+        got = model_forward(xs, after, cfg, hooks=hooks)
+        floats = [BlockWeights(**{**vars(bw), **{
+            s: uniform_dequantize(flipped.tensors[f"block{i}.{s}.codes"], sites[f"block{i}.{s}"])
+            for s in WEIGHT_SITES}}) for i, bw in enumerate(after)]
+        want = fake_quant_forward(xs, floats, cfg, hooks)
+        assert np.abs(got - base).max() > 1e-6 * np.abs(base).max()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("x_hook", ["layer", "log_sqrt2", "channel", None])
+    def test_code_block_multiplies_as_its_weight(self, x_hook):
+        """A CodeBlock in place of w and its hook gives the same bits on every route.
+
+        Layer-wise and log-sqrt2 activations take the integer GEMMs on the
+        centred codes; a per-channel or absent activation hook takes the
+        float route on s * (c - z). The block's own params stand in for an
+        absent weight hook, and equal params given separately are accepted.
+        """
+        rng = np.random.default_rng(60)
+        w = rng.normal(size=(8, 6))
+        qw = column_params(w)
+        block = CodeBlock.from_codes(uniform_quantize(w, qw), qw)
+        x = np.abs(rng.normal(size=(2, 3, 8)))
+        qx = {"layer": layer_params(0.3, 8),
+              "log_sqrt2": QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([2.0])),
+              "channel": QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.1, 0.5, 8),
+                                     zero_point=np.arange(8, dtype=np.int64),
+                                     granularity=Granularity.PER_CHANNEL, channel_axis=-1),
+              None: None}[x_hook]
+        want = _qmatmul(x, qx, w, qw)
+        for hook in (None, qw, QuantParams.from_json(qw.to_json())):
+            np.testing.assert_array_equal(_qmatmul(x, qx, block, hook), want)
+
+    def test_weight_hook_on_code_block_must_carry_its_params(self):
+        rng = np.random.default_rng(61)
+        w = rng.normal(size=(8, 6))
+        qw = column_params(w)
+        block = CodeBlock.from_codes(uniform_quantize(w, qw), qw)
+        other = column_params(2 * w)
+        shifted = QuantParams.from_json({**qw.to_json(), "zero_point": [0] * 6})
+        for hook in (other, shifted, layer_params(0.1, 8)):
+            with pytest.raises(ValueError, match="weight hook"):
+                _qmatmul(rng.normal(size=(3, 8)), layer_params(0.3, 8), block, hook)
 
     def test_integer_path_is_exact_at_worst_case_codes(self):
         """Every centred code at |c - z| = 255: the product is the exact integer sum.

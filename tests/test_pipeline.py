@@ -18,7 +18,7 @@ from scalefold.pipeline import (
     reparameterize_model,
     run_pipeline,
 )
-from scalefold.quantizers import Granularity, QuantParams, Scheme
+from scalefold.quantizers import Granularity, QuantParams, Scheme, fake_quantize
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 
 CFG = ModelConfig()
@@ -95,6 +95,13 @@ class TestStageGating:
         model_c, held_out, rep_c = chain[0], chain[2], chain[4]
         with pytest.raises(PipelineError, match="quantized"):
             evaluate(model_c, rep_c, held_out)
+
+    def test_calibrate_and_reference_need_float_weights(self, chain):
+        model_c, calib, held_out, q_c = chain[0], chain[1], chain[2], chain[5]
+        with pytest.raises(PipelineError, match="calibration needs float weights"):
+            calibrate_model(q_c, calib)
+        with pytest.raises(PipelineError, match="reference of evaluate needs float weights"):
+            evaluate(q_c, q_c, held_out)
 
     def test_config_mismatch_names_the_key(self, chain):
         q_c = chain[5]
@@ -193,6 +200,25 @@ class TestQuantizeStage:
                 assert np.issubdtype(codes.dtype, np.integer)
                 assert codes.min() >= 0 and codes.max() <= 15
 
+    def test_ships_u8_codes_and_weight_mse_in_place_of_float_weights(self, chain):
+        """No float weight matrix is left; each site's MSE is taken on the folded floats."""
+        rep_c, q_c = chain[4], chain[5]
+        _, folded = blocks_from_container(rep_c)
+        sites = {k: QuantParams.from_json(v) for k, v in q_c.meta["sites"].items()}
+        assert sorted(q_c.meta["weight_mse"]) == sorted(
+            f"block{i}.{s}" for i in range(CFG.blocks) for s in WEIGHT_SITES)
+        for i, bw in enumerate(folded):
+            for site in WEIGHT_SITES:
+                key = f"block{i}.{site}"
+                assert key not in q_c.tensors
+                assert q_c.tensors[key + ".codes"].dtype == np.uint8
+                w = getattr(bw, site)
+                err = np.mean((fake_quantize(w, sites[key]) - w) ** 2)
+                assert q_c.meta["weight_mse"][key] == err > 0
+        assert sorted(q_c.tensors) == sorted(
+            [k for k in rep_c.tensors if k.rpartition(".")[2] not in WEIGHT_SITES]
+            + [f"block{i}.{s}.codes" for i in range(CFG.blocks) for s in WEIGHT_SITES])
+
     def test_codes_survive_serialization(self, chain):
         q_c = chain[5]
         back = from_bytes(to_bytes(q_c))
@@ -254,6 +280,18 @@ class TestEvaluate:
         assert sq["log_sqrt2"] == sq["base_changed"]
         assert sq["log_sqrt2"] < sq["log2"]
 
+    def test_weight_mse_is_the_quantize_stage_figure(self, chain, report):
+        q_c = chain[5]
+        for key, value in q_c.meta["weight_mse"].items():
+            assert report.per_site_mse[key] == value
+
+    @pytest.mark.parametrize("value", ["0.1", -1.0, None, True, [0.1]])
+    def test_malformed_weight_mse_is_named(self, chain, value):
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        meta = {**q_c.meta, "weight_mse": {**q_c.meta["weight_mse"], "block1.w_o": value}}
+        with pytest.raises(PipelineError, match="weight_mse.block1.w_o"):
+            evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
+
     def test_report_round_trips_to_json(self, report):
         d = report.to_json()
         assert d["output_mse"] == report.output_mse
@@ -262,6 +300,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("top, key", [
         ("reparam_records", None), ("reparam_records", "block1.ln2_out"),
         ("ablation", "precalib_sites"), ("ablation", "ln_layer_wise"),
+        ("weight_mse", "block1.w_2"),
     ])
     def test_missing_fold_data_is_named(self, chain, top, key):
         """A container stripped of what evaluate reads fails; it must not pass vacuously."""

@@ -7,12 +7,14 @@ z_d). It holds because x~/s~ = x/s_d + r2_d in exact arithmetic and r2 is an
 integer, so both paths round the same fractional part and then clip over the
 same code range. Floating-point only enters through x~/s~, whose rounding
 noise can flip a code only when x/s_d sits within float error of a rounding
-tie; random draws near half-integers are excluded for that reason.
+tie; random draws near half-integers are excluded for that reason, and
+`TestRoundingTies` pins down what happens exactly on a tie.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scalefold.quantizers import (
     Granularity,
@@ -237,6 +239,66 @@ class TestCodeEquality:
         np.testing.assert_array_equal(
             uniform_quantize(x_adj, rec.target_params()),
             uniform_quantize(x, qp))
+
+
+def fold_codes(x, qp):
+    """(channel-wise codes of x, layer-wise codes of the folded activations)."""
+    rec = build_reparam_record(qp)
+    x_adj = (x + qp.scale * rec.r2) / rec.r1
+    return uniform_quantize(x, qp), uniform_quantize(x_adj, rec.target_params())
+
+
+@st.composite
+def tie_instances(draw):
+    """Channel-wise params with dyadic scales and values on and off ties of x/s_d.
+
+    Each scale is a * 2**e with a < 2**20, so s_d * (m + 1/2) and its
+    quotient by s_d are exact: a value drawn onto a tie sits exactly on it.
+    Off a tie, x/s_d stays at least 1e-9 from every half-integer, far above
+    the fold's float error (about 1e-13 at the largest levels). Levels m
+    reach two codes past both ends of the grid, into the clip region.
+    """
+    bits = draw(st.integers(2, 8))
+    qmax = (1 << bits) - 1
+    d = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 16))
+    mant = draw(hnp.arrays(np.int64, d, elements=st.integers(1, 2**20 - 1)))
+    expo = draw(hnp.arrays(np.int64, d, elements=st.integers(-20, 2)))
+    zero = draw(hnp.arrays(np.int64, d, elements=st.integers(0, qmax)))
+    code = draw(hnp.arrays(np.int64, (rows, d), elements=st.integers(-2, qmax + 2)))
+    on_tie = draw(hnp.arrays(np.bool_, (rows, d)))
+    frac = draw(hnp.arrays(np.float64, (rows, d),
+                           elements=st.floats(-0.5 + 1e-9, 0.5 - 1e-9)))
+    qp = channel_params(np.ldexp(mant.astype(np.float64), expo), zero, bits=bits)
+    level = code - zero
+    x = qp.scale * (level + np.where(on_tie, 0.5, frac))
+    assert np.array_equal((x / qp.scale)[on_tie], (level + 0.5)[on_tie])
+    return qp, x, on_tie
+
+
+class TestRoundingTies:
+    """Exactly on a tie of x/s_d the fold may move a code by one, and nowhere else."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(tie_instances())
+    def test_codes_differ_by_at_most_one_and_only_on_ties(self, instance):
+        qp, x, on_tie = instance
+        chan, layer = fold_codes(x, qp)
+        diff = layer.astype(np.int64) - chan
+        assert np.all(np.abs(diff[on_tie]) <= 1)
+        assert np.all(diff[~on_tie] == 0)
+
+    def test_ties_do_flip(self):
+        """The bound is reached: round-half-to-even on x/s_d and on the folded
+        x~/s~, which carries rounding error, part ways at a good share of ties."""
+        rng = np.random.default_rng(79)
+        s = np.ldexp(rng.integers(1, 2**20, size=64).astype(np.float64),
+                     rng.integers(-20, 3, size=64))
+        qp = channel_params(s, rng.integers(0, 16, size=64))
+        x = s * (rng.integers(-2, 18, size=(200, 64)) - qp.zero_point + 0.5)
+        chan, layer = fold_codes(x, qp)
+        flipped = np.mean(chan != layer)
+        assert 0.05 < flipped < 0.95
 
 
 class TestSiteReparam:
