@@ -4,6 +4,9 @@ The forward pass is deliberately plain: LayerNorm -> multi-head attention
 -> residual, then LayerNorm -> MLP -> residual. Every matrix-multiplication
 input (activation or weight) passes through exactly one hook that quantizes
 it or leaves it alone; LayerNorm, Softmax and GELU always run in float64.
+The hooks are the flat site table {"block{i}.{site}": QuantParams} that the
+pipeline fits and the container ships, keyed exactly as `capture` is; a name
+the table lacks is bypassed.
 A product whose two hooks are uniform affine with scales that factor out of
 the inner sum (a layer-wise activation times a layer-wise or per-output-
 channel weight) runs on the integer codes as an exact BLAS GEMM, and so does
@@ -14,7 +17,8 @@ exact slice GEMMs combined in a fixed order, which also runs every product of
 the unhooked float forward.
 A block loaded from a quantized container holds its weight matrices as
 `CodeBlock`s, the shipped codes centred once at load, and each weight
-product multiplies those codes; no weight is quantized in the forward.
+product multiplies those codes with the block's own params, not the table's
+entry at its name; no weight is quantized in the forward.
 A `capture` dict collects the pre-hook tensors at each named site, which is
 how calibration and evaluation observe the model. Every forward function
 takes one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
@@ -125,17 +129,6 @@ class CodeBlock:
     def dequantize(self):
         return param_view(self.params.scale, self.centred, self.params) * self.centred
 
-    def check_hook(self, qp):
-        """The params to multiply with; a weight hook must be None or equal `params`."""
-        p = self.params
-        if qp is None or qp is p or (
-                (qp.scheme, qp.bits, qp.granularity, qp.channel_axis)
-                == (p.scheme, p.bits, p.granularity, p.channel_axis)
-                and np.array_equal(qp.scale, p.scale)
-                and np.array_equal(qp.zero_point, p.zero_point)):
-            return p
-        raise ValueError("a weight hook on shipped codes must be None or the codes' own params")
-
 
 @dataclass
 class BlockWeights:
@@ -178,27 +171,6 @@ class BlockWeights:
             if got != shape:
                 raise ShapeError(f"{name} has shape {got}, expected {shape}")
         return self
-
-
-@dataclass(frozen=True)
-class QuantHooks:
-    """Per-site quantizer parameters for one block; None means bypass."""
-
-    ln1_out: QuantParams | None = None
-    attn_q: QuantParams | None = None
-    attn_k: QuantParams | None = None
-    attn_a: QuantParams | None = None
-    attn_v: QuantParams | None = None
-    msa_proj_in: QuantParams | None = None
-    ln2_out: QuantParams | None = None
-    gelu_out: QuantParams | None = None
-    w_qkv: QuantParams | None = None
-    w_o: QuantParams | None = None
-    w_1: QuantParams | None = None
-    w_2: QuantParams | None = None
-
-
-_BYPASS = QuantHooks()
 
 
 def _apply(x, qp):
@@ -272,14 +244,13 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
     activation) fake-quantizes both operands and runs the float
     `tensors.matmul`, which is also bit-identical at any thread count.
 
-    `w` may be a `CodeBlock`, the shipped codes of a quantized container: its
-    own params are then `qw` (a hook given with it must be None or equal
-    them, else ValueError), its centred codes enter the integer GEMMs
-    directly and the float route dequantizes them, so no weight is quantized
-    here.
+    `w` may be a `CodeBlock`, the shipped codes of a quantized container: it
+    multiplies with its own params and `qw` is not read; its centred codes
+    enter the integer GEMMs directly and the float route dequantizes them,
+    so no weight is quantized here.
     """
     if isinstance(w, CodeBlock):
-        qw = w.check_hook(qw)
+        qw = w.params
     w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (
         qw.scale.size == 1 or rhs is _same and qw.channel_axis % w.ndim == w.ndim - 1)
     x_scheme = None if qx is None else qx.scheme
@@ -299,6 +270,12 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
 def _cap(capture, prefix, site, value):
     if capture is not None:
         capture[prefix + site] = value
+
+
+def _hook_at(hooks, prefix):
+    """site -> the table's params at `prefix + site`, None (bypass) where it has none."""
+    hooks = hooks or {}
+    return lambda site: hooks.get(prefix + site)
 
 
 def layernorm_forward(x, gamma, beta, eps=1e-5):
@@ -324,11 +301,11 @@ def _split_heads(t, cfg):
 
 def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     """Multi-head self-attention on already-normalized tokens, all heads at once."""
-    hooks = hooks or _BYPASS
+    hook = _hook_at(hooks, prefix)
     x_ln = _tokens(x_ln, cfg)
     d = cfg.dim
 
-    qkv = _qmatmul(x_ln, hooks.ln1_out, w.w_qkv, hooks.w_qkv) + w.b_qkv
+    qkv = _qmatmul(x_ln, hook("ln1_out"), w.w_qkv, hook("w_qkv")) + w.b_qkv
     q, k, v = qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]
     _cap(capture, prefix, "attn_q", q)
     _cap(capture, prefix, "attn_k", k)
@@ -340,29 +317,32 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     def keys_of(t):
         return _split_heads(t, cfg).swapaxes(-1, -2)
 
-    scores = _qmatmul(q, hooks.attn_q, k, hooks.attn_k, heads_of, keys_of)
+    scores = _qmatmul(q, hook("attn_q"), k, hook("attn_k"), heads_of, keys_of)
     attn = rowwise_softmax(scores / np.sqrt(float(cfg.head_dim)))
     _cap(capture, prefix, "attn_a", attn)
-    heads = _qmatmul(attn, hooks.attn_a, v, hooks.attn_v, rhs=heads_of)
+    heads = _qmatmul(attn, hook("attn_a"), v, hook("attn_v"), rhs=heads_of)
 
     # merge back: head i owns columns i*head_dim:(i+1)*head_dim again
     merged = heads.swapaxes(-3, -2).reshape(x_ln.shape)
     _cap(capture, prefix, "msa_proj_in", merged)
-    out = _qmatmul(merged, hooks.msa_proj_in, w.w_o, hooks.w_o)
+    out = _qmatmul(merged, hook("msa_proj_in"), w.w_o, hook("w_o"))
     return out + w.b_o
 
 
 def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
     """Two-layer MLP with exact-CDF GELU on already-normalized tokens."""
-    hooks = hooks or _BYPASS
+    hook = _hook_at(hooks, prefix)
     y_ln = _tokens(y_ln, cfg)
-    hidden = gelu(_qmatmul(y_ln, hooks.ln2_out, w.w_1, hooks.w_1) + w.b_1)
+    hidden = gelu(_qmatmul(y_ln, hook("ln2_out"), w.w_1, hook("w_1")) + w.b_1)
     _cap(capture, prefix, "gelu_out", hidden)
-    return _qmatmul(hidden, hooks.gelu_out, w.w_2, hooks.w_2) + w.b_2
+    return _qmatmul(hidden, hook("gelu_out"), w.w_2, hook("w_2")) + w.b_2
 
 
 def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
-    """One encoder block: x + MSA(LN(x)), then y + MLP(LN(y))."""
+    """One encoder block: x + MSA(LN(x)), then y + MLP(LN(y)).
+
+    Hooks are looked up, and captures stored, at `prefix + site`.
+    """
     x = _tokens(x, cfg)
     x1 = layernorm_forward(x, w.gamma1, w.beta1, cfg.eps)
     _cap(capture, prefix, "ln1_out", x1)
@@ -375,14 +355,12 @@ def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
 def model_forward(x, blocks, cfg, hooks=None, capture=None):
     """Run all blocks on one (patches, dim) sample or an (n, patches, dim) stack.
 
-    `hooks` is one QuantHooks per block, or None for all-bypass. Captures keep
-    the input's leading axis: a stack captures (n, patches, dim) per site and
-    (n, heads, patches, patches) at attn_a.
+    `hooks` is the flat site table {"block{i}.{site}": QuantParams}, keyed as
+    `capture` is; a name it lacks, or hooks None, bypasses that site. Captures
+    keep the input's leading axis: a stack captures (n, patches, dim) per site
+    and (n, heads, patches, patches) at attn_a.
     """
-    if hooks is not None and len(hooks) != len(blocks):
-        raise ShapeError(f"{len(hooks)} hook sets for {len(blocks)} blocks")
     out = as_tensor(x)
     for i, w in enumerate(blocks):
-        h = hooks[i] if hooks is not None else None
-        out = block_forward(out, w, cfg, hooks=h, capture=capture, prefix=f"block{i}.")
+        out = block_forward(out, w, cfg, hooks=hooks, capture=capture, prefix=f"block{i}.")
     return out

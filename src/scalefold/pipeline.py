@@ -17,6 +17,7 @@ stage appends to a logical pass log; identical inputs produce byte-identical
 containers.
 """
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .calibration import CalibConfig, calibrate_tensor
 from .container import blocks_from_container, container_from_model
-from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, QuantHooks, model_forward
+from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, model_forward
 from .quantizers import (Granularity, QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
                          logsqrt2_dequantize_shift, logsqrt2_quantize,
@@ -71,10 +72,10 @@ def _check_acts(cfg, acts):
     return acts
 
 
-def capture_activations(blocks, cfg, acts, hooks=None):
+def capture_activations(blocks, cfg, acts):
     """Forward the whole stack in one pass; each site's capture keeps axis 0."""
     caps = {}
-    model_forward(_check_acts(cfg, acts), blocks, cfg, hooks=hooks, capture=caps)
+    model_forward(_check_acts(cfg, acts), blocks, cfg, capture=caps)
     return caps
 
 
@@ -265,14 +266,16 @@ def run_pipeline(model_c, acts, qcfg=None):
 
 
 def hooks_from_sites(cfg, sites):
-    """Build per-block QuantHooks from a flat site-name -> params table."""
-    hooks = []
-    for i in range(cfg.blocks):
-        pre = f"block{i}."
-        kwargs = {s: sites[pre + s] for s in ACTIVATION_SITES + WEIGHT_SITES
-                  if pre + s in sites}
-        hooks.append(QuantHooks(**kwargs))
-    return hooks
+    """The flat site table `sites` itself, checked to name only sites of a `cfg` model.
+
+    `model_forward` takes the table as its hooks, so it comes back unchanged;
+    a key that is not a `block{i}.{site}` of the model raises PipelineError
+    naming every such key.
+    """
+    unknown = sorted(set(sites) - set(_site_keys(cfg, ACTIVATION_SITES + WEIGHT_SITES)))
+    if unknown:
+        raise PipelineError(f"site table names sites the model lacks: {', '.join(unknown)}")
+    return sites
 
 
 @dataclass
@@ -286,14 +289,6 @@ class EvalReport:
     code_equality_rate: float
     ln_ablation: dict
     softmax_ablation: dict
-
-    def __post_init__(self):
-        for name, value in list(self.per_site_mse.items()):
-            if value < 0:
-                raise ValueError(f"negative MSE at {name}")
-        for name, rate in self.code_equality.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"code-equality rate at {name} outside [0, 1]")
 
     def to_json(self):
         return asdict(self)
@@ -312,6 +307,11 @@ def _mse(a, b):
     return float(np.mean((as_tensor(a) - as_tensor(b)) ** 2))
 
 
+def _dot(a, b):
+    """The correctly rounded sum of a * b, so no BLAS reduction order shows in it."""
+    return math.fsum((a * b).tolist())
+
+
 def evaluate(fp_c, q_c, acts):
     """Compare the quantized container against the float model on held-out data.
 
@@ -323,8 +323,9 @@ def evaluate(fp_c, q_c, acts):
     once over the whole held-out stack; nothing is refitted here. A quantized
     container lacking its site table, a LayerNorm site's fold record, a
     weight site's `weight_mse` or either ablation table raises PipelineError
-    naming what is missing, as does a malformed fold record or weight MSE;
-    all of this is checked before the weight codes load.
+    naming what is missing, as does a malformed fold record or weight MSE,
+    or a site or ablation table that names a site the model lacks; all of
+    this is checked before the weight codes load.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -337,7 +338,7 @@ def evaluate(fp_c, q_c, acts):
     _require(q_c, [("sites",)] + [("reparam_records", key) for key in ln_keys]
              + [("weight_mse", key) for key in weight_keys]
              + [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")])
-    sites = _sites_from_json(q_c.meta["sites"])
+    sites = hooks_from_sites(cfg, _sites_from_json(q_c.meta["sites"]))
     weight_mse = {}
     for key in weight_keys:
         value = q_c.meta["weight_mse"][key]
@@ -354,12 +355,13 @@ def evaluate(fp_c, q_c, acts):
             raise PipelineError(f"fold record reparam_records.{key} has "
                                 f"{records[key].channels} channels, the model {cfg.dim}")
     abl = q_c.meta["ablation"]
+    chan_sites = hooks_from_sites(cfg, _sites_from_json(abl["precalib_sites"]))
+    layer_sites = hooks_from_sites(cfg, {**chan_sites, **_sites_from_json(abl["ln_layer_wise"])})
     _, q_blocks = blocks_from_container(q_c)
 
     fp_caps, q_caps = {}, {}
     fp_out = model_forward(acts, fp_blocks, cfg, capture=fp_caps)
-    q_out = model_forward(acts, q_blocks, cfg, hooks=hooks_from_sites(cfg, sites),
-                          capture=q_caps)
+    q_out = model_forward(acts, q_blocks, cfg, hooks=sites, capture=q_caps)
 
     per_site_mse = {}
     for name, qp in sorted(sites.items()):
@@ -371,7 +373,7 @@ def evaluate(fp_c, q_c, acts):
 
     output_mse = _mse(q_out, fp_out)
     va, vb = q_out.ravel(), fp_out.ravel()
-    output_cosine = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
+    output_cosine = _dot(va, vb) / (math.sqrt(_dot(va, va)) * math.sqrt(_dot(vb, vb)))
 
     # code equality at the folded sites, computed from the audit records at
     # full float64 precision on the float model's activations
@@ -389,11 +391,9 @@ def evaluate(fp_c, q_c, acts):
     code_equality_rate = float(hits / total)
 
     # ablation 1: LayerNorm-site granularity, end to end
-    chan_sites = _sites_from_json(abl["precalib_sites"])
-    layer_sites = {**chan_sites, **_sites_from_json(abl["ln_layer_wise"])}
     ln_ablation = {}
     for label, table in (("layer_wise", layer_sites), ("channel_wise", chan_sites)):
-        out = model_forward(acts, fp_blocks, cfg, hooks=hooks_from_sites(cfg, table))
+        out = model_forward(acts, fp_blocks, cfg, hooks=table)
         ln_ablation[label] = _mse(out, fp_out)
     ln_ablation["reparam"] = output_mse
 

@@ -98,8 +98,6 @@ def build_reparam_record(channel_params):
     qp = channel_params
     if qp.scheme is not Scheme.UNIFORM or qp.granularity is not Granularity.PER_CHANNEL:
         raise ValueError("fold factors need channel-wise uniform parameters")
-    if qp.scale.size < 1:
-        raise ValueError("empty channel set")
     target_scale = float(np.mean(qp.scale))
     target_zero = int(np.rint(np.mean(qp.zero_point)))
     return ReparamRecord(

@@ -139,7 +139,7 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
     for name in seen:
         monkeypatch.setattr(scalefold.model, name, spy(name))
     model_forward(calib[:1], blocks, cfg, hooks=hooks)
-    for i, (bw, h) in enumerate(zip(blocks, hooks)):
+    for i, bw in enumerate(blocks):
         for site in WEIGHT_SITES:
             key = f"block{i}.{site}"
             block, shipped = getattr(bw, site), q_c.tensors[key + ".codes"]
@@ -147,20 +147,22 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
             assert block.shape == shipped.shape
             np.testing.assert_array_equal(block.centred + block.params.zero_point, shipped)
             for ids in seen.values():
-                assert id(getattr(h, site)) not in ids and id(block.params) not in ids
+                assert id(hooks[key]) not in ids and id(block.params) not in ids
         for site in ("ln1_out", "msa_proj_in", "ln2_out", "gelu_out"):
-            assert id(getattr(h, site)) in seen["uniform_centred"]
+            assert id(hooks[f"block{i}.{site}"]) in seen["uniform_centred"]
 
 
-# a CLI chain in a fresh process: the unhooked forward of the eval data, then q.rvq
+# a CLI chain in a fresh process: the unhooked forward of the eval data, then q.rvq,
+# then eval's report.json; the digests are all it prints
 _THREADS_SCRIPT = textwrap.dedent("""
-    import hashlib, json, os, sys
+    import contextlib, hashlib, io, json, os, sys
     from scalefold.cli import cli_main
     from scalefold.container import activations_from_container, blocks_from_container, read_container
     from scalefold.model import model_forward
     out, config, bits = sys.argv[1], sys.argv[2], sys.argv[3]
     def run(*argv):
-        assert cli_main(list(argv)) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(list(argv)) == 0
     run("gen", "--out", out, "--seed", "3", "--config", config)
     data = activations_from_container(read_container(os.path.join(out, "eval.rvq")))
     cfg, blocks = blocks_from_container(read_container(os.path.join(out, "model_fp.rvq")))
@@ -170,8 +172,12 @@ _THREADS_SCRIPT = textwrap.dedent("""
         "--bits-w", bits, "--bits-a", bits)
     run("reparam", "--model", paths["c"], "--data", paths["calib"], "--out", paths["r"])
     run("quantize", "--model", paths["r"], "--out", paths["q"])
-    with open(paths["q"], "rb") as fh:
-        print(hashlib.sha256(fh.read()).hexdigest())
+    report = os.path.join(out, "report.json")
+    run("eval", "--fp", paths["model_fp"], "--q", paths["q"], "--data",
+        os.path.join(out, "eval.rvq"), "--out", report)
+    for path in (paths["q"], report):
+        with open(path, "rb") as fh:
+            print(hashlib.sha256(fh.read()).hexdigest())
 """)
 
 
@@ -180,11 +186,11 @@ _THREADS_SCRIPT = textwrap.dedent("""
     ({"patches": 64, "dim": 128, "heads": 4, "head_dim": 32, "mlp_dim": 512}, 8),
 ], ids=["16x64-w4a4", "64x128-w8a8"])
 def test_float_forward_and_artifact_are_the_same_at_any_blas_thread_count(tmp_path, model, bits):
-    """The unhooked forward and the CLI's q.rvq are byte-equal at 1 and 2 BLAS threads.
+    """The unhooked forward, q.rvq and report.json are byte-equal at 1 and 2 BLAS threads.
 
     Every float product runs as exact slice GEMMs and every hooked one as
-    exact integer GEMMs, so BLAS blocking and threading change no bit
-    anywhere in the chain.
+    exact integer GEMMs, and the report's cosine sums with `math.fsum`, so
+    BLAS blocking and threading change no bit anywhere in the chain.
     """
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": model, "calib_batches": 4, "eval_batches": 2}))
@@ -197,7 +203,7 @@ def test_float_forward_and_artifact_are_the_same_at_any_blas_thread_count(tmp_pa
                                str(config), str(bits)],
                               env=env, check=True, capture_output=True, text=True)
         digests.append([line for line in done.stdout.split() if len(line) == 64])
-    assert len(digests[0]) == 2 and digests[0] == digests[1]
+    assert len(digests[0]) == 3 and digests[0] == digests[1]
 
 
 def _strip(c, path):
@@ -312,3 +318,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert not (tmp_path / "q.rvq").exists()
+
+    @pytest.mark.parametrize("path", [("sites",), ("ablation", "precalib_sites")])
+    def test_unknown_site_name_is_data_error(self, workspace, tmp_path, capsys, path):
+        q_c = read_container(workspace["quantized"])
+        meta = json.loads(json.dumps(q_c.meta))
+        table = meta
+        for key in path:
+            table = table[key]
+        table["block9.attn_q"] = table["block0.attn_q"]
+        bad = tmp_path / "bad.rvq"
+        write_container(ModelContainer(meta=meta, tensors=q_c.tensors), bad)
+        assert cli_main(["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                         "--data", str(workspace["eval_data"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "block9.attn_q" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""

@@ -22,7 +22,6 @@ from scalefold.model import (
     BlockWeights,
     CodeBlock,
     ModelConfig,
-    QuantHooks,
     _qmatmul,
     block_forward,
     layernorm_forward,
@@ -103,17 +102,19 @@ def fake_quant_forward(x, blocks, cfg, hooks):
     def heads(t):
         return t.reshape(t.shape[:-1] + (cfg.heads, cfg.head_dim)).swapaxes(-3, -2)
 
-    for w, h in zip(blocks, hooks):
+    for i, w in enumerate(blocks):
+        h = {site: hooks.get(f"block{i}.{site}") for site in ACTIVATION_SITES + WEIGHT_SITES}
         x1 = layernorm_forward(x, w.gamma1, w.beta1, cfg.eps)
-        q, k, v = np.split(matmul(fq(x1, h.ln1_out), fq(w.w_qkv, h.w_qkv)) + w.b_qkv, 3, axis=-1)
-        scores = matmul(heads(fq(q, h.attn_q)), heads(fq(k, h.attn_k)).swapaxes(-1, -2))
+        qkv = matmul(fq(x1, h["ln1_out"]), fq(w.w_qkv, h["w_qkv"])) + w.b_qkv
+        q, k, v = np.split(qkv, 3, axis=-1)
+        scores = matmul(heads(fq(q, h["attn_q"])), heads(fq(k, h["attn_k"])).swapaxes(-1, -2))
         attn = rowwise_softmax(scores / np.sqrt(float(cfg.head_dim)))
-        merged = matmul(fq(attn, h.attn_a), heads(fq(v, h.attn_v))).swapaxes(-3, -2)
+        merged = matmul(fq(attn, h["attn_a"]), heads(fq(v, h["attn_v"]))).swapaxes(-3, -2)
         merged = merged.reshape(x.shape)
-        y = matmul(fq(merged, h.msa_proj_in), fq(w.w_o, h.w_o)) + w.b_o + x
+        y = matmul(fq(merged, h["msa_proj_in"]), fq(w.w_o, h["w_o"])) + w.b_o + x
         y1 = layernorm_forward(y, w.gamma2, w.beta2, cfg.eps)
-        hidden = gelu(matmul(fq(y1, h.ln2_out), fq(w.w_1, h.w_1)) + w.b_1)
-        x = matmul(fq(hidden, h.gelu_out), fq(w.w_2, h.w_2)) + w.b_2 + y
+        hidden = gelu(matmul(fq(y1, h["ln2_out"]), fq(w.w_1, h["w_1"])) + w.b_1)
+        x = matmul(fq(hidden, h["gelu_out"]), fq(w.w_2, h["w_2"])) + w.b_2 + y
     return x
 
 
@@ -128,6 +129,11 @@ def fold_and_quantize(cfg, spec, bits):
 
 def site_table(c):
     return {k: QuantParams.from_json(v) for k, v in c.meta["sites"].items()}
+
+
+def model_hooks(*per_block):
+    """The flat site table from one {site: params} dict per block."""
+    return {f"block{i}.{site}": qp for i, h in enumerate(per_block) for site, qp in h.items()}
 
 
 def layer_params(scale, zero, bits=4):
@@ -312,7 +318,7 @@ class TestHooks:
         w = random_block(cfg, 20)
         x = np.random.default_rng(21).normal(size=(cfg.patches, cfg.dim))
         np.testing.assert_array_equal(block_forward(x, w, cfg),
-                                      block_forward(x, w, cfg, hooks=QuantHooks()))
+                                      block_forward(x, w, cfg, hooks={}))
 
     def test_hook_locality(self):
         """A hook at one site must leave every upstream capture untouched."""
@@ -325,7 +331,7 @@ class TestHooks:
         qp = QuantParams(Scheme.UNIFORM, 4, scale=np.array([0.1]),
                          zero_point=np.array([8], dtype=np.int64))
         hooked = {}
-        block_forward(x, w, cfg, hooks=QuantHooks(msa_proj_in=qp), capture=hooked)
+        block_forward(x, w, cfg, hooks={"msa_proj_in": qp}, capture=hooked)
         upstream = ("ln1_out", "attn_q", "attn_k", "attn_v", "attn_a", "msa_proj_in")
         for site in upstream:
             np.testing.assert_array_equal(hooked[site], clean[site])
@@ -337,7 +343,7 @@ class TestHooks:
         x = np.random.default_rng(25).normal(size=(cfg.patches, cfg.dim))
         qp = QuantParams(Scheme.UNIFORM, 2, scale=np.array([0.5]),
                          zero_point=np.array([2], dtype=np.int64))
-        hooked = block_forward(x, w, cfg, hooks=QuantHooks(ln1_out=qp))
+        hooked = block_forward(x, w, cfg, hooks={"ln1_out": qp})
         assert not np.array_equal(hooked, block_forward(x, w, cfg))
 
     def test_quantization_preserves_shapes(self):
@@ -347,8 +353,7 @@ class TestHooks:
         qp4 = QuantParams(Scheme.UNIFORM, 4, scale=np.array([0.2]),
                           zero_point=np.array([7], dtype=np.int64))
         log_qp = QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))
-        hooks = QuantHooks(**{s: qp4 for s in ACTIVATION_SITES if s != "attn_a"},
-                           attn_a=log_qp)
+        hooks = {**{s: qp4 for s in ACTIVATION_SITES}, "attn_a": log_qp}
         out = block_forward(x, w, cfg, hooks=hooks)
         assert out.shape == (cfg.patches, cfg.dim)
 
@@ -365,8 +370,9 @@ class TestHooks:
         chan = QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.05, 0.4, cfg.dim),
                            zero_point=np.full(cfg.dim, 8, dtype=np.int64),
                            granularity=Granularity.PER_CHANNEL, channel_axis=-1)
-        hooks = [QuantHooks(attn_q=chan, attn_k=chan, attn_v=chan, attn_a=layer_params(1 / 15, 0),
-                            **{s: column_params(getattr(blocks[0], s)) for s in WEIGHT_SITES})]
+        hooks = model_hooks({"attn_q": chan, "attn_k": chan, "attn_v": chan,
+                             "attn_a": layer_params(1 / 15, 0),
+                             **{s: column_params(getattr(blocks[0], s)) for s in WEIGHT_SITES}})
         np.testing.assert_array_equal(model_forward(x, blocks, cfg, hooks=hooks),
                                       fake_quant_forward(x, blocks, cfg, hooks))
 
@@ -402,18 +408,19 @@ class TestModelForward:
                            zero_point=np.arange(cfg.dim, dtype=np.int64),
                            granularity=Granularity.PER_CHANNEL, channel_axis=-1)
         log_qp = QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))
-        mixed = [QuantHooks(ln1_out=chan, attn_a=log_qp, gelu_out=layer_params(0.3, 8))] * 2
+        mixed = model_hooks(*[{"ln1_out": chan, "attn_a": log_qp,
+                               "gelu_out": layer_params(0.3, 8)}] * 2)
         acts = {s: layer_params(0.3, 8) for s in ACTIVATION_SITES}
         acts["attn_a"] = layer_params(1 / 15, 0)
-        all_affine = [QuantHooks(**acts, **{s: column_params(getattr(bw, s)) for s in WEIGHT_SITES})
-                      for bw in blocks]
+        all_affine = model_hooks(*[{**acts, **{s: column_params(getattr(bw, s))
+                                               for s in WEIGHT_SITES}} for bw in blocks])
         sharp = [random_block(cfg, 40 + i) for i in range(2)]
         for bw in sharp:
             bw.w_qkv = bw.w_qkv * 12
         xs_sharp = xs.copy()
         xs_sharp[::2] = np.arange(cfg.patches)[:, None]
-        parity = [QuantHooks(attn_a=QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([1.0])),
-                             attn_v=layer_params(0.05, 128, bits=8))] * 2
+        parity = model_hooks(*[{"attn_a": QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([1.0])),
+                                "attn_v": layer_params(0.05, 128, bits=8)}] * 2)
 
         for hooks, bws, stack in ((None, blocks, xs), (mixed, blocks, xs),
                                   (all_affine, blocks, xs), (parity, sharp, xs_sharp)):
@@ -499,8 +506,8 @@ class TestModelForward:
 
         Layer-wise and log-sqrt2 activations take the integer GEMMs on the
         centred codes; a per-channel or absent activation hook takes the
-        float route on s * (c - z). The block's own params stand in for an
-        absent weight hook, and equal params given separately are accepted.
+        float route on s * (c - z). The block multiplies with its own params:
+        the weight hook given with it is not read.
         """
         rng = np.random.default_rng(60)
         w = rng.normal(size=(8, 6))
@@ -514,19 +521,8 @@ class TestModelForward:
                                      granularity=Granularity.PER_CHANNEL, channel_axis=-1),
               None: None}[x_hook]
         want = _qmatmul(x, qx, w, qw)
-        for hook in (None, qw, QuantParams.from_json(qw.to_json())):
+        for hook in (None, qw, column_params(2 * w)):
             np.testing.assert_array_equal(_qmatmul(x, qx, block, hook), want)
-
-    def test_weight_hook_on_code_block_must_carry_its_params(self):
-        rng = np.random.default_rng(61)
-        w = rng.normal(size=(8, 6))
-        qw = column_params(w)
-        block = CodeBlock.from_codes(uniform_quantize(w, qw), qw)
-        other = column_params(2 * w)
-        shifted = QuantParams.from_json({**qw.to_json(), "zero_point": [0] * 6})
-        for hook in (other, shifted, layer_params(0.1, 8)):
-            with pytest.raises(ValueError, match="weight hook"):
-                _qmatmul(rng.normal(size=(3, 8)), layer_params(0.3, 8), block, hook)
 
     def test_integer_path_is_exact_at_worst_case_codes(self):
         """Every centred code at |c - z| = 255: the product is the exact integer sum.
@@ -641,13 +637,6 @@ class TestModelForward:
                       (2, 3, cfg.patches, cfg.dim)):
             with pytest.raises(ShapeError):
                 model_forward(np.zeros(shape), blocks, cfg)
-
-    def test_hooks_length_mismatch(self):
-        cfg = small_cfg()
-        blocks = [random_block(cfg, 33)]
-        x = np.zeros((cfg.patches, cfg.dim))
-        with pytest.raises(ShapeError):
-            model_forward(x, blocks, cfg, hooks=[QuantHooks(), QuantHooks()])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 """Staged pipeline tests: stage gating, pass trail, determinism, evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from scalefold.container import (ModelContainer, blocks_from_container,
                                  container_from_model, from_bytes, to_bytes)
-from scalefold.model import ModelConfig, WEIGHT_SITES
+from scalefold.model import ModelConfig, WEIGHT_SITES, model_forward
 from scalefold.pipeline import (
-    EvalReport,
     PipelineError,
     QuantizeConfig,
     calibrate_model,
@@ -342,31 +343,50 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="lacks sites"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
-    def test_report_validation(self):
-        with pytest.raises(ValueError, match="negative"):
-            EvalReport(per_site_mse={"x": -1.0}, output_mse=0.0, output_cosine=1.0,
-                       code_equality={}, code_equality_rate=1.0,
-                       ln_ablation={}, softmax_ablation={})
-        with pytest.raises(ValueError, match="rate"):
-            EvalReport(per_site_mse={}, output_mse=0.0, output_cosine=1.0,
-                       code_equality={"x": 1.5}, code_equality_rate=1.0,
-                       ln_ablation={}, softmax_ablation={})
+    @pytest.mark.parametrize("path", [
+        ("sites",), ("ablation", "precalib_sites"), ("ablation", "ln_layer_wise"),
+    ])
+    def test_unknown_site_name_is_named(self, chain, path):
+        """A site table naming a site the model lacks fails before any forward runs."""
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        meta = json.loads(json.dumps(q_c.meta))
+        table = meta
+        for key in path:
+            table = table[key]
+        table["block9.attn_q"] = next(iter(table.values()))
+        with pytest.raises(PipelineError, match="block9.attn_q"):
+            evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
 
 class TestHooksFromSites:
-    def test_builds_per_block_hooks(self, chain):
+    def test_returns_the_site_table(self, chain):
         q_c = chain[5]
         sites = {k: QuantParams.from_json(v) for k, v in q_c.meta["sites"].items()}
-        hooks = hooks_from_sites(CFG, sites)
-        assert len(hooks) == CFG.blocks
-        assert hooks[0].ln1_out is sites["block0.ln1_out"]
-        assert hooks[1].w_2 is sites["block1.w_2"]
+        assert hooks_from_sites(CFG, sites) is sites
 
-    def test_missing_sites_stay_none(self):
+    def test_missing_sites_stay_none(self, chain):
+        """A partial table comes back as it is, and the forward bypasses what it lacks.
+
+        With only block0.gelu_out hooked, every capture up to it equals the
+        unhooked forward's, and everything after it differs.
+        """
+        model_c, held_out = chain[0], chain[2]
+        _, blocks = blocks_from_container(model_c)
         sites = {"block0.gelu_out": QuantParams(
             scheme=Scheme.UNIFORM, bits=4, granularity=Granularity.PER_LAYER,
             scale=np.array([1.0]), zero_point=np.array([0]))}
         hooks = hooks_from_sites(CFG, sites)
-        assert hooks[0].gelu_out is not None
-        assert hooks[0].ln1_out is None
-        assert hooks[1].gelu_out is None
+        assert hooks is sites
+        clean, hooked = {}, {}
+        model_forward(held_out, blocks, CFG, capture=clean)
+        model_forward(held_out, blocks, CFG, hooks=hooks, capture=hooked)
+        for name in clean:
+            same = np.array_equal(hooked[name], clean[name])
+            assert same == name.startswith("block0."), name
+
+    def test_unknown_names_raise(self, chain):
+        sites = {k: QuantParams.from_json(v) for k, v in chain[5].meta["sites"].items()}
+        qp = sites["block0.attn_q"]
+        bad = {**sites, "block2.attn_q": qp, "block0.attn_x": qp, "attn_q": qp}
+        with pytest.raises(PipelineError, match="attn_q, block0.attn_x, block2.attn_q$"):
+            hooks_from_sites(CFG, bad)
