@@ -1,5 +1,6 @@
 """Range calibration: percentile bounds and affine parameter fitting."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +31,78 @@ class CalibConfig:
             raise ValueError("percentile must lie in (50, 100]")
 
 
+def _extremes(x, axis=None):
+    """min and max of x (along axis); ValueError if the sample holds NaN or an infinity.
+
+    NaN propagates through both reductions and an infinity is an extreme,
+    so checking the two results checks every value.
+    """
+    lo, hi = x.min(axis=axis), x.max(axis=axis)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("calibration sample contains non-finite values")
+    return lo, hi
+
+
+def _rank(n, q):
+    """numpy's `linear` rule for quantile q of n sorted values: ranks i, j and weight t.
+
+    With v = (n - 1) * q the ranks are floor(v) and floor(v) + 1, both
+    n - 1 once v reaches the last rank, where numpy's weight is v - (-1).
+    """
+    v = (n - 1) * q
+    if v >= n - 1:
+        return n - 1, n - 1, v + 1.0
+    i = math.floor(v)
+    return i, i + 1, v - i
+
+
+def _lerp(a, b, t):
+    """numpy's interpolation between neighbouring order statistics, rounding included."""
+    d = b - a
+    return b - d * (1.0 - t) if t >= 0.5 else a + d * t
+
+
 def percentile_bounds(x, p):
     """Symmetric percentile clip bounds: (percentile(100-p), percentile(p)).
 
-    Linear interpolation on the sorted sample; p = 100 reduces to min/max.
+    np.percentile's default `linear` rule, bit for bit up to the sign of a
+    zero bound: the order statistics at ranks floor(v) and floor(v) + 1,
+    v = (n - 1) * q, interpolated as numpy does. Only those ranks are
+    selected, from the tails: a strided subsample's need-th smallest value
+    t has at least need values of the sample at or below it, so the values
+    <= t are a sorted prefix holding every rank the lower bound reads, and
+    likewise at the top. A 99.99 bound on 131,072 values thus partitions a
+    few thousand. p = 100 reduces to min/max. NaN or an infinity in the
+    sample raises ValueError.
     """
-    x = as_tensor(x)
+    x = as_tensor(x).ravel()
     if x.size == 0:
         raise ValueError("cannot calibrate an empty sample")
-    if not 50.0 < float(p) <= 100.0:
+    p = float(p)
+    if not 50.0 < p <= 100.0:
         raise ValueError("percentile must lie in (50, 100]")
-    lo, hi = np.percentile(x, [100.0 - p, p])
-    return float(lo), float(hi)
+    lo, hi = _extremes(x)
+    n = x.size
+    i_lo, j_lo, t_lo = _rank(n, (100.0 - p) / 100)
+    i_hi, j_hi, t_hi = _rank(n, p / 100)
+    if p == 100.0:
+        # min and max stand in for every rank read: the lower bound puts
+        # weight 0 on rank 1, the upper one reads rank n - 1 twice
+        return float(_lerp(lo, lo, t_lo)), float(_lerp(hi, hi, t_hi))
+    need_lo, need_hi = j_lo + 1, n - i_hi
+    sub = x[::max(1, n // (64 * max(need_lo, need_hi)))]
+    if sub.size <= need_lo + need_hi:
+        ranks = [i_lo, j_lo, i_hi, j_hi]
+        a_lo, b_lo, a_hi, b_hi = np.partition(x, sorted(set(ranks)))[ranks]
+    else:
+        sub = np.partition(sub, [need_lo - 1, sub.size - need_hi])
+        low = np.partition(x[x <= sub[need_lo - 1]], [i_lo, j_lo])
+        high = x[x >= sub[sub.size - need_hi]]
+        skip = n - high.size
+        high = np.partition(high, [i_hi - skip, j_hi - skip])
+        a_lo, b_lo = low[i_lo], low[j_lo]
+        a_hi, b_hi = high[i_hi - skip], high[j_hi - skip]
+    return float(_lerp(a_lo, b_lo, t_lo)), float(_lerp(a_hi, b_hi, t_hi))
 
 
 def compute_affine_params(lo, hi, bits):
@@ -75,7 +136,11 @@ def calibrate_tensor(x, cfg, channel_axis=None):
     Uniform sites fit percentile bounds (per layer, or per slice along
     channel_axis); log sites use the upper percentile bound as the scale,
     since their grid covers (0, s]. Multi-batch calibration is concatenation:
-    pass the stacked capture.
+    pass the stacked capture. Bounds are np.percentile's: a per-layer fit
+    selects them from the sample's tails (see `percentile_bounds`), a
+    p = 100 fit takes min/max, and only a per-channel fit below 100 runs
+    np.percentile along its rows. A sample holding NaN or an infinity raises
+    ValueError, whatever the scheme.
     """
     x = as_tensor(x)
     if x.size == 0:
@@ -84,13 +149,15 @@ def calibrate_tensor(x, cfg, channel_axis=None):
 
     if cfg.scheme is Scheme.UNIFORM:
         if cfg.granularity is Granularity.PER_LAYER:
-            rows, channel_axis = x.reshape(1, -1), None
+            (lows, highs), channel_axis = percentile_bounds(x, p), None
         elif channel_axis is None:
             raise ValueError("per-channel calibration needs a channel_axis")
         else:
             axis = channel_axis % x.ndim
             rows = np.moveaxis(x, axis, 0).reshape(x.shape[axis], -1)
-        lows, highs = np.percentile(rows, [100.0 - p, p], axis=1)
+            lows, highs = _extremes(rows, axis=1)
+            if p < 100.0:
+                lows, highs = np.percentile(rows, [100.0 - p, p], axis=1)
         s, z = compute_affine_params(lows, highs, cfg.bits)
         # keep the caller's axis convention (e.g. -1 survives a change of ndim
         # between the stacked calibration capture and single-sample tensors)
@@ -100,7 +167,7 @@ def calibrate_tensor(x, cfg, channel_axis=None):
     # log schemes: layer-wise scale from the upper bound
     if cfg.granularity is not Granularity.PER_LAYER:
         raise ValueError("log schemes are calibrated per layer")
+    _, hi = percentile_bounds(x, p)
     if np.any(x < 0):
         raise ValueError("log schemes require nonnegative calibration data")
-    _, hi = percentile_bounds(x, p)
     return QuantParams(cfg.scheme, cfg.bits, scale=np.array([_log_scale(hi)]))

@@ -321,11 +321,11 @@ def evaluate(fp_c, q_c, acts):
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
     log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
     once over the whole held-out stack; nothing is refitted here. A quantized
-    container lacking its site table, a LayerNorm site's fold record, a
-    weight site's `weight_mse` or either ablation table raises PipelineError
-    naming what is missing, as does a malformed fold record or weight MSE,
-    or a site or ablation table that names a site the model lacks; all of
-    this is checked before the weight codes load.
+    container lacking an activation site's params, a LayerNorm site's fold
+    record, a weight site's `weight_mse` or either ablation table raises
+    PipelineError naming what is missing, as does a malformed fold record or
+    weight MSE, or a site or ablation table that names a site the model
+    lacks; all of this is checked before the weight codes load.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -335,7 +335,8 @@ def evaluate(fp_c, q_c, acts):
     acts = _check_acts(cfg, acts)
     ln_keys = _site_keys(cfg, LN_SITES)
     weight_keys = _site_keys(cfg, WEIGHT_SITES)
-    _require(q_c, [("sites",)] + [("reparam_records", key) for key in ln_keys]
+    _require(q_c, [("sites", key) for key in _site_keys(cfg, ACTIVATION_SITES)]
+             + [("reparam_records", key) for key in ln_keys]
              + [("weight_mse", key) for key in weight_keys]
              + [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")])
     sites = hooks_from_sites(cfg, _sites_from_json(q_c.meta["sites"]))

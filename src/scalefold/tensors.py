@@ -39,10 +39,14 @@ def as_int_tensor(x):
     return np.ascontiguousarray(arr, dtype=np.int32)
 
 
-# Float64 values of working memory per chunk of the flattened batch: 2**15
-# are 256 KiB, so a chunk's slices and product stay cache-sized however large
-# the stacked batch grows. A chunk is never smaller than one row or matrix.
-_BLOCK_ELEMENTS = 1 << 15
+# Float64 values of working memory per chunk of the flattened batch: 2**18
+# are 2 MiB, one core's L2 on a current Xeon, so a chunk's slices and product
+# stay cache-sized however large the stacked batch grows, while each slice
+# GEMM stays large enough to run at BLAS speed. On a 2-vCPU Xeon, one float
+# forward of the 64x128 model over 16 samples spent 143 ms in `matmul` at
+# 2**18, 198 ms at 2**15 (up to 64 chunks per product) and 171 ms at 2**21,
+# which spills L2. A chunk is never smaller than one row or matrix.
+_BLOCK_ELEMENTS = 1 << 18
 
 # Slices per operand; the products of slices s and t with s + t < _SLICES are kept.
 _SLICES = 3

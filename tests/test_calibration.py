@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scalefold.calibration import (
     DEGENERATE_SCALE,
@@ -12,6 +13,29 @@ from scalefold.calibration import (
 )
 from scalefold.quantizers import (Granularity, QuantParams, Scheme,
                                   uniform_dequantize, uniform_quantize)
+
+
+@st.composite
+def samples(draw):
+    """Flat samples of 1 to 5,000 values: Gaussian or Cauchy, ties, signed zeros, constants, sorted."""
+    n = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "cauchy", "ties", "zeros", "constant", "sorted"]))
+    if kind == "normal":
+        return rng.normal(size=n) * draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e200]))
+    if kind == "cauchy":
+        return rng.standard_cauchy(size=n)
+    if kind == "ties":
+        return rng.integers(-3, 4, size=n).astype(np.float64)
+    if kind == "zeros":
+        return rng.choice([-0.0, 0.0, -2.5, 2.5], size=n)
+    if kind == "constant":
+        return np.full(n, draw(st.sampled_from([-0.0, 0.0, 3.25, -7.0])))
+    return np.sort(rng.normal(size=n))
+
+
+percentiles = (st.sampled_from([50.001, 99.0, 99.9, 99.99, 99.999, 100.0])
+               | st.floats(50.0, 100.0, exclude_min=True))
 
 
 class TestPercentileBounds:
@@ -43,6 +67,29 @@ class TestPercentileBounds:
         for p in (50.0, 100.5, 0.0):
             with pytest.raises(ValueError):
                 percentile_bounds(np.ones(3), p)
+
+    @settings(deadline=None, max_examples=300)
+    @given(samples(), percentiles)
+    def test_equals_numpy_percentile(self, x, p):
+        """The tail selection reads np.percentile's bounds, bit for bit up to the sign of a zero.
+
+        Which of two tied -0.0 and 0.0 a partition puts at a rank is
+        unspecified, so only a zero bound may differ, and only in sign
+        (a fit never reads that sign). Every other finite float equals
+        another only when their bits do.
+        """
+        lo, hi = percentile_bounds(x, p)
+        want_lo, want_hi = np.percentile(x, [100.0 - p, p])
+        assert type(lo) is float and type(hi) is float
+        assert (lo, hi) == (want_lo, want_hi)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = np.linspace(-1.0, 1.0, 1000)
+        x[17] = bad
+        for p in (99.0, 100.0):
+            with pytest.raises(ValueError, match="non-finite"):
+                percentile_bounds(x, p)
 
 
 class TestComputeAffineParams:
@@ -112,9 +159,10 @@ class TestCalibrateTensor:
 
     def test_per_layer_takes_global_range(self):
         x = np.stack([np.linspace(0.0, 15.0, 31), np.linspace(0.0, 30.0, 31)], axis=1)
-        qp = calibrate_tensor(x, CalibConfig(bits=4, percentile=100.0))
+        qp = calibrate_tensor(x, CalibConfig(bits=4, percentile=100.0), channel_axis=1)
         np.testing.assert_array_equal(qp.scale, [2.0])
         np.testing.assert_array_equal(qp.zero_point, [0])
+        assert qp.channel_axis is None
 
     def test_per_layer_scale_bounds_per_channel_scales(self):
         rng = np.random.default_rng(20)
@@ -190,6 +238,56 @@ class TestCalibrateTensor:
     def test_constant_tensor_does_not_divide_by_zero(self):
         qp = calibrate_tensor(np.full((8, 8), 3.0), CalibConfig(bits=4))
         assert np.isfinite(qp.scale[0]) and qp.scale[0] > 0
+
+    @settings(deadline=None, max_examples=200)
+    @given(samples(), percentiles, st.integers(2, 8))
+    def test_layer_wise_fit_is_the_numpy_percentile_fit(self, x, p, bits):
+        """Uniform and log fits equal the fits on np.percentile's bounds, bit for bit."""
+        lo, hi = np.percentile(x, [100.0 - p, p])
+        s, z = compute_affine_params(lo, hi, bits)
+        qp = calibrate_tensor(x, CalibConfig(bits=bits, percentile=p))
+        assert qp.scale.tobytes() == np.float64(s).tobytes()
+        assert qp.zero_point.tolist() == [z]
+        mag = np.abs(x)
+        qp = calibrate_tensor(mag, CalibConfig(bits=bits, scheme=Scheme.LOG_SQRT2, percentile=p))
+        hi = np.percentile(mag, p)
+        assert qp.scale[0] == (hi if hi > 0.0 else DEGENERATE_SCALE)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_per_channel_min_max_is_the_numpy_percentile_fit(self, bits):
+        """A p = 100 weight fit equals the fit on np.percentile(rows, [0, 100], axis=1)."""
+        rng = np.random.default_rng(24)
+        w = rng.normal(size=(64, 48)) * rng.uniform(1e-3, 4.0, size=48)
+        w[:, 3] = 0.7                                 # constant column
+        w[:, 5] = rng.choice([-0.0, 0.0], size=64)    # signed zeros only
+        w[:, 9] = np.abs(w[:, 9])                     # nonnegative column
+        w[0, 11] = 0.0
+        qp = calibrate_tensor(w, CalibConfig(bits=bits, granularity=Granularity.PER_CHANNEL,
+                                             percentile=100.0), channel_axis=1)
+        lows, highs = np.percentile(w.T, [0.0, 100.0], axis=1)
+        s, z = compute_affine_params(lows, highs, bits)
+        assert qp.scale.tobytes() == s.tobytes()
+        np.testing.assert_array_equal(qp.zero_point, z)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cfg, axis", [
+        (CalibConfig(bits=4, percentile=99.0), None),
+        (CalibConfig(bits=4, percentile=100.0), None),
+        (CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=99.0), -1),
+        (CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=100.0), -1),
+        (CalibConfig(bits=4, scheme=Scheme.LOG2, percentile=100.0), None),
+        (CalibConfig(bits=4, scheme=Scheme.LOG_SQRT2, percentile=99.0), None),
+    ])
+    def test_non_finite_sample_rejected(self, cfg, axis, bad):
+        """NaN or an infinity raises for every scheme, even one lying beyond the percentile.
+
+        A NaN used to fit a log site the degenerate scale, and an infinity
+        beyond a 99th percentile used to fit a finite range.
+        """
+        x = np.abs(np.random.default_rng(25).normal(size=(200, 8)))
+        x[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            calibrate_tensor(x, cfg, channel_axis=axis)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)

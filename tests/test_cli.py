@@ -304,6 +304,7 @@ class TestExitCodes:
         ("eval", "quantized", ("reparam_records", "block0.ln2_out", "r1"), "r1"),
         ("quantize", "folded", ("reparam_records",), "reparam_records"),
         ("eval", "quantized", ("weight_mse",), "weight_mse"),
+        ("eval", "quantized", ("sites", "block0.gelu_out"), "sites.block0.gelu_out"),
     ])
     def test_missing_metadata_is_data_error(self, workspace, tmp_path, capsys,
                                             command, stage, path, named):

@@ -301,11 +301,16 @@ class TestEvaluate:
     @pytest.mark.parametrize("top, key", [
         ("reparam_records", None), ("reparam_records", "block1.ln2_out"),
         ("ablation", "precalib_sites"), ("ablation", "ln_layer_wise"),
-        ("weight_mse", "block1.w_2"),
+        ("weight_mse", "block1.w_2"), ("sites", "block0.gelu_out"), ("sites", "block1.attn_a"),
     ])
-    def test_missing_fold_data_is_named(self, chain, top, key):
-        """A container stripped of what evaluate reads fails; it must not pass vacuously."""
+    def test_missing_fold_data_is_named(self, chain, top, key, monkeypatch):
+        """A container stripped of what evaluate reads fails before any forward runs.
+
+        It must not pass vacuously: without `block0.gelu_out`, say, the
+        quantized forward would run that site unquantized.
+        """
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
         meta = {**q_c.meta}
         if key is None:
             del meta[top]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+from scalefold import tensors
 from scalefold.tensors import (ShapeError, _slice_bits, _slices, as_int_tensor, as_tensor, gelu,
                                matmul, rowwise_softmax)
 
@@ -171,13 +172,14 @@ class TestMatmul:
         """One call holds its output plus a fixed working set, not one sized by the batch.
 
         The working set is the slices of a single weight matrix (three
-        copies) plus 512 KiB for a chunk's slices, product buffer and
-        exponents. Chunks sized by their outputs alone held 17 MiB on the
-        first shape.
+        copies) plus twice the chunk budget of float64 values for a chunk's
+        slices, product buffer and exponents and numpy's temporaries. Chunks
+        sized by their outputs alone held 17 MiB on the first shape, and a
+        batch-sized chunk exceeds this allowance on both shapes.
         """
         rng = np.random.default_rng(62)
         a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
-        budget = (3 * b.nbytes if b.ndim == 2 else 0) + (512 << 10)
+        budget = (3 * b.nbytes if b.ndim == 2 else 0) + 2 * 8 * tensors._BLOCK_ELEMENTS
         tracemalloc.start()
         try:
             out = matmul(a, b)
