@@ -71,11 +71,15 @@ def percentile_bounds(x, p):
     selected, from the tails: a strided subsample's need-th smallest value
     t has at least need values of the sample at or below it, so the values
     <= t are a sorted prefix holding every rank the lower bound reads, and
-    likewise at the top. A 99.99 bound on 131,072 values thus partitions a
-    few thousand. p = 100 reduces to min/max. NaN or an infinity in the
-    sample raises ValueError.
+    likewise at the top. The stride is coprime with the last axis, the
+    channel axis of a captured stack, so the subsample visits every channel
+    rather than one, and its thresholds sit near the sample's own tails: a
+    99.99 bound on 131,072 values thus partitions a few thousand. p = 100
+    reduces to min/max. NaN or an infinity in the sample raises ValueError.
     """
-    x = as_tensor(x).ravel()
+    x = as_tensor(x)
+    channels = x.shape[-1] if x.ndim else 1
+    x = x.ravel()
     if x.size == 0:
         raise ValueError("cannot calibrate an empty sample")
     p = float(p)
@@ -90,7 +94,10 @@ def percentile_bounds(x, p):
         # weight 0 on rank 1, the upper one reads rank n - 1 twice
         return float(_lerp(lo, lo, t_lo)), float(_lerp(hi, hi, t_hi))
     need_lo, need_hi = j_lo + 1, n - i_hi
-    sub = x[::max(1, n // (64 * max(need_lo, need_hi)))]
+    stride = max(1, n // (64 * max(need_lo, need_hi)))
+    while math.gcd(stride, channels) != 1:
+        stride += 1
+    sub = x[::stride]
     if sub.size <= need_lo + need_hi:
         ranks = [i_lo, j_lo, i_hi, j_hi]
         a_lo, b_lo, a_hi, b_hi = np.partition(x, sorted(set(ranks)))[ranks]

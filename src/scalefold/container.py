@@ -11,16 +11,22 @@ The manifest holds the format version, a stage marker, the model
 configuration, the tensor table (name, shape, dtype, byte offset, byte
 length relative to the blob), per-site quantizer parameters, fold records,
 and a logical pass log. Payload dtypes are "f32" (float32 LE) for float
-tensors and "u8" (one unsigned byte) for integer codes; writing an integer
-tensor with a value outside [0, 255] raises ContainerError. Compute stays in
-float64; 32-bit floats exist only in this file format. Serialization is
-deterministic: equal containers produce equal bytes.
+tensors and, for integer codes, "u4" when every value lies in [0, 15] and
+"u8" (one unsigned byte each) otherwise; writing an integer tensor with a
+value outside [0, 255] raises ContainerError. A u4 payload packs two codes
+per byte: element 2i in the low nibble of byte i, element 2i + 1 in the
+high nibble, so it is ceil(count / 2) bytes long, and an odd count leaves
+the last byte's high nibble zero; a nonzero pad nibble raises
+ContainerError. Both integer tags read back as writable uint8 arrays.
+Compute stays in float64; 32-bit floats exist only in this file format.
+Serialization is deterministic: equal containers produce equal bytes.
 
 A quantized container ships each weight matrix only as its codes,
-`block{i}.{w}.codes` in u8 for w in w_qkv, w_o, w_1 and w_2, next to float
-biases and LayerNorm parameters. `blocks_from_container` loads those codes
-as `CodeBlock`s centred on the zero points of their site in the site
-table; every other stage holds and loads float weights.
+`block{i}.{w}.codes` for w in w_qkv, w_o, w_1 and w_2 (u4 at 4 bits or
+fewer, else u8), next to float biases and LayerNorm parameters.
+`blocks_from_container` loads those codes as `CodeBlock`s centred on the
+zero points of their site in the site table; every other stage holds and
+loads float weights.
 """
 
 import json
@@ -36,7 +42,7 @@ from .tensors import ShapeError, as_tensor
 MAGIC = b"RVQM0001"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
+_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1"), "u4": np.dtype("u1")}
 # JSON type of each field of a tensor-table entry
 _ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int, "length": int}
 
@@ -73,16 +79,38 @@ def _payload_dtype(name, arr):
     if arr.dtype.kind == "f":
         return "f32"
     if arr.dtype.kind in "iu":
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
+        lo, hi = arr.min(initial=0), arr.max(initial=0)
+        if lo < 0 or hi > 255:
             raise ContainerError(f"integer tensor {name!r} has values outside [0, 255]")
-        return "u8"
+        return "u4" if hi <= 15 else "u8"
     raise ContainerError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
+
+
+def _payload_length(tag, count):
+    return (count + 1) // 2 if tag == "u4" else count * _DTYPES[tag].itemsize
 
 
 def payload_size(name, arr):
     """(dtype tag, byte length) of tensor `arr`'s payload in a container file."""
     tag = _payload_dtype(name, arr)
-    return tag, arr.size * _DTYPES[tag].itemsize
+    return tag, _payload_length(tag, arr.size)
+
+
+def _pack_u4(arr):
+    """Two codes per byte, the even-indexed one in the low nibble."""
+    flat = arr.astype(np.uint8).ravel()
+    if flat.size % 2:
+        flat = np.append(flat, np.uint8(0))
+    return (flat[0::2] | (flat[1::2] << 4)).tobytes()
+
+
+def _unpack_u4(name, packed, count):
+    codes = np.empty(2 * packed.size, dtype=np.uint8)
+    codes[0::2] = packed & 15
+    codes[1::2] = packed >> 4
+    if count % 2 and codes[-1]:
+        raise ContainerError(f"tensor {name!r} has a nonzero pad nibble")
+    return codes[:count]
 
 
 def to_bytes(container):
@@ -93,7 +121,10 @@ def to_bytes(container):
     for name in sorted(container.tensors):
         arr = container.tensors[name]
         tag = _payload_dtype(name, arr)
-        payload = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
+        if tag == "u4":
+            payload = _pack_u4(arr)
+        else:
+            payload = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
         table.append({
             "name": name,
             "shape": list(arr.shape),
@@ -144,17 +175,19 @@ def from_bytes(raw):
         if offset < 0 or length < 0 or offset + length > len(blob):
             raise ContainerError(f"tensor {name!r} extends past the blob")
         count = math.prod(shape)
-        if count * _DTYPES[tag].itemsize != length:
+        if _payload_length(tag, count) != length:
             raise ContainerError(f"tensor {name!r}: shape {shape} does not match byte length {length}")
-        flat = np.frombuffer(blob, dtype=_DTYPES[tag], count=count, offset=offset)
-        arr = flat.reshape(shape)
+        flat = np.frombuffer(blob, dtype=_DTYPES[tag], count=length // _DTYPES[tag].itemsize,
+                             offset=offset)
         if tag == "f32":
-            arr = as_tensor(arr)
+            arr = as_tensor(flat)
             if not np.isfinite(arr).all():
                 raise ContainerError(f"tensor {name!r} contains non-finite values")
+        elif tag == "u4":
+            arr = _unpack_u4(name, flat, count)
         else:
-            arr = arr.copy()   # own its bytes: frombuffer's view is read-only
-        tensors[name] = arr
+            arr = flat.copy()   # own its bytes: frombuffer's view is read-only
+        tensors[name] = arr.reshape(shape)
 
     meta = {k: v for k, v in manifest.items() if k not in ("tensors", "format_version")}
     return ModelContainer(meta=meta, tensors=tensors)

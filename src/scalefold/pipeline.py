@@ -9,8 +9,8 @@ consumer weights so a single layer-wise quantizer reproduces the
 channel-wise codes, refits the rewritten weights and the downstream sites
 with the same site fitter as calibration, and swaps the post-Softmax
 dequantizer onto the power-of-two shift path. The quantize stage ships each
-weight matrix as u8 codes in place of its floats, which is what the forward
-of the loaded container multiplies, and records each weight site's
+weight matrix as its integer codes in place of its floats, which is what the
+forward of the loaded container multiplies, and records each weight site's
 quantization MSE, taken from the folded floats, for evaluation. The fold and
 quantize stages carry their input's metadata whole and add their own. Each
 stage appends to a logical pass log; identical inputs produce byte-identical
@@ -79,24 +79,28 @@ def capture_activations(blocks, cfg, acts):
     return caps
 
 
+def _fit_weights(blocks, qcfg):
+    """Fit every block's weight sites by channel-wise min/max over their output columns."""
+    w_chan = CalibConfig(bits=qcfg.bits_w, granularity=Granularity.PER_CHANNEL,
+                         percentile=100.0)
+    return {f"block{i}.{site}": calibrate_tensor(getattr(bw, site), w_chan, channel_axis=1)
+            for i, bw in enumerate(blocks) for site in WEIGHT_SITES}
+
+
 def _fit_sites(blocks, caps, qcfg):
     """Fit the layer-wise, post-Softmax and weight sites of every block.
 
-    Activation sites fit from the captured stacks, weights by channel-wise
-    min/max over their output columns.
+    Activation sites fit from the captured stacks, weights with `_fit_weights`.
     """
     a_layer = CalibConfig(bits=qcfg.bits_a, percentile=qcfg.percentile)
     a_log = CalibConfig(bits=qcfg.bits_a, scheme=Scheme.LOG_SQRT2, percentile=100.0)
-    w_chan = CalibConfig(bits=qcfg.bits_w, granularity=Granularity.PER_CHANNEL,
-                         percentile=100.0)
     sites = {}
-    for i, bw in enumerate(blocks):
+    for i in range(len(blocks)):
         pre = f"block{i}."
         sites[pre + "attn_a"] = calibrate_tensor(caps[pre + "attn_a"], a_log)
         for site in PLAIN_SITES:
             sites[pre + site] = calibrate_tensor(caps[pre + site], a_layer)
-        for site in WEIGHT_SITES:
-            sites[pre + site] = calibrate_tensor(getattr(bw, site), w_chan, channel_axis=1)
+    sites.update(_fit_weights(blocks, qcfg))
     return sites
 
 
@@ -148,7 +152,10 @@ def calibrate_model(model_c, acts, qcfg=None):
     """Stage 1: fit all quantizers from calibration data.
 
     Also snapshots what later evaluation arms need: naive layer-wise affine
-    parameters for the LayerNorm sites and the full pre-fold site table.
+    parameters for the LayerNorm sites (`ablation.ln_layer_wise`) and the
+    pre-fold activation sites (`ablation.precalib_sites`). The pre-fold
+    weight sites are not snapshotted: they are min/max fits of the float
+    weights, which `evaluate` refits from the float model it is given.
     """
     qcfg = qcfg or QuantizeConfig()
     _require_floats(model_c, "calibration")
@@ -172,9 +179,10 @@ def calibrate_model(model_c, acts, qcfg=None):
     out.meta["quantize_config"] = qcfg.to_json()
     out.meta["calib"] = {"samples": int(acts.shape[0])}
     out.meta["sites"] = _sites_to_json(sites)
+    weights = set(_site_keys(cfg, WEIGHT_SITES))
     out.meta["ablation"] = {
         "ln_layer_wise": _sites_to_json(naive),
-        "precalib_sites": _sites_to_json(sites),
+        "precalib_sites": _sites_to_json({k: qp for k, qp in sites.items() if k not in weights}),
     }
     _append_pass(out.meta, "fit-quantizers")
     return out
@@ -232,9 +240,10 @@ def reparameterize_model(calib_c, acts):
 
 
 def quantize_model(rep_c):
-    """Stage 3: replace every weight matrix by its u8 codes.
+    """Stage 3: replace every weight matrix by its codes.
 
-    `block{i}.{w}.codes` takes the place of `block{i}.{w}`, and
+    `block{i}.{w}.codes`, a uint8 array that the container writes two codes
+    per byte at 4 bits or fewer, takes the place of `block{i}.{w}`, and
     `weight_mse[block{i}.{w}]` records the site's quantization MSE on the
     folded floats, which the quantized container no longer holds. The folded
     container must carry a site per weight and a fold record per LayerNorm
@@ -320,12 +329,16 @@ def evaluate(fp_c, q_c, acts):
     two ablations: end-to-end MSE with naive layer-wise / channel-wise /
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
     log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
-    once over the whole held-out stack; nothing is refitted here. A quantized
-    container lacking an activation site's params, a LayerNorm site's fold
-    record, a weight site's `weight_mse` or either ablation table raises
-    PipelineError naming what is missing, as does a malformed fold record or
-    weight MSE, or a site or ablation table that names a site the model
-    lacks; all of this is checked before the weight codes load.
+    once over the whole held-out stack. The two LayerNorm ablation arms take
+    the pre-fold activation sites from the container and refit the weight
+    sites from `fp_c`'s weights, with the calibration stage's weight fitter
+    and the container's `quantize_config`; no activation site is refitted.
+    A quantized container lacking its `quantize_config`, an activation
+    site's params, a LayerNorm site's fold record, a weight site's
+    `weight_mse` or either ablation table raises PipelineError naming what
+    is missing, as does a malformed quantize config, fold record or weight
+    MSE, or a site or ablation table that names a site the model lacks; all
+    of this is checked before the weight codes load.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -335,7 +348,8 @@ def evaluate(fp_c, q_c, acts):
     acts = _check_acts(cfg, acts)
     ln_keys = _site_keys(cfg, LN_SITES)
     weight_keys = _site_keys(cfg, WEIGHT_SITES)
-    _require(q_c, [("sites", key) for key in _site_keys(cfg, ACTIVATION_SITES)]
+    _require(q_c, [("quantize_config",)]
+             + [("sites", key) for key in _site_keys(cfg, ACTIVATION_SITES)]
              + [("reparam_records", key) for key in ln_keys]
              + [("weight_mse", key) for key in weight_keys]
              + [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")])
@@ -355,8 +369,14 @@ def evaluate(fp_c, q_c, acts):
         if records[key].channels != cfg.dim:
             raise PipelineError(f"fold record reparam_records.{key} has "
                                 f"{records[key].channels} channels, the model {cfg.dim}")
+    try:
+        qcfg = QuantizeConfig.from_json(q_c.meta["quantize_config"])
+    except ValueError as e:
+        raise PipelineError(f"quantize_config: {e}") from None
     abl = q_c.meta["ablation"]
-    chan_sites = hooks_from_sites(cfg, _sites_from_json(abl["precalib_sites"]))
+    # a snapshot that still holds the weight sites gives way to the refit
+    chan_sites = hooks_from_sites(cfg, {**_sites_from_json(abl["precalib_sites"]),
+                                        **_fit_weights(fp_blocks, qcfg)})
     layer_sites = hooks_from_sites(cfg, {**chan_sites, **_sites_from_json(abl["ln_layer_wise"])})
     _, q_blocks = blocks_from_container(q_c)
 

@@ -83,6 +83,33 @@ class TestPercentileBounds:
         assert type(lo) is float and type(hi) is float
         assert (lo, hi) == (want_lo, want_hi)
 
+    @pytest.mark.parametrize("shape", [(64, 16, 64), (16, 64, 128), (8, 4, 16, 16), (65536,)])
+    def test_subsample_reads_every_channel(self, shape, monkeypatch):
+        """Only a few thousand values are partitioned, even when channel 0 is narrow.
+
+        A captured stack keeps its channels on the last axis. A subsample
+        stride that is a multiple of the channel count would read channel 0
+        alone; with channel 0 a hundred times narrower than the rest, its
+        thresholds would then leave half the sample to partition.
+        """
+        x = np.random.default_rng(31).normal(size=shape)
+        x[..., 0] *= 0.01
+        sizes = []
+        partition = np.partition
+
+        def spy(a, kth):
+            sizes.append(a.size)
+            return partition(a, kth)
+
+        monkeypatch.setattr(np, "partition", spy)
+        lo, hi = percentile_bounds(x, 99.99)
+        monkeypatch.undo()
+        assert (lo, hi) == tuple(np.percentile(x, [100.0 - 99.99, 99.99]))
+        need = x.size - int(np.floor((x.size - 1) * 0.9999))
+        # the subsample, then the values past each of its two thresholds
+        assert len(sizes) == 3 and sizes[0] <= 2 * 64 * need
+        assert max(sizes[1:]) <= 4 * 64 * need
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         x = np.linspace(-1.0, 1.0, 1000)

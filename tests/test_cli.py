@@ -85,7 +85,7 @@ class TestChain:
         out = capsys.readouterr().out
         assert "kind:  model" in out
         assert "stage: quantized" in out
-        assert "block0.w_qkv.codes  shape=[64, 192]  dtype=u8  bytes=12288" in out
+        assert "block0.w_qkv.codes  shape=[64, 192]  dtype=u4  bytes=6144" in out
         assert "block0.b_qkv  shape=[192]  dtype=f32  bytes=768" in out
         assert "fold records:" in out
         assert "emit-codes" in out
@@ -305,6 +305,7 @@ class TestExitCodes:
         ("quantize", "folded", ("reparam_records",), "reparam_records"),
         ("eval", "quantized", ("weight_mse",), "weight_mse"),
         ("eval", "quantized", ("sites", "block0.gelu_out"), "sites.block0.gelu_out"),
+        ("eval", "quantized", ("quantize_config",), "quantize_config"),
     ])
     def test_missing_metadata_is_data_error(self, workspace, tmp_path, capsys,
                                             command, stage, path, named):

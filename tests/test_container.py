@@ -16,6 +16,7 @@ from scalefold.container import (
     container_from_activations,
     container_from_model,
     from_bytes,
+    payload_size,
     read_container,
     to_bytes,
     write_container,
@@ -35,6 +36,11 @@ def tiny_container():
             "a.codes": rng.integers(0, 16, size=(4, 3)).astype(np.int32),
         },
     )
+
+
+def _entries(raw):
+    """The tensor table of container bytes `raw`."""
+    return json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])["tensors"]
 
 
 class TestRoundTrip:
@@ -87,6 +93,47 @@ class TestRoundTrip:
         assert back.dtype == np.uint8 and back.flags.writeable
         np.testing.assert_array_equal(back, codes)
         assert to_bytes(from_bytes(raw)) == raw
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 10])
+    def test_u4_codes_round_trip_two_per_byte(self, count):
+        codes = np.arange(count, dtype=np.int64) * 7 % 16
+        raw = to_bytes(ModelContainer(meta={"kind": "model"}, tensors={"w.codes": codes}))
+        entry = _entries(raw)[0]
+        assert entry["dtype"] == "u4" and entry["length"] == (count + 1) // 2
+        # element 2i in the low nibble of byte i, element 2i + 1 in the high one
+        blob = raw[len(raw) - entry["length"]:]
+        padded = np.append(codes, [0] * (count % 2))
+        assert list(blob) == list(padded[0::2] + 16 * padded[1::2])
+        back = from_bytes(raw).tensors["w.codes"]
+        assert back.dtype == np.uint8 and back.shape == (count,) and back.flags.writeable
+        np.testing.assert_array_equal(back, codes)
+        assert to_bytes(from_bytes(raw)) == raw
+
+    def test_u4_shape_survives_packing(self):
+        codes = np.arange(15, dtype=np.uint8).reshape(3, 5)
+        back = from_bytes(to_bytes(ModelContainer(meta={}, tensors={"w": codes})))
+        np.testing.assert_array_equal(back.tensors["w"], codes)
+
+    @pytest.mark.parametrize("top, tag", [(15, "u4"), (16, "u8")])
+    def test_one_value_past_15_moves_the_tensor_to_u8(self, top, tag):
+        codes = np.array([0, 3, top, 9], dtype=np.uint8)
+        assert payload_size("w", codes) == (tag, 2 if tag == "u4" else 4)
+        raw = to_bytes(ModelContainer(meta={}, tensors={"w": codes}))
+        assert _entries(raw)[0]["dtype"] == tag
+        np.testing.assert_array_equal(from_bytes(raw).tensors["w"], codes)
+
+    def test_nonzero_pad_nibble_is_refused(self):
+        raw = to_bytes(ModelContainer(meta={}, tensors={"w": np.array([1, 2, 3])}))
+        assert raw[-1] == 3
+        with pytest.raises(ContainerError, match="'w'.*pad nibble"):
+            from_bytes(raw[:-1] + bytes([0x13]))
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_u4_length_other_than_half_the_count_is_refused(self, length):
+        entry = {"name": "w", "shape": [4], "dtype": "u4", "offset": 0, "length": length}
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [entry]}, b"\x00" * 4)
+        with pytest.raises(ContainerError, match="'w'.*byte length"):
+            from_bytes(raw)
 
     @pytest.mark.parametrize("values", [[0, 256], [-1, 3], [2**31 - 1]])
     def test_integer_tensor_outside_u8_is_refused_on_write(self, values):

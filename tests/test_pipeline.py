@@ -7,7 +7,7 @@ import pytest
 
 from scalefold.container import (ModelContainer, blocks_from_container,
                                  container_from_model, from_bytes, to_bytes)
-from scalefold.model import ModelConfig, WEIGHT_SITES, model_forward
+from scalefold.model import ACTIVATION_SITES, ModelConfig, WEIGHT_SITES, model_forward
 from scalefold.pipeline import (
     PipelineError,
     QuantizeConfig,
@@ -142,6 +142,11 @@ class TestCalibrateStage:
         }
         naive = QuantParams.from_json(abl["ln_layer_wise"]["block0.ln1_out"])
         assert naive.granularity == Granularity.PER_LAYER
+        # the activation sites only: evaluate refits the weight sites
+        assert abl["precalib_sites"] == {
+            f"block{i}.{s}": calib_c.meta["sites"][f"block{i}.{s}"]
+            for i in range(CFG.blocks) for s in ACTIVATION_SITES
+        }
 
     def test_meta_records_inputs(self, chain):
         calib_c = chain[3]
@@ -293,6 +298,39 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="weight_mse.block1.w_o"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
+    def test_ablation_arms_refit_the_pre_fold_weight_sites(self, chain, monkeypatch):
+        """Both LayerNorm ablation arms quantize the float weights with the calibrated weight sites.
+
+        The snapshot holds no weight site, so evaluate refits them from the
+        float model; the refit equals the calibrated container's own table.
+        """
+        model_c, held_out, calib_c, q_c = chain[0], chain[2], chain[3], chain[5]
+        tables = []
+
+        def spy(x, blocks, cfg, hooks=None, capture=None):
+            if hooks is not None and not hasattr(blocks[0].w_qkv, "centred"):
+                tables.append(hooks)
+            return model_forward(x, blocks, cfg, hooks=hooks, capture=capture)
+
+        monkeypatch.setattr("scalefold.pipeline.model_forward", spy)
+        evaluate(model_c, q_c, held_out)
+        assert len(tables) == 2
+        keys = [f"block{i}.{w}" for i in range(CFG.blocks) for w in WEIGHT_SITES]
+        for table in tables:
+            assert {k: table[k].to_json() for k in keys} == {
+                k: calib_c.meta["sites"][k] for k in keys}
+
+    def test_snapshot_holding_weight_sites_gives_the_same_report(self, chain, report):
+        """A q container whose snapshot still holds the weight sites evaluates byte-equal."""
+        model_c, held_out, calib_c, q_c = chain[0], chain[2], chain[3], chain[5]
+        abl = q_c.meta["ablation"]
+        full = {**calib_c.meta["sites"], **abl["precalib_sites"]}
+        assert len(full) == 12 * CFG.blocks
+        old = ModelContainer(meta={**q_c.meta, "ablation": {**abl, "precalib_sites": full}},
+                             tensors=q_c.tensors)
+        again = evaluate(model_c, old, held_out)
+        assert json.dumps(again.to_json()) == json.dumps(report.to_json())
+
     def test_report_round_trips_to_json(self, report):
         d = report.to_json()
         assert d["output_mse"] == report.output_mse
@@ -302,6 +340,7 @@ class TestEvaluate:
         ("reparam_records", None), ("reparam_records", "block1.ln2_out"),
         ("ablation", "precalib_sites"), ("ablation", "ln_layer_wise"),
         ("weight_mse", "block1.w_2"), ("sites", "block0.gelu_out"), ("sites", "block1.attn_a"),
+        ("quantize_config", None),
     ])
     def test_missing_fold_data_is_named(self, chain, top, key, monkeypatch):
         """A container stripped of what evaluate reads fails before any forward runs.
@@ -314,12 +353,23 @@ class TestEvaluate:
         meta = {**q_c.meta}
         if key is None:
             del meta[top]
-            key = "block0.ln1_out"
+            # a table's first key names it; the quantize config is one entry
+            named = top if top == "quantize_config" else f"{top}.block0.ln1_out"
         else:
             meta[top] = {k: v for k, v in meta[top].items() if k != key}
+            named = f"{top}.{key}"
         stripped = ModelContainer(meta=meta, tensors=q_c.tensors)
-        with pytest.raises(PipelineError, match=f"{top}.{key}"):
+        with pytest.raises(PipelineError, match=named):
             evaluate(model_c, stripped, held_out)
+
+    @pytest.mark.parametrize("value", [
+        None, {"bits_w": 4}, {**QuantizeConfig().to_json(), "bits_w": 9},
+    ])
+    def test_malformed_quantize_config_is_named(self, chain, value):
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        meta = {**q_c.meta, "quantize_config": value}
+        with pytest.raises(PipelineError, match="quantize_config"):
+            evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
     @pytest.mark.parametrize("field", ["r1", "r2", "target_scale", "target_zero", "source"])
     def test_malformed_fold_record_is_named(self, chain, field):
