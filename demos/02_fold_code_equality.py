@@ -39,7 +39,7 @@ print(f"fold factors: r1 in [{rec.r1.min():.3f}, {rec.r1.max():.3f}], "
 # the adjusted activations are what the rewritten LayerNorm now emits
 adjusted = (x + chan.scale * rec.r2) / rec.r1
 codes_chan = uniform_quantize(x, chan)
-codes_layer = uniform_quantize(adjusted, res.layer_params)
+codes_layer = uniform_quantize(adjusted, rec.target_params())
 clipped = np.mean((codes_chan == 0) | (codes_chan == 15))
 print(f"\ninteger codes equal: {np.array_equal(codes_chan, codes_layer)} "
       f"({codes_chan.size} values, {clipped:.1%} in the clip region)")

@@ -51,7 +51,8 @@ def build_parser():
 
     p = sub.add_parser("reparam", help="fold channel-wise LayerNorm quantizers into layer-wise ones")
     p.add_argument("--model", required=True, help="calibrated container")
-    p.add_argument("--data", required=True, help="calibration activations container")
+    p.add_argument("--data", default=None,
+                   help="ignored and never opened: the fold reads no data")
     p.add_argument("--out", required=True, help="output container path")
 
     p = sub.add_parser("quantize", help="emit integer weight codes")
@@ -128,7 +129,7 @@ def _cmd_calibrate(args):
 
 
 def _cmd_reparam(args):
-    out = reparameterize_model(read_container(args.model), _acts(args.data))
+    out = reparameterize_model(read_container(args.model))
     write_container(out, args.out)
     print(f"folded: {args.out}")
     return 0

@@ -6,9 +6,9 @@ affine on the post-LayerNorm sites, a sqrt(2)-base log quantizer on
 post-Softmax, layer-wise affine elsewhere, channel-wise min/max on weights).
 The fold stage then rewrites each LayerNorm site's affine parameters and
 consumer weights so a single layer-wise quantizer reproduces the
-channel-wise codes, refits the rewritten weights and the downstream sites
-with the same site fitter as calibration, and swaps the post-Softmax
-dequantizer onto the power-of-two shift path. The quantize stage ships each
+channel-wise codes, refits only the rewritten weights, and swaps the
+post-Softmax dequantizer onto the power-of-two shift path; it reads no data,
+since the rewrite changes no other activation. The quantize stage ships each
 weight matrix as its integer codes in place of its floats, which is what the
 forward of the loaded container multiplies, and records each weight site's
 quantization MSE, taken from the folded floats, for evaluation. The fold and
@@ -151,11 +151,8 @@ def _append_pass(meta, name):
 def calibrate_model(model_c, acts, qcfg=None):
     """Stage 1: fit all quantizers from calibration data.
 
-    Also snapshots what later evaluation arms need: naive layer-wise affine
-    parameters for the LayerNorm sites (`ablation.ln_layer_wise`) and the
-    pre-fold activation sites (`ablation.precalib_sites`). The pre-fold
-    weight sites are not snapshotted: they are min/max fits of the float
-    weights, which `evaluate` refits from the float model it is given.
+    Also fits naive layer-wise affine parameters for the LayerNorm sites
+    (`ablation.ln_layer_wise`), which `evaluate`'s layer-wise arm runs.
     """
     qcfg = qcfg or QuantizeConfig()
     _require_floats(model_c, "calibration")
@@ -179,30 +176,25 @@ def calibrate_model(model_c, acts, qcfg=None):
     out.meta["quantize_config"] = qcfg.to_json()
     out.meta["calib"] = {"samples": int(acts.shape[0])}
     out.meta["sites"] = _sites_to_json(sites)
-    weights = set(_site_keys(cfg, WEIGHT_SITES))
-    out.meta["ablation"] = {
-        "ln_layer_wise": _sites_to_json(naive),
-        "precalib_sites": _sites_to_json({k: qp for k, qp in sites.items() if k not in weights}),
-    }
+    out.meta["ablation"] = {"ln_layer_wise": _sites_to_json(naive)}
     _append_pass(out.meta, "fit-quantizers")
     return out
 
 
-def reparameterize_model(calib_c, acts):
+def reparameterize_model(calib_c, acts=None):
     """Stage 2: fold channel-wise LayerNorm quantizers into layer-wise ones.
 
     Each LayerNorm site independently gets its variation factors folded into
-    the affine parameters and the consuming projection. After compensation
-    the rewritten projections are refitted from scratch, activation
-    statistics for the downstream sites are recomputed through the adjusted
-    model, and the post-Softmax dequantizer is marked for the base-changed
-    shift path.
+    the affine parameters and the consuming projection, and its site becomes
+    the fold's layer-wise target. x~ @ W~ + b~ equals x @ W + b, so every
+    other activation site keeps its calibrated quantizer and only the
+    rewritten weights are refitted: the fold reads no data, and `acts` is
+    ignored. The post-Softmax dequantizer is marked for the shift path.
     """
     if calib_c.stage != "calibrated":
         raise PipelineError(f"fold stage expects a calibrated container, got {calib_c.stage!r}")
     _require(calib_c, [("quantize_config",), ("sites",)])
     cfg, blocks = blocks_from_container(calib_c)
-    acts = _check_acts(cfg, acts)
     qcfg = QuantizeConfig.from_json(calib_c.meta["quantize_config"])
     sites = _sites_from_json(calib_c.meta["sites"])
 
@@ -219,7 +211,7 @@ def reparameterize_model(calib_c, acts):
             setattr(bw, b_name, res.beta)
             setattr(bw, w_name, res.weight)
             setattr(bw, bias_name, res.bias)
-            sites[key] = res.layer_params
+            sites[key] = res.record.target_params()
             records[key] = res.record
 
     out = container_from_model(cfg, blocks, stage="reparameterized")
@@ -228,8 +220,8 @@ def reparameterize_model(calib_c, acts):
     _append_pass(out.meta, "affine-adjust")
     _append_pass(out.meta, "weight-compensate")
 
-    # refit everything that the fold touched or that flows downstream of it
-    sites.update(_fit_sites(blocks, capture_activations(blocks, cfg, acts), qcfg))
+    # the fold rescaled the weight rows; the activations it left unchanged
+    sites.update(_fit_weights(blocks, qcfg))
     _append_pass(out.meta, "weight-recalibrate")
     _append_pass(out.meta, "softmax-base-change")
 
@@ -271,7 +263,7 @@ def quantize_model(rep_c):
 
 def run_pipeline(model_c, acts, qcfg=None):
     """All three stages in order on in-memory containers."""
-    return quantize_model(reparameterize_model(calibrate_model(model_c, acts, qcfg), acts))
+    return quantize_model(reparameterize_model(calibrate_model(model_c, acts, qcfg)))
 
 
 def hooks_from_sites(cfg, sites):
@@ -329,16 +321,17 @@ def evaluate(fp_c, q_c, acts):
     two ablations: end-to-end MSE with naive layer-wise / channel-wise /
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
     log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
-    once over the whole held-out stack. The two LayerNorm ablation arms take
-    the pre-fold activation sites from the container and refit the weight
-    sites from `fp_c`'s weights, with the calibration stage's weight fitter
-    and the container's `quantize_config`; no activation site is refitted.
-    A quantized container lacking its `quantize_config`, an activation
-    site's params, a LayerNorm site's fold record, a weight site's
-    `weight_mse` or either ablation table raises PipelineError naming what
-    is missing, as does a malformed quantize config, fold record or weight
-    MSE, or a site or ablation table that names a site the model lacks; all
-    of this is checked before the weight codes load.
+    once over the whole held-out stack. The two LayerNorm ablation arms run
+    the float model on the container's activation sites, with each LayerNorm
+    site replaced by its fold record's `source` (channel-wise) or by
+    `ablation.ln_layer_wise` (layer-wise), and weight sites refitted from
+    `fp_c` with calibration's weight fitter. A quantized container lacking
+    its `quantize_config`, an activation site's params, a LayerNorm site's
+    fold record, a weight site's `weight_mse` or `ablation.ln_layer_wise`
+    raises PipelineError naming what is missing, as does a malformed quantize
+    config, fold record or weight MSE, a LayerNorm site that is not its fold
+    record's target, or a table naming a site the model lacks; all of this
+    is checked before any forward runs.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -352,7 +345,7 @@ def evaluate(fp_c, q_c, acts):
              + [("sites", key) for key in _site_keys(cfg, ACTIVATION_SITES)]
              + [("reparam_records", key) for key in ln_keys]
              + [("weight_mse", key) for key in weight_keys]
-             + [("ablation", "precalib_sites"), ("ablation", "ln_layer_wise")])
+             + [("ablation", "ln_layer_wise")])
     sites = hooks_from_sites(cfg, _sites_from_json(q_c.meta["sites"]))
     weight_mse = {}
     for key in weight_keys:
@@ -369,15 +362,18 @@ def evaluate(fp_c, q_c, acts):
         if records[key].channels != cfg.dim:
             raise PipelineError(f"fold record reparam_records.{key} has "
                                 f"{records[key].channels} channels, the model {cfg.dim}")
+        # the forward runs the site, the audit and the channel-wise arm the record
+        if sites[key].to_json() != records[key].target_params().to_json():
+            raise PipelineError(f"site {key} is not the target of fold record "
+                                f"reparam_records.{key}")
     try:
         qcfg = QuantizeConfig.from_json(q_c.meta["quantize_config"])
     except ValueError as e:
         raise PipelineError(f"quantize_config: {e}") from None
-    abl = q_c.meta["ablation"]
-    # a snapshot that still holds the weight sites gives way to the refit
-    chan_sites = hooks_from_sites(cfg, {**_sites_from_json(abl["precalib_sites"]),
-                                        **_fit_weights(fp_blocks, qcfg)})
-    layer_sites = hooks_from_sites(cfg, {**chan_sites, **_sites_from_json(abl["ln_layer_wise"])})
+    chan_sites = {**sites, **{key: rec.source for key, rec in records.items()},
+                  **_fit_weights(fp_blocks, qcfg)}
+    layer_sites = hooks_from_sites(cfg, {**chan_sites, **_sites_from_json(
+        q_c.meta["ablation"]["ln_layer_wise"])})
     _, q_blocks = blocks_from_container(q_c)
 
     fp_caps, q_caps = {}, {}

@@ -29,33 +29,36 @@ from .tensors import as_tensor
 
 @dataclass(frozen=True, eq=False)
 class ReparamRecord:
-    """Audit record of one fold: factors plus source and target parameters."""
+    """Audit record of one fold: the channel-wise source and its layer-wise target.
 
-    r1: np.ndarray
-    r2: np.ndarray
+    The fold factors r1 and r2 are derived from the two, never stored.
+    """
+
     target_scale: float
     target_zero: int
     source: QuantParams
 
     def __post_init__(self):
-        r1 = np.asarray(self.r1, dtype=np.float64)
-        r2 = np.asarray(self.r2)
-        if r2.dtype.kind not in "iu":
-            raise ValueError("r2 must be integer")
-        r2 = r2.astype(np.int64)
-        if r1.ndim != 1 or r1.shape != r2.shape:
-            raise ValueError("r1 and r2 must be vectors of equal length")
-        if not np.all(r1 > 0):
-            raise ValueError("r1 entries must be positive")
+        src = self.source
+        if src.scheme is not Scheme.UNIFORM or src.granularity is not Granularity.PER_CHANNEL:
+            raise ValueError("fold source must be channel-wise uniform")
         if not (self.target_scale > 0 and np.isfinite(self.target_scale)):
             raise ValueError("target scale must be positive and finite")
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "r2", r2)
+        if self.target_zero != int(self.target_zero):
+            raise ValueError("target zero point must be an integer")
         object.__setattr__(self, "target_zero", int(self.target_zero))
 
     @property
+    def r1(self):
+        return self.source.scale / self.target_scale
+
+    @property
+    def r2(self):
+        return self.source.zero_point - self.target_zero
+
+    @property
     def channels(self):
-        return self.r1.size
+        return self.source.scale.size
 
     def target_params(self):
         return QuantParams(
@@ -66,8 +69,6 @@ class ReparamRecord:
 
     def to_json(self):
         return {
-            "r1": [float(v) for v in self.r1],
-            "r2": [int(v) for v in self.r2],
             "target_scale": float(self.target_scale),
             "target_zero": int(self.target_zero),
             "source": self.source.to_json(),
@@ -78,10 +79,8 @@ class ReparamRecord:
         """Inverse of `to_json`; malformed input raises ValueError."""
         try:
             return cls(
-                r1=np.asarray(d["r1"], dtype=np.float64),
-                r2=np.asarray(d["r2"]),
                 target_scale=float(d["target_scale"]),
-                target_zero=int(d["target_zero"]),
+                target_zero=d["target_zero"],
                 source=QuantParams.from_json(d["source"]),
             )
         except (KeyError, OverflowError, TypeError) as e:
@@ -92,19 +91,15 @@ def build_reparam_record(channel_params):
     """Derive fold factors from channel-wise affine parameters.
 
     The layer-wise target is the channel mean: s~ = mean(s) and
-    z~ = round(mean(z)) (half to even). r1 = s / s~ exactly as computed,
-    r2 = z - z~ in exact integers.
+    z~ = round(mean(z)) (half to even). The record derives r1 = s / s~
+    exactly as computed and r2 = z - z~ in exact integers.
     """
     qp = channel_params
     if qp.scheme is not Scheme.UNIFORM or qp.granularity is not Granularity.PER_CHANNEL:
         raise ValueError("fold factors need channel-wise uniform parameters")
-    target_scale = float(np.mean(qp.scale))
-    target_zero = int(np.rint(np.mean(qp.zero_point)))
     return ReparamRecord(
-        r1=qp.scale / target_scale,
-        r2=qp.zero_point - target_zero,
-        target_scale=target_scale,
-        target_zero=target_zero,
+        target_scale=float(np.mean(qp.scale)),
+        target_zero=int(np.rint(np.mean(qp.zero_point))),
         source=qp,
     )
 
@@ -154,7 +149,6 @@ class SiteReparam:
     beta: np.ndarray
     weight: np.ndarray
     bias: np.ndarray
-    layer_params: QuantParams
     record: ReparamRecord
 
 
@@ -162,8 +156,8 @@ def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
     """Fold one normalization site end to end.
 
     Returns the adjusted affine parameters, the compensated consumer weights
-    (which need a fresh quantizer fit), the layer-wise quantizer parameters,
-    and the audit record.
+    (which need a fresh quantizer fit), and the audit record, whose
+    `target_params()` is the layer-wise quantizer.
     """
     record = build_reparam_record(channel_params)
     gamma_adj, beta_adj = apply_affine_adjustment(gamma, beta, record)
@@ -173,7 +167,6 @@ def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
         beta=beta_adj,
         weight=weight_adj,
         bias=bias_adj,
-        layer_params=record.target_params(),
         record=record,
     )
 

@@ -93,6 +93,18 @@ class TestChain:
         tensor_bytes = sum(int(b) for b in re.findall(r"  bytes=(\d+)$", out, re.M))
         assert int(total) == path.stat().st_size == 16 + int(manifest) + tensor_bytes
 
+    def test_reparam_reads_no_data(self, workspace, tmp_path, capsys):
+        """`reparam --data` is optional and never opened: the folded bytes are the same without it."""
+        absent = tmp_path / "absent.rvq"
+        for extra in ([], ["--data", str(absent)]):
+            out = tmp_path / "folded.rvq"
+            assert cli_main(["reparam", "--model", str(workspace["calibrated"]),
+                             "--out", str(out)] + extra) == 0
+            assert out.read_bytes() == workspace["folded"].read_bytes()
+            out.unlink()
+        assert not absent.exists()
+        capsys.readouterr()
+
     def test_gen_is_deterministic(self, workspace, tmp_path):
         again = tmp_path / "again"
         assert cli_main(["gen", "--out", str(again), "--seed", "5",
@@ -301,7 +313,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, stage, path, named", [
         ("eval", "quantized", ("sites",), "sites"),
-        ("eval", "quantized", ("reparam_records", "block0.ln2_out", "r1"), "r1"),
+        ("eval", "quantized", ("reparam_records", "block0.ln2_out", "target_zero"), "target_zero"),
         ("quantize", "folded", ("reparam_records",), "reparam_records"),
         ("eval", "quantized", ("weight_mse",), "weight_mse"),
         ("eval", "quantized", ("sites", "block0.gelu_out"), "sites.block0.gelu_out"),
@@ -321,18 +333,32 @@ class TestExitCodes:
         assert err.startswith("error:") and named in err
         assert not (tmp_path / "q.rvq").exists()
 
-    @pytest.mark.parametrize("path", [("sites",), ("ablation", "precalib_sites")])
+    @pytest.mark.parametrize("path", [("sites",), ("ablation", "ln_layer_wise")])
     def test_unknown_site_name_is_data_error(self, workspace, tmp_path, capsys, path):
         q_c = read_container(workspace["quantized"])
         meta = json.loads(json.dumps(q_c.meta))
         table = meta
         for key in path:
             table = table[key]
-        table["block9.attn_q"] = table["block0.attn_q"]
+        table["block9.attn_q"] = next(iter(table.values()))
         bad = tmp_path / "bad.rvq"
         write_container(ModelContainer(meta=meta, tensors=q_c.tensors), bad)
         assert cli_main(["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
                          "--data", str(workspace["eval_data"])]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "block9.attn_q" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_ln_site_off_its_fold_target_is_data_error(self, workspace, tmp_path, capsys):
+        """A LayerNorm site that is not its fold record's target fails eval before any forward."""
+        q_c = read_container(workspace["quantized"])
+        meta = json.loads(json.dumps(q_c.meta))
+        site = meta["sites"]["block0.ln1_out"]
+        site.update(scale=[3 * site["scale"][0]], zero_point=[0])
+        bad = tmp_path / "bad.rvq"
+        write_container(ModelContainer(meta=meta, tensors=q_c.tensors), bad)
+        assert cli_main(["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                         "--data", str(workspace["eval_data"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "block0.ln1_out" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""

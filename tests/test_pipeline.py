@@ -9,8 +9,10 @@ from scalefold.container import (ModelContainer, blocks_from_container,
                                  container_from_model, from_bytes, to_bytes)
 from scalefold.model import ACTIVATION_SITES, ModelConfig, WEIGHT_SITES, model_forward
 from scalefold.pipeline import (
+    LN_SITES,
     PipelineError,
     QuantizeConfig,
+    _fit_sites,
     calibrate_model,
     capture_activations,
     evaluate,
@@ -20,6 +22,7 @@ from scalefold.pipeline import (
     run_pipeline,
 )
 from scalefold.quantizers import Granularity, QuantParams, Scheme, fake_quantize
+from scalefold.reparam import ReparamRecord
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 
 CFG = ModelConfig()
@@ -136,17 +139,14 @@ class TestCalibrateStage:
     def test_ablation_snapshot(self, chain):
         calib_c = chain[3]
         abl = calib_c.meta["ablation"]
-        assert set(abl) == {"ln_layer_wise", "precalib_sites"}
+        # the naive LayerNorm fits only: the fold records keep the channel-wise
+        # sources, and the other activation sites carry through the fold
+        assert set(abl) == {"ln_layer_wise"}
         assert set(abl["ln_layer_wise"]) == {
             f"block{i}.{s}" for i in range(CFG.blocks) for s in ("ln1_out", "ln2_out")
         }
         naive = QuantParams.from_json(abl["ln_layer_wise"]["block0.ln1_out"])
         assert naive.granularity == Granularity.PER_LAYER
-        # the activation sites only: evaluate refits the weight sites
-        assert abl["precalib_sites"] == {
-            f"block{i}.{s}": calib_c.meta["sites"][f"block{i}.{s}"]
-            for i in range(CFG.blocks) for s in ACTIVATION_SITES
-        }
 
     def test_meta_records_inputs(self, chain):
         calib_c = chain[3]
@@ -190,8 +190,65 @@ class TestFoldStage:
         assert "softmax-base-change" in names
 
     def test_ablation_carried_forward(self, chain):
-        rep_c = chain[4]
-        assert "precalib_sites" in rep_c.meta["ablation"]
+        calib_c, rep_c = chain[3], chain[4]
+        assert rep_c.meta["ablation"] == calib_c.meta["ablation"]
+
+    def test_activation_sites_carry_through_the_fold(self, chain):
+        """The fold replaces each LayerNorm site by its target and keeps every other activation site."""
+        calib_c, rep_c = chain[3], chain[4]
+        for i in range(CFG.blocks):
+            for site in ACTIVATION_SITES:
+                key = f"block{i}.{site}"
+                if site in LN_SITES:
+                    rec = ReparamRecord.from_json(rep_c.meta["reparam_records"][key])
+                    assert rep_c.meta["sites"][key] == rec.target_params().to_json()
+                    assert rec.source.to_json() == calib_c.meta["sites"][key]
+                else:
+                    assert rep_c.meta["sites"][key] == calib_c.meta["sites"][key]
+
+    def test_fold_reads_no_data(self, chain, monkeypatch):
+        """No forward runs in the fold, and whatever is passed as `acts` is ignored."""
+        calib_c, rep_c = chain[3], chain[4]
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
+        monkeypatch.setattr("scalefold.pipeline.capture_activations", None)
+        assert to_bytes(reparameterize_model(calib_c)) == to_bytes(rep_c)
+        assert to_bytes(reparameterize_model(calib_c, np.zeros((1, 2, 3)))) == to_bytes(rep_c)
+
+
+# the benchmark's two model shapes and bit widths, with its calibration sample counts
+FOLD_SHAPES = {
+    "16x64-w4a4": (ModelConfig(), 4, 64),
+    "64x128-w8a8": (ModelConfig(patches=64, dim=128, heads=4, head_dim=32, mlp_dim=512), 8, 16),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("shape", sorted(FOLD_SHAPES))
+def test_carried_sites_match_a_refit_of_the_folded_model(shape, seed):
+    """The fold leaves the activations it carries sites for unchanged.
+
+    Capturing the folded float model over the calibration stack and
+    refitting gives each carried site's zero points exactly and its scales
+    to 1e-12 relative, so no recapture is needed after the fold.
+    """
+    cfg, bits, samples = FOLD_SHAPES[shape]
+    qcfg = QuantizeConfig(bits_w=bits, bits_a=bits)
+    spec = SynthSpec(seed=seed)
+    model_c = container_from_model(cfg, gen_model(cfg, spec))
+    calib = gen_activations(cfg, spec, samples)
+    rep_c = reparameterize_model(calibrate_model(model_c, calib, qcfg))
+    _, folded = blocks_from_container(rep_c)
+    refit = _fit_sites(folded, capture_activations(folded, cfg, calib), qcfg)
+    carried = [f"block{i}.{s}" for i in range(cfg.blocks)
+               for s in ACTIVATION_SITES if s not in LN_SITES]
+    for key in carried:
+        got = QuantParams.from_json(rep_c.meta["sites"][key])
+        want = refit[key]
+        assert (got.scheme, got.granularity, got.bits) == (want.scheme, want.granularity,
+                                                           want.bits), key
+        if want.zero_point is not None:
+            np.testing.assert_array_equal(got.zero_point, want.zero_point, err_msg=key)
+        np.testing.assert_allclose(got.scale, want.scale, rtol=1e-12, atol=0, err_msg=key)
 
 
 class TestQuantizeStage:
@@ -253,6 +310,19 @@ class TestDeterminism:
         model_c, calib, q_c = chain[0], chain[1], chain[5]
         assert to_bytes(run_pipeline(model_c, calib)) == to_bytes(q_c)
 
+    def test_run_pipeline_runs_one_float_forward(self, chain, monkeypatch):
+        """Calibration's capture is the only forward; the fold reads no data."""
+        model_c, calib = chain[0], chain[1]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("hooks"))
+            return model_forward(*args, **kwargs)
+
+        monkeypatch.setattr("scalefold.pipeline.model_forward", counting)
+        run_pipeline(model_c, calib)
+        assert calls == [None]
+
 
 @pytest.fixture(scope="module")
 def report(chain):
@@ -299,10 +369,13 @@ class TestEvaluate:
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
     def test_ablation_arms_refit_the_pre_fold_weight_sites(self, chain, monkeypatch):
-        """Both LayerNorm ablation arms quantize the float weights with the calibrated weight sites.
+        """Both LayerNorm ablation arms quantize the float model with calibration's sites.
 
-        The snapshot holds no weight site, so evaluate refits them from the
-        float model; the refit equals the calibrated container's own table.
+        The container holds no pre-fold weight site, so evaluate refits them
+        from the float model; the refit equals the calibrated table. The
+        channel-wise arm takes its LayerNorm sites from the fold records'
+        sources, the layer-wise arm from the naive fits, and both take every
+        other activation site from the carried site table.
         """
         model_c, held_out, calib_c, q_c = chain[0], chain[2], chain[3], chain[5]
         tables = []
@@ -314,22 +387,27 @@ class TestEvaluate:
 
         monkeypatch.setattr("scalefold.pipeline.model_forward", spy)
         evaluate(model_c, q_c, held_out)
-        assert len(tables) == 2
-        keys = [f"block{i}.{w}" for i in range(CFG.blocks) for w in WEIGHT_SITES]
-        for table in tables:
-            assert {k: table[k].to_json() for k in keys} == {
-                k: calib_c.meta["sites"][k] for k in keys}
+        layer_wise, channel_wise = tables
+        calibrated = calib_c.meta["sites"]
+        naive = calib_c.meta["ablation"]["ln_layer_wise"]
+        assert {k: v.to_json() for k, v in channel_wise.items()} == calibrated
+        assert {k: v.to_json() for k, v in layer_wise.items()} == {**calibrated, **naive}
 
-    def test_snapshot_holding_weight_sites_gives_the_same_report(self, chain, report):
-        """A q container whose snapshot still holds the weight sites evaluates byte-equal."""
-        model_c, held_out, calib_c, q_c = chain[0], chain[2], chain[3], chain[5]
-        abl = q_c.meta["ablation"]
-        full = {**calib_c.meta["sites"], **abl["precalib_sites"]}
-        assert len(full) == 12 * CFG.blocks
-        old = ModelContainer(meta={**q_c.meta, "ablation": {**abl, "precalib_sites": full}},
-                             tensors=q_c.tensors)
-        again = evaluate(model_c, old, held_out)
-        assert json.dumps(again.to_json()) == json.dumps(report.to_json())
+    @pytest.mark.parametrize("change", ["scale", "zero_point", "bits", "channel_wise"])
+    def test_ln_site_that_is_not_its_fold_target_is_named(self, chain, change, monkeypatch):
+        """The forward runs the site and the audit the record, so the two must agree."""
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
+        site = q_c.meta["sites"]["block0.ln1_out"]
+        site = {
+            "scale": {**site, "scale": [3 * site["scale"][0]], "zero_point": [0]},
+            "zero_point": {**site, "zero_point": [(site["zero_point"][0] + 1) % 16]},
+            "bits": {**site, "bits": 5},
+            "channel_wise": q_c.meta["reparam_records"]["block0.ln1_out"]["source"],
+        }[change]
+        meta = {**q_c.meta, "sites": {**q_c.meta["sites"], "block0.ln1_out": site}}
+        with pytest.raises(PipelineError, match="site block0.ln1_out is not the target"):
+            evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
     def test_report_round_trips_to_json(self, report):
         d = report.to_json()
@@ -338,7 +416,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("top, key", [
         ("reparam_records", None), ("reparam_records", "block1.ln2_out"),
-        ("ablation", "precalib_sites"), ("ablation", "ln_layer_wise"),
+        ("ablation", "ln_layer_wise"),
         ("weight_mse", "block1.w_2"), ("sites", "block0.gelu_out"), ("sites", "block1.attn_a"),
         ("quantize_config", None),
     ])
@@ -371,7 +449,7 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="quantize_config"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
-    @pytest.mark.parametrize("field", ["r1", "r2", "target_scale", "target_zero", "source"])
+    @pytest.mark.parametrize("field", ["target_scale", "target_zero", "source"])
     def test_malformed_fold_record_is_named(self, chain, field):
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
         records = {**q_c.meta["reparam_records"]}
@@ -386,7 +464,9 @@ class TestEvaluate:
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
         records = {**q_c.meta["reparam_records"]}
         rec = records["block0.ln2_out"]
-        records["block0.ln2_out"] = {**rec, "r1": rec["r1"][:-1], "r2": rec["r2"][:-1]}
+        source = rec["source"]
+        records["block0.ln2_out"] = {**rec, "source": {
+            **source, "scale": source["scale"][:-1], "zero_point": source["zero_point"][:-1]}}
         stripped = ModelContainer(meta={**q_c.meta, "reparam_records": records},
                                   tensors=q_c.tensors)
         with pytest.raises(PipelineError, match="block0.ln2_out has 63 channels"):
@@ -398,9 +478,7 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="lacks sites"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
-    @pytest.mark.parametrize("path", [
-        ("sites",), ("ablation", "precalib_sites"), ("ablation", "ln_layer_wise"),
-    ])
+    @pytest.mark.parametrize("path", [("sites",), ("ablation", "ln_layer_wise")])
     def test_unknown_site_name_is_named(self, chain, path):
         """A site table naming a site the model lacks fails before any forward runs."""
         model_c, held_out, q_c = chain[0], chain[2], chain[5]

@@ -102,10 +102,17 @@ class TestBuildRecord:
         assert back.target_zero == rec.target_zero
         np.testing.assert_array_equal(back.source.scale, rec.source.scale)
 
+    def test_json_holds_no_fold_factors(self):
+        """r1 and r2 are derived from the source and target, so the record stores neither."""
+        d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
+        assert set(d) == {"target_scale", "target_zero", "source"}
+
     @pytest.mark.parametrize("mutate", [
-        lambda d: d.pop("r1"), lambda d: d.pop("source"), lambda d: d.update(r2=None),
-        lambda d: d.update(target_scale=[1.0]), lambda d: d.update(r2=[0.5, 1, 2]),
-        lambda d: d.update(source=[]), lambda d: d.update(r1=[1.0]),
+        lambda d: d.pop("target_scale"), lambda d: d.pop("source"),
+        lambda d: d.update(target_zero=None), lambda d: d.update(target_scale=[1.0]),
+        lambda d: d.update(target_zero=6.5), lambda d: d.update(source=[]),
+        lambda d: d.update(source=QuantParams(Scheme.UNIFORM, 4, scale=np.array([2.0]),
+                                              zero_point=np.array([6])).to_json()),
     ])
     def test_malformed_json_is_value_error(self, mutate):
         d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
@@ -121,15 +128,13 @@ class TestBuildRecord:
 
 class TestAffineAdjustment:
     def test_worked_example(self):
-        rec = ReparamRecord(
-            r1=np.array([2.0, 1.0]), r2=np.array([3, -1]),
-            target_scale=1.0, target_zero=0,
-            source=channel_params([1.0, 2.0], [3, 0]),
-        )
+        # r1 = s / 1 = [2, 1], r2 = z - 1 = [3, -1], s * r2 = [6, -1]
+        rec = ReparamRecord(target_scale=1.0, target_zero=1,
+                            source=channel_params([2.0, 1.0], [4, 0]))
         gamma_adj, beta_adj = apply_affine_adjustment(
             np.array([2.0, 4.0]), np.array([1.0, 0.0]), rec)
         np.testing.assert_array_equal(gamma_adj, [1.0, 4.0])
-        np.testing.assert_array_equal(beta_adj, [2.0, -2.0])
+        np.testing.assert_array_equal(beta_adj, [3.5, -1.0])
 
     def test_identity_record(self):
         rec = build_reparam_record(channel_params([0.7, 0.7], [3, 3]))
@@ -151,16 +156,14 @@ class TestAffineAdjustment:
 
 class TestWeightCompensation:
     def test_worked_example(self):
-        rec = ReparamRecord(
-            r1=np.array([2.0, 0.5]), r2=np.array([1, -1]),
-            target_scale=1.0, target_zero=0,
-            source=channel_params([1.0, 2.0], [1, 0]),
-        )
+        # r1 = s / 1 = [2, 0.5], r2 = z - 1 = [1, -1]
+        rec = ReparamRecord(target_scale=1.0, target_zero=1,
+                            source=channel_params([2.0, 0.5], [2, 0]))
         w = np.array([[1.0], [1.0]])
         w_adj, b_adj = apply_weight_compensation(w, np.zeros(1), rec)
         np.testing.assert_array_equal(w_adj, [[2.0], [0.5]])
-        # b~ = 0 - (1*1*1 + 2*(-1)*1) = 1
-        np.testing.assert_array_equal(b_adj, [1.0])
+        # b~ = 0 - (2*1*1 + 0.5*(-1)*1) = -1.5
+        np.testing.assert_array_equal(b_adj, [-1.5])
 
     def test_identity_record(self):
         rec = build_reparam_record(channel_params([0.3] * 4, [7] * 4))
@@ -312,8 +315,9 @@ class TestSiteReparam:
         np.testing.assert_array_equal(site.beta, beta)
         np.testing.assert_array_equal(site.weight, w)
         np.testing.assert_array_equal(site.bias, b)
-        assert site.layer_params.scale[0] == 0.9
-        assert site.layer_params.zero_point[0] == 4
+        target = site.record.target_params()
+        assert target.scale[0] == 0.9
+        assert target.zero_point[0] == 4
 
     def test_composition_matches_parts(self):
         rng = np.random.default_rng(51)
@@ -333,8 +337,9 @@ class TestSiteReparam:
         site = reparameterize_layernorm_site(
             np.ones(3), np.zeros(3), np.ones((3, 2)), np.zeros(2),
             channel_params([1.0, 2.0, 3.0], [4, 6, 8]))
-        assert site.layer_params.granularity is Granularity.PER_LAYER
-        assert site.layer_params.scale.size == 1
+        target = site.record.target_params()
+        assert target.granularity is Granularity.PER_LAYER
+        assert target.scale.size == 1
 
 
 class TestBaseChangeScale:
@@ -359,20 +364,34 @@ class TestBaseChangeScale:
 
 
 class TestRecordValidation:
+    """r1 = s / s~ and r2 = z - z~ are derived, so the record checks what they rest on."""
+
     def test_r2_must_be_integer(self):
-        with pytest.raises(ValueError):
-            ReparamRecord(r1=np.array([1.0]), r2=np.array([0.5]),
-                          target_scale=1.0, target_zero=0,
+        rec = ReparamRecord(target_scale=1.0, target_zero=6.0,
+                            source=channel_params([1.0, 2.0], [4, 9]))
+        assert rec.r2.dtype == np.int64
+        np.testing.assert_array_equal(rec.r2, [-2, 3])
+        with pytest.raises(ValueError, match="target zero point must be an integer"):
+            ReparamRecord(target_scale=1.0, target_zero=0.5,
                           source=channel_params([1.0], [0]))
 
     def test_r1_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ReparamRecord(r1=np.array([-1.0]), r2=np.array([0]),
-                          target_scale=1.0, target_zero=0,
-                          source=channel_params([1.0], [0]))
+        for target_scale in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="target scale"):
+                ReparamRecord(target_scale=target_scale, target_zero=0,
+                              source=channel_params([1.0], [0]))
+
+    def test_source_must_be_channel_wise_uniform(self):
+        for source in (
+            QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]), zero_point=np.array([0])),
+            QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0])),
+        ):
+            with pytest.raises(ValueError, match="channel-wise uniform"):
+                ReparamRecord(target_scale=1.0, target_zero=0, source=source)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ReparamRecord(r1=np.array([1.0, 2.0]), r2=np.array([0]),
-                          target_scale=1.0, target_zero=0,
-                          source=channel_params([1.0, 2.0], [0, 0]))
+        """The width is the source's: scales and zero points of unequal length are rejected."""
+        d = build_reparam_record(channel_params([1.0, 2.0], [0, 1])).to_json()
+        d["source"]["zero_point"] = [0]
+        with pytest.raises(ValueError, match="zero_point length"):
+            ReparamRecord.from_json(d)
