@@ -478,7 +478,11 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="lacks sites"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
-    @pytest.mark.parametrize("path", [("sites",), ("ablation", "ln_layer_wise")])
+    # ids kept from when ablation.precalib_sites ran as path1
+    @pytest.mark.parametrize("path", [
+        pytest.param(("sites",), id="path0"),
+        pytest.param(("ablation", "ln_layer_wise"), id="path2"),
+    ])
     def test_unknown_site_name_is_named(self, chain, path):
         """A site table naming a site the model lacks fails before any forward runs."""
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
