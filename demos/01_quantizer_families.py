@@ -9,7 +9,7 @@ power-of-two levels, so its grid strictly contains the power-of-two grid.
 
 import numpy as np
 
-from scalefold.calibration import CalibConfig, calibrate_tensor
+from scalefold.calibration import calibrate_tensor
 from scalefold.model import ModelConfig
 from scalefold.pipeline import capture_activations
 from scalefold.quantizers import (Scheme, fake_quantize, log2_dequantize,
@@ -26,11 +26,9 @@ print(f"attention maps: {x.size} values, median {np.median(x):.2e}, "
 
 bits = 4
 fits = {
-    "uniform": calibrate_tensor(x, CalibConfig(bits=bits)),
-    "log2": calibrate_tensor(x, CalibConfig(bits=bits, scheme=Scheme.LOG2,
-                                            percentile=100.0)),
-    "log_sqrt2": calibrate_tensor(x, CalibConfig(bits=bits, scheme=Scheme.LOG_SQRT2,
-                                                 percentile=100.0)),
+    "uniform": calibrate_tensor(x, bits),
+    "log2": calibrate_tensor(x, bits, scheme=Scheme.LOG2),
+    "log_sqrt2": calibrate_tensor(x, bits, scheme=Scheme.LOG_SQRT2),
 }
 
 print(f"\nreconstruction MSE at {bits} bits:")

@@ -10,8 +10,8 @@ values included, so nothing is lost by switching granularity.
 
 import numpy as np
 
-from scalefold.calibration import CalibConfig, calibrate_tensor
-from scalefold.quantizers import Granularity, uniform_quantize
+from scalefold.calibration import calibrate_tensor
+from scalefold.quantizers import uniform_quantize
 from scalefold.reparam import reparameterize_layernorm_site
 
 rng = np.random.default_rng(7)
@@ -21,8 +21,8 @@ dim, cols, rows = 16, 24, 5000
 spread = np.geomspace(0.2, 8.0, dim)
 x = rng.normal(size=(rows, dim)) * spread + rng.normal(size=dim)
 
-chan = calibrate_tensor(
-    x, CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL), channel_axis=-1)
+# one scale per channel of the last axis
+chan = calibrate_tensor(x, 4, per_channel=True)
 print("channel scales span "
       f"{chan.scale.min():.3f} .. {chan.scale.max():.3f} "
       f"(ratio {chan.scale.max() / chan.scale.min():.1f}x)")

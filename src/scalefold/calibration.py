@@ -1,34 +1,18 @@
-"""Range calibration: percentile bounds and affine parameter fitting."""
+"""Range calibration: percentile bounds and affine parameter fitting.
+
+A per-channel fit gives one scale per channel of the sample's last axis.
+"""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizers import Granularity, QuantParams, Scheme
+from .quantizers import QuantParams, Scheme
 from .tensors import as_tensor
 
 # Scale fallback for constant tensors, where max == min and the affine fit
 # would otherwise divide by zero.
 DEGENERATE_SCALE = 1e-8
-
-
-@dataclass(frozen=True)
-class CalibConfig:
-    """How to fit one site: bit width, scheme, granularity, clip percentile."""
-
-    bits: int = 8
-    scheme: Scheme = Scheme.UNIFORM
-    granularity: Granularity = Granularity.PER_LAYER
-    percentile: float = 100.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "granularity", Granularity(self.granularity))
-        if not 2 <= int(self.bits) <= 8:
-            raise ValueError(f"bit width {self.bits} outside [2, 8]")
-        if not 50.0 < float(self.percentile) <= 100.0:
-            raise ValueError("percentile must lie in (50, 100]")
 
 
 def _extremes(x, axis=None):
@@ -137,44 +121,38 @@ def _log_scale(hi):
     return hi if hi > 0.0 else DEGENERATE_SCALE
 
 
-def calibrate_tensor(x, cfg, channel_axis=None):
+def calibrate_tensor(x, bits, percentile=100.0, scheme=Scheme.UNIFORM, per_channel=False):
     """Fit QuantParams for one site from sample data.
 
-    Uniform sites fit percentile bounds (per layer, or per slice along
-    channel_axis); log sites use the upper percentile bound as the scale,
-    since their grid covers (0, s]. Multi-batch calibration is concatenation:
-    pass the stacked capture. Bounds are np.percentile's: a per-layer fit
-    selects them from the sample's tails (see `percentile_bounds`), a
-    p = 100 fit takes min/max, and only a per-channel fit below 100 runs
-    np.percentile along its rows. A sample holding NaN or an infinity raises
-    ValueError, whatever the scheme.
+    Uniform sites fit percentile bounds over the whole sample or, with
+    per_channel, over each channel x[..., c] of its last axis; log sites are
+    per layer and use the upper bound as the scale, since their grid covers
+    (0, s]. Multi-batch calibration is concatenation: pass the stacked
+    capture. Bounds are np.percentile's: a per-layer fit selects them from
+    the sample's tails (see `percentile_bounds`), a p = 100 fit takes
+    min/max, and only a per-channel fit below 100 runs np.percentile. A bad
+    bit width or percentile, or NaN or an infinity in x, raises ValueError.
     """
     x = as_tensor(x)
     if x.size == 0:
         raise ValueError("cannot calibrate an empty sample")
-    p = float(cfg.percentile)
-
-    if cfg.scheme is Scheme.UNIFORM:
-        if cfg.granularity is Granularity.PER_LAYER:
-            (lows, highs), channel_axis = percentile_bounds(x, p), None
-        elif channel_axis is None:
-            raise ValueError("per-channel calibration needs a channel_axis")
-        else:
-            axis = channel_axis % x.ndim
-            rows = np.moveaxis(x, axis, 0).reshape(x.shape[axis], -1)
-            lows, highs = _extremes(rows, axis=1)
-            if p < 100.0:
-                lows, highs = np.percentile(rows, [100.0 - p, p], axis=1)
-        s, z = compute_affine_params(lows, highs, cfg.bits)
-        # keep the caller's axis convention (e.g. -1 survives a change of ndim
-        # between the stacked calibration capture and single-sample tensors)
-        return QuantParams(Scheme.UNIFORM, cfg.bits, scale=s, zero_point=z,
-                           granularity=cfg.granularity, channel_axis=channel_axis)
-
-    # log schemes: layer-wise scale from the upper bound
-    if cfg.granularity is not Granularity.PER_LAYER:
-        raise ValueError("log schemes are calibrated per layer")
-    _, hi = percentile_bounds(x, p)
-    if np.any(x < 0):
-        raise ValueError("log schemes require nonnegative calibration data")
-    return QuantParams(cfg.scheme, cfg.bits, scale=np.array([_log_scale(hi)]))
+    p = float(percentile)
+    if not 50.0 < p <= 100.0:
+        raise ValueError("percentile must lie in (50, 100]")
+    if Scheme(scheme) is not Scheme.UNIFORM:
+        # log schemes: layer-wise scale from the upper bound
+        if per_channel:
+            raise ValueError("log schemes are calibrated per layer")
+        _, hi = percentile_bounds(x, p)
+        if np.any(x < 0):
+            raise ValueError("log schemes require nonnegative calibration data")
+        return QuantParams(scheme, bits, scale=np.array([_log_scale(hi)]))
+    if per_channel:
+        x = x.reshape(-1, x.shape[-1])
+        lows, highs = _extremes(x, axis=0)
+        if p < 100.0:
+            lows, highs = np.percentile(x, [100.0 - p, p], axis=0)
+    else:
+        lows, highs = percentile_bounds(x, p)
+    s, z = compute_affine_params(lows, highs, bits)
+    return QuantParams(Scheme.UNIFORM, bits, scale=s, zero_point=z)

@@ -15,6 +15,7 @@ from .container import (activations_from_container, container_from_activations,
 from .model import ModelConfig
 from .pipeline import (PipelineError, QuantizeConfig, calibrate_model,
                        evaluate, quantize_model, reparameterize_model)
+from .quantizers import QuantParams
 from .synth import SynthSpec, gen_activations, gen_model
 
 
@@ -181,9 +182,9 @@ def _cmd_inspect(args):
     if sites:
         print(f"sites ({len(sites)}):")
         for name in sorted(sites):
-            d = sites[name]
-            gran = d.get("granularity")
-            print(f"  {name}  {d['scheme']}  b={d['bits']}  {gran}")
+            qp = QuantParams.from_json(sites[name])
+            gran = "per_channel" if qp.scale.size > 1 else "per_layer"
+            print(f"  {name}  {qp.scheme.value}  b={qp.bits}  {gran}")
     records = c.meta.get("reparam_records", {})
     if records:
         print(f"fold records: {', '.join(sorted(records))}")

@@ -127,7 +127,7 @@ class CodeBlock:
         return self.centred.ndim
 
     def dequantize(self):
-        return param_view(self.params.scale, self.centred, self.params) * self.centred
+        return param_view(self.params.scale, self.centred) * self.centred
 
 
 @dataclass
@@ -251,8 +251,7 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
     """
     if isinstance(w, CodeBlock):
         qw = w.params
-    w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (
-        qw.scale.size == 1 or rhs is _same and qw.channel_axis % w.ndim == w.ndim - 1)
+    w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (qw.scale.size == 1 or rhs is _same)
     x_scheme = None if qx is None else qx.scheme
     if w_int and x_scheme is Scheme.UNIFORM and qx.scale.size == 1:
         xc, wc = lhs(uniform_centred(x, qx)), rhs(_centred(w, qw))

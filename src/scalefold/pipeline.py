@@ -23,10 +23,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import CalibConfig, calibrate_tensor
+from .calibration import calibrate_tensor
 from .container import blocks_from_container, container_from_model
 from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, model_forward
-from .quantizers import (Granularity, QuantParams, Scheme, fake_quantize,
+from .quantizers import (QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
                          logsqrt2_dequantize_shift, logsqrt2_quantize,
                          uniform_dequantize, uniform_quantize)
@@ -81,9 +81,7 @@ def capture_activations(blocks, cfg, acts):
 
 def _fit_weights(blocks, qcfg):
     """Fit every block's weight sites by channel-wise min/max over their output columns."""
-    w_chan = CalibConfig(bits=qcfg.bits_w, granularity=Granularity.PER_CHANNEL,
-                         percentile=100.0)
-    return {f"block{i}.{site}": calibrate_tensor(getattr(bw, site), w_chan, channel_axis=1)
+    return {f"block{i}.{site}": calibrate_tensor(getattr(bw, site), qcfg.bits_w, per_channel=True)
             for i, bw in enumerate(blocks) for site in WEIGHT_SITES}
 
 
@@ -92,16 +90,13 @@ def _fit_sites(blocks, caps, qcfg):
 
     Activation sites fit from the captured stacks, weights with `_fit_weights`.
     """
-    a_layer = CalibConfig(bits=qcfg.bits_a, percentile=qcfg.percentile)
-    a_log = CalibConfig(bits=qcfg.bits_a, scheme=Scheme.LOG_SQRT2, percentile=100.0)
+    bits, p = qcfg.bits_a, qcfg.percentile
     sites = {}
     for i in range(len(blocks)):
         pre = f"block{i}."
-        sites[pre + "attn_a"] = calibrate_tensor(caps[pre + "attn_a"], a_log)
-        for site in PLAIN_SITES:
-            sites[pre + site] = calibrate_tensor(caps[pre + site], a_layer)
-    sites.update(_fit_weights(blocks, qcfg))
-    return sites
+        sites[pre + "attn_a"] = calibrate_tensor(caps[pre + "attn_a"], bits, scheme=Scheme.LOG_SQRT2)
+        sites.update({pre + s: calibrate_tensor(caps[pre + s], bits, p) for s in PLAIN_SITES})
+    return {**sites, **_fit_weights(blocks, qcfg)}
 
 
 def _sites_to_json(sites):
@@ -160,17 +155,11 @@ def calibrate_model(model_c, acts, qcfg=None):
     acts = _check_acts(cfg, acts)
     caps = capture_activations(blocks, cfg, acts)
 
-    a_chan = CalibConfig(bits=qcfg.bits_a, granularity=Granularity.PER_CHANNEL,
-                         percentile=qcfg.percentile)
-    a_layer = CalibConfig(bits=qcfg.bits_a, percentile=qcfg.percentile)
-    sites, naive = {}, {}
-    for i in range(cfg.blocks):
-        for site in LN_SITES:
-            key = f"block{i}.{site}"
-            # captured stacks are (n, patches, dim): channels on the last axis
-            sites[key] = calibrate_tensor(caps[key], a_chan, channel_axis=-1)
-            naive[key] = calibrate_tensor(caps[key], a_layer)
-    sites.update(_fit_sites(blocks, caps, qcfg))
+    bits, p = qcfg.bits_a, qcfg.percentile
+    ln_keys = _site_keys(cfg, LN_SITES)
+    sites = _fit_sites(blocks, caps, qcfg)
+    sites.update({key: calibrate_tensor(caps[key], bits, p, per_channel=True) for key in ln_keys})
+    naive = {key: calibrate_tensor(caps[key], bits, p) for key in ln_keys}
 
     out = container_from_model(cfg, blocks, stage="calibrated")
     out.meta["quantize_config"] = qcfg.to_json()

@@ -6,6 +6,10 @@ odd codes. That form needs only a parity bit and a power-of-two multiply, so
 it runs on the same integer shift path as plain log2 dequantization; the
 ``*_dequantize_shift`` variants simulate that path with exact fixed-point
 integers and must match the float path bit for bit.
+
+A quantizer's scale vector says its kind: one scale is layer-wise, more are
+channel-wise, and the channels are always the tensor's last axis, where
+LayerNorm stacks (n, patches, dim) and weights (in, out) keep them.
 """
 
 import enum
@@ -24,11 +28,6 @@ class Scheme(str, enum.Enum):
     LOG_SQRT2 = "log_sqrt2"
 
 
-class Granularity(str, enum.Enum):
-    PER_LAYER = "per_layer"
-    PER_CHANNEL = "per_channel"
-
-
 def _qmax(bits):
     return (1 << bits) - 1
 
@@ -38,21 +37,18 @@ class QuantParams:
     """Frozen parameters of one quantizer site.
 
     scale is a 1-element vector for per-layer sites and one entry per channel
-    for per-channel sites. zero_point is present only for the uniform scheme
-    and lies in [0, 2**bits - 1]. Log schemes are per-layer here: their sites
-    (post-Softmax tensors) are quantized with a single scale.
+    of the last axis for per-channel sites. zero_point is present only for
+    the uniform scheme and lies in [0, 2**bits - 1]. Log schemes are per-layer
+    here: their sites (post-Softmax tensors) are quantized with a single scale.
     """
 
     scheme: Scheme
     bits: int
     scale: np.ndarray
     zero_point: np.ndarray | None = None
-    granularity: Granularity = Granularity.PER_LAYER
-    channel_axis: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "granularity", Granularity(self.granularity))
         if not 2 <= int(self.bits) <= 8:
             raise ValueError(f"bit width {self.bits} outside [2, 8]")
         scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
@@ -78,11 +74,6 @@ class QuantParams:
                 raise ValueError("log schemes carry no zero point")
             if scale.size != 1:
                 raise ValueError("log schemes are per-layer: scale must have one entry")
-        if self.granularity is Granularity.PER_CHANNEL:
-            if self.channel_axis is None:
-                raise ValueError("per-channel params need a channel_axis")
-        elif scale.size != 1:
-            raise ValueError("per-layer params must have a single scale entry")
 
     @property
     def qmax(self):
@@ -94,39 +85,43 @@ class QuantParams:
             "bits": int(self.bits),
             "scale": [float(v) for v in self.scale],
             "zero_point": None if self.zero_point is None else [int(v) for v in self.zero_point],
-            "granularity": self.granularity.value,
-            "channel_axis": None if self.channel_axis is None else int(self.channel_axis),
         }
 
     @classmethod
     def from_json(cls, d):
-        """Inverse of `to_json`; malformed input raises ValueError."""
+        """Inverse of `to_json`; malformed input raises ValueError.
+
+        Nothing is rounded or parsed: each value must have the JSON type
+        `to_json` writes. Unknown keys are ignored, such as the `granularity`
+        and `channel_axis` of older containers.
+        """
         try:
-            zp, axis = d.get("zero_point"), d.get("channel_axis")
+            bits, scale, zp = d["bits"], d["scale"], d.get("zero_point")
+            if not (_json_list([bits], int) and _json_list(scale, (int, float))
+                    and (zp is None or _json_list(zp, int))):
+                raise TypeError("bits must be an integer, scale a list of numbers and "
+                                "zero_point null or a list of integers")
             return cls(
                 scheme=Scheme(d["scheme"]),
-                bits=int(d["bits"]),
-                scale=np.asarray(d["scale"], dtype=np.float64),
+                bits=bits,
+                scale=np.asarray(scale, dtype=np.float64),
                 zero_point=None if zp is None else np.asarray(zp, dtype=np.int64),
-                granularity=Granularity(d.get("granularity", "per_layer")),
-                channel_axis=None if axis is None else int(axis),
             )
         except (AttributeError, KeyError, OverflowError, TypeError) as e:
             raise ValueError(f"malformed quantizer params: {type(e).__name__}: {e}") from None
 
 
-def param_view(vec, x, qp):
-    """`vec` (a scale or zero-point vector) shaped to broadcast along x's channel axis."""
-    if qp.granularity is Granularity.PER_LAYER:
+def _json_list(v, kinds):
+    return isinstance(v, list) and all(isinstance(e, kinds) and not isinstance(e, bool) for e in v)
+
+
+def param_view(vec, x):
+    """`vec` (scales or zero points) against x: one entry is a scalar, more are x's last axis."""
+    if vec.size == 1:
         return vec[0]
-    axis = qp.channel_axis % x.ndim
-    if x.shape[axis] != vec.size:
-        raise ValueError(
-            f"axis {axis} has {x.shape[axis]} channels but params carry {vec.size}"
-        )
-    shape = [1] * x.ndim
-    shape[axis] = vec.size
-    return vec.reshape(shape)
+    if x.shape[-1] != vec.size:
+        raise ValueError(f"last axis has {x.shape[-1]} channels but params carry {vec.size}")
+    return vec
 
 
 def _check_codes(codes, bits):
@@ -145,8 +140,8 @@ def uniform_centred(x, qp):
     if qp.scheme is not Scheme.UNIFORM:
         raise ValueError(f"uniform quantizer got {qp.scheme.value} params")
     x = as_tensor(x)
-    s = param_view(qp.scale, x, qp)
-    z = param_view(qp.zero_point, x, qp)
+    s = param_view(qp.scale, x)
+    z = param_view(qp.zero_point, x)
     out = np.divide(x, s, out=np.empty(x.shape))
     np.rint(out, out=out)
     np.maximum(out, -z, out=out)
@@ -159,7 +154,7 @@ def uniform_quantize(x, qp):
     Rounding is round-half-to-even. Returns int32 codes of x's shape.
     """
     codes = uniform_centred(x, qp)
-    codes += param_view(qp.zero_point, codes, qp)
+    codes += param_view(qp.zero_point, codes)
     return codes.astype(np.int32)
 
 
@@ -173,14 +168,14 @@ def centre_codes(codes, qp):
         raise ValueError(f"uniform codes got {qp.scheme.value} params")
     codes = _check_codes(codes, qp.bits)
     centred = codes.astype(np.float64)
-    centred -= param_view(qp.zero_point, codes, qp)
+    centred -= param_view(qp.zero_point, codes)
     return centred
 
 
 def uniform_dequantize(codes, qp):
     """Reconstruct s * (code - z) for codes produced by `uniform_quantize`."""
     centred = centre_codes(codes, qp)
-    return param_view(qp.scale, centred, qp) * centred
+    return param_view(qp.scale, centred) * centred
 
 
 def _log_ratio(x, s, bits, label):

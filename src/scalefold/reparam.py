@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizers import Granularity, QuantParams, Scheme
+from .quantizers import QuantParams, Scheme
 from .tensors import as_tensor
 
 
@@ -39,9 +39,8 @@ class ReparamRecord:
     source: QuantParams
 
     def __post_init__(self):
-        src = self.source
-        if src.scheme is not Scheme.UNIFORM or src.granularity is not Granularity.PER_CHANNEL:
-            raise ValueError("fold source must be channel-wise uniform")
+        if self.source.scheme is not Scheme.UNIFORM:
+            raise ValueError("fold source must be uniform")
         if not (self.target_scale > 0 and np.isfinite(self.target_scale)):
             raise ValueError("target scale must be positive and finite")
         if self.target_zero != int(self.target_zero):
@@ -87,16 +86,15 @@ class ReparamRecord:
             raise ValueError(f"malformed fold record: {type(e).__name__}: {e}") from None
 
 
-def build_reparam_record(channel_params):
-    """Derive fold factors from channel-wise affine parameters.
+def build_reparam_record(qp):
+    """Derive fold factors from channel-wise affine parameters `qp`.
 
     The layer-wise target is the channel mean: s~ = mean(s) and
     z~ = round(mean(z)) (half to even). The record derives r1 = s / s~
     exactly as computed and r2 = z - z~ in exact integers.
     """
-    qp = channel_params
-    if qp.scheme is not Scheme.UNIFORM or qp.granularity is not Granularity.PER_CHANNEL:
-        raise ValueError("fold factors need channel-wise uniform parameters")
+    if qp.scheme is not Scheme.UNIFORM:
+        raise ValueError("fold factors need uniform parameters")
     return ReparamRecord(
         target_scale=float(np.mean(qp.scale)),
         target_zero=int(np.rint(np.mean(qp.zero_point))),

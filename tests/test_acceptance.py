@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from scalefold.calibration import CalibConfig, calibrate_tensor, percentile_bounds
+from scalefold.calibration import calibrate_tensor, percentile_bounds
 from scalefold.cli import cli_main
 from scalefold.container import (container_from_model, read_container,
                                  to_bytes, write_container)
@@ -21,7 +21,7 @@ from scalefold.model import ModelConfig, block_forward
 from scalefold.pipeline import (calibrate_model, capture_activations,
                                 evaluate, quantize_model,
                                 reparameterize_model, run_pipeline)
-from scalefold.quantizers import (Granularity, QuantParams, Scheme,
+from scalefold.quantizers import (QuantParams, Scheme,
                                   fake_quantize, log2_dequantize,
                                   log2_dequantize_shift, logsqrt2_dequantize,
                                   logsqrt2_dequantize_shift, uniform_quantize)
@@ -35,10 +35,9 @@ mp.mp.dps = 60
 def channel_params(rng, channels, bits=4):
     qmax = 2 ** bits - 1
     return QuantParams(
-        scheme=Scheme.UNIFORM, bits=bits, granularity=Granularity.PER_CHANNEL,
+        scheme=Scheme.UNIFORM, bits=bits,
         scale=np.exp(rng.uniform(np.log(0.05), np.log(4.0), size=channels)),
         zero_point=rng.integers(0, qmax + 1, size=channels),
-        channel_axis=-1,
     )
 
 
@@ -114,13 +113,12 @@ def test_criterion_3_block_fold_invariance():
         block_forward(x, w, cfg, capture=cap)
         for site in pools:
             pools[site].append(cap[site])
-    chan = CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=99.99)
     fold1 = reparameterize_layernorm_site(
         w.gamma1, w.beta1, w.w_qkv, w.b_qkv,
-        calibrate_tensor(np.stack(pools["ln1_out"]), chan, channel_axis=-1))
+        calibrate_tensor(np.stack(pools["ln1_out"]), 4, 99.99, per_channel=True))
     fold2 = reparameterize_layernorm_site(
         w.gamma2, w.beta2, w.w_1, w.b_1,
-        calibrate_tensor(np.stack(pools["ln2_out"]), chan, channel_axis=-1))
+        calibrate_tensor(np.stack(pools["ln2_out"]), 4, 99.99, per_channel=True))
     w_folded = dataclasses.replace(
         w, gamma1=fold1.gamma, beta1=fold1.beta, w_qkv=fold1.weight, b_qkv=fold1.bias,
         gamma2=fold2.gamma, beta2=fold2.beta, w_1=fold2.weight, b_1=fold2.bias)
@@ -195,7 +193,6 @@ def test_criterion_7_quantizer_unit_properties():
         qmax = 2 ** bits - 1
         for s, z in ((0.37, 3), (1.0, 0), (5.5, qmax)):
             grid_qp = QuantParams(scheme=Scheme.UNIFORM, bits=bits,
-                                  granularity=Granularity.PER_LAYER,
                                   scale=np.array([s]), zero_point=np.array([z]))
             grid = s * (np.arange(qmax + 1) - z)
             np.testing.assert_array_equal(fake_quantize(grid, grid_qp), grid)
@@ -205,7 +202,7 @@ def test_criterion_7_quantizer_unit_properties():
     for (lo_a, hi_a), (lo_b, hi_b) in zip(bounds, bounds[1:]):
         assert lo_b <= lo_a and hi_a <= hi_b
 
-    flat = calibrate_tensor(np.full(256, 3.0), CalibConfig(bits=4))
+    flat = calibrate_tensor(np.full(256, 3.0), 4)
     assert np.all(np.isfinite(flat.scale)) and np.all(flat.scale > 0)
     assert np.all(np.isfinite(fake_quantize(np.full(256, 3.0), flat)))
 

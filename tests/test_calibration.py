@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from scalefold.calibration import (
     DEGENERATE_SCALE,
-    CalibConfig,
     calibrate_tensor,
     compute_affine_params,
     percentile_bounds,
 )
-from scalefold.quantizers import (Granularity, QuantParams, Scheme,
+from scalefold.quantizers import (QuantParams, Scheme,
                                   uniform_dequantize, uniform_quantize)
 
 
@@ -179,91 +178,80 @@ class TestCalibrateTensor:
     def test_per_channel_worked_example(self):
         """Channel ranges [0,15] and [0,30] at b=4 give s=[1,2], z=[0,0]."""
         x = np.stack([np.linspace(0.0, 15.0, 31), np.linspace(0.0, 30.0, 31)], axis=1)
-        cfg = CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=100.0)
-        qp = calibrate_tensor(x, cfg, channel_axis=1)
+        qp = calibrate_tensor(x, 4, per_channel=True)
         np.testing.assert_array_equal(qp.scale, [1.0, 2.0])
         np.testing.assert_array_equal(qp.zero_point, [0, 0])
 
     def test_per_layer_takes_global_range(self):
         x = np.stack([np.linspace(0.0, 15.0, 31), np.linspace(0.0, 30.0, 31)], axis=1)
-        qp = calibrate_tensor(x, CalibConfig(bits=4, percentile=100.0), channel_axis=1)
+        qp = calibrate_tensor(x, 4)
         np.testing.assert_array_equal(qp.scale, [2.0])
         np.testing.assert_array_equal(qp.zero_point, [0])
-        assert qp.channel_axis is None
 
     def test_per_layer_scale_bounds_per_channel_scales(self):
         rng = np.random.default_rng(20)
         x = rng.normal(size=(64, 8)) * rng.uniform(0.1, 4.0, size=8)
-        cfg_c = CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=100.0)
-        cfg_l = CalibConfig(bits=4, percentile=100.0)
-        qc = calibrate_tensor(x, cfg_c, channel_axis=1)
-        ql = calibrate_tensor(x, cfg_l)
+        qc = calibrate_tensor(x, 4, per_channel=True)
+        ql = calibrate_tensor(x, 4)
         assert ql.scale[0] >= qc.scale.max()
 
     def test_per_channel_equals_per_layer_fit_of_each_channel(self):
         rng = np.random.default_rng(22)
         x = rng.normal(size=(5, 7, 6)) * rng.uniform(0.1, 4.0, size=6)
         x[..., 2] = 1.5  # a constant channel takes the degenerate scale
-        chan = calibrate_tensor(x, CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL,
-                                               percentile=99.0), channel_axis=-1)
+        chan = calibrate_tensor(x, 4, 99.0, per_channel=True)
         for c in range(x.shape[-1]):
-            layer = calibrate_tensor(x[..., c], CalibConfig(bits=4, percentile=99.0))
+            layer = calibrate_tensor(x[..., c], 4, 99.0)
             assert chan.scale[c] == layer.scale[0]
             assert chan.zero_point[c] == layer.zero_point[0]
 
-    def test_channel_axis_is_preserved_verbatim(self):
-        """A negative axis must survive so params fit tensors of other ranks.
+    def test_channel_wise_params_fit_tensors_of_any_rank(self):
+        """The channels are the last axis, so params fitted on a stack fit each sample.
 
         Calibration sees stacked captures of shape (batch, rows, channels)
         while inference applies the same params to single (rows, channels)
-        tensors; storing a normalized positive axis would break that.
+        tensors, and both quantize each channel with its own scale.
         """
         rng = np.random.default_rng(21)
-        stacked = rng.normal(size=(10, 6, 4))
-        cfg = CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=100.0)
-        qp = calibrate_tensor(stacked, cfg, channel_axis=-1)
-        assert qp.channel_axis == -1
-        codes = uniform_quantize(stacked[0], qp)  # 2-D input, same params
-        assert codes.shape == (6, 4)
-
-    def test_missing_channel_axis_rejected(self):
-        cfg = CalibConfig(granularity=Granularity.PER_CHANNEL)
-        with pytest.raises(ValueError):
-            calibrate_tensor(np.ones((3, 3)), cfg)
+        stacked = rng.normal(size=(10, 6, 4)) * [0.1, 1.0, 5.0, 20.0]
+        qp = calibrate_tensor(stacked, 4, per_channel=True)
+        assert qp.scale.shape == (4,)
+        codes = uniform_quantize(stacked, qp)
+        np.testing.assert_array_equal(uniform_quantize(stacked[0], qp), codes[0])
+        for c in range(4):
+            one = QuantParams(Scheme.UNIFORM, 4, scale=qp.scale[c:c + 1],
+                              zero_point=qp.zero_point[c:c + 1])
+            np.testing.assert_array_equal(uniform_quantize(stacked[..., c], one), codes[..., c])
 
     def test_percentile_tightens_bounds(self):
         rng = np.random.default_rng(22)
         x = rng.normal(size=20_000)
         x[:5] = 500.0  # outliers
-        full = calibrate_tensor(x, CalibConfig(bits=8, percentile=100.0))
-        clipped = calibrate_tensor(x, CalibConfig(bits=8, percentile=99.9))
+        full = calibrate_tensor(x, 8)
+        clipped = calibrate_tensor(x, 8, 99.9)
         assert clipped.scale[0] < full.scale[0]
 
     def test_log_scale_is_upper_bound(self):
         x = np.array([0.001, 0.2, 0.8])
         for scheme in (Scheme.LOG2, Scheme.LOG_SQRT2):
-            qp = calibrate_tensor(x, CalibConfig(bits=4, scheme=scheme, percentile=100.0))
+            qp = calibrate_tensor(x, 4, scheme=scheme)
             assert qp.scale[0] == 0.8
             assert qp.zero_point is None
 
     def test_log_negative_data_rejected(self):
-        cfg = CalibConfig(bits=4, scheme=Scheme.LOG2, percentile=100.0)
         with pytest.raises(ValueError):
-            calibrate_tensor(np.array([-0.5, 0.5]), cfg)
+            calibrate_tensor(np.array([-0.5, 0.5]), 4, scheme=Scheme.LOG2)
 
     def test_log_all_zero_degenerate(self):
-        cfg = CalibConfig(bits=4, scheme=Scheme.LOG2, percentile=100.0)
-        qp = calibrate_tensor(np.zeros(16), cfg)
+        qp = calibrate_tensor(np.zeros(16), 4, scheme=Scheme.LOG2)
         assert qp.scale[0] == DEGENERATE_SCALE
 
     def test_log_per_channel_rejected(self):
-        cfg = CalibConfig(bits=4, scheme=Scheme.LOG2,
-                          granularity=Granularity.PER_CHANNEL)
-        with pytest.raises(ValueError):
-            calibrate_tensor(np.ones((3, 3)), cfg, channel_axis=1)
+        with pytest.raises(ValueError, match="per layer"):
+            calibrate_tensor(np.ones((3, 3)), 4, scheme=Scheme.LOG2, per_channel=True)
 
     def test_constant_tensor_does_not_divide_by_zero(self):
-        qp = calibrate_tensor(np.full((8, 8), 3.0), CalibConfig(bits=4))
+        qp = calibrate_tensor(np.full((8, 8), 3.0), 4)
         assert np.isfinite(qp.scale[0]) and qp.scale[0] > 0
 
     @settings(deadline=None, max_examples=200)
@@ -272,11 +260,11 @@ class TestCalibrateTensor:
         """Uniform and log fits equal the fits on np.percentile's bounds, bit for bit."""
         lo, hi = np.percentile(x, [100.0 - p, p])
         s, z = compute_affine_params(lo, hi, bits)
-        qp = calibrate_tensor(x, CalibConfig(bits=bits, percentile=p))
+        qp = calibrate_tensor(x, bits, p)
         assert qp.scale.tobytes() == np.float64(s).tobytes()
         assert qp.zero_point.tolist() == [z]
         mag = np.abs(x)
-        qp = calibrate_tensor(mag, CalibConfig(bits=bits, scheme=Scheme.LOG_SQRT2, percentile=p))
+        qp = calibrate_tensor(mag, bits, p, scheme=Scheme.LOG_SQRT2)
         hi = np.percentile(mag, p)
         assert qp.scale[0] == (hi if hi > 0.0 else DEGENERATE_SCALE)
 
@@ -289,23 +277,20 @@ class TestCalibrateTensor:
         w[:, 5] = rng.choice([-0.0, 0.0], size=64)    # signed zeros only
         w[:, 9] = np.abs(w[:, 9])                     # nonnegative column
         w[0, 11] = 0.0
-        qp = calibrate_tensor(w, CalibConfig(bits=bits, granularity=Granularity.PER_CHANNEL,
-                                             percentile=100.0), channel_axis=1)
+        qp = calibrate_tensor(w, bits, per_channel=True)
         lows, highs = np.percentile(w.T, [0.0, 100.0], axis=1)
         s, z = compute_affine_params(lows, highs, bits)
         assert qp.scale.tobytes() == s.tobytes()
         np.testing.assert_array_equal(qp.zero_point, z)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("cfg, axis", [
-        (CalibConfig(bits=4, percentile=99.0), None),
-        (CalibConfig(bits=4, percentile=100.0), None),
-        (CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=99.0), -1),
-        (CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=100.0), -1),
-        (CalibConfig(bits=4, scheme=Scheme.LOG2, percentile=100.0), None),
-        (CalibConfig(bits=4, scheme=Scheme.LOG_SQRT2, percentile=99.0), None),
-    ])
-    def test_non_finite_sample_rejected(self, cfg, axis, bad):
+    # each id names the fit's arguments and its channel axis (None: one scale)
+    @pytest.mark.parametrize("cfg", [
+        dict(percentile=99.0), dict(percentile=100.0),
+        dict(percentile=99.0, per_channel=True), dict(percentile=100.0, per_channel=True),
+        dict(scheme=Scheme.LOG2), dict(scheme=Scheme.LOG_SQRT2, percentile=99.0),
+    ], ids=["cfg0-None", "cfg1-None", "cfg2--1", "cfg3--1", "cfg4-None", "cfg5-None"])
+    def test_non_finite_sample_rejected(self, cfg, bad):
         """NaN or an infinity raises for every scheme, even one lying beyond the percentile.
 
         A NaN used to fit a log site the degenerate scale, and an infinity
@@ -314,23 +299,20 @@ class TestCalibrateTensor:
         x = np.abs(np.random.default_rng(25).normal(size=(200, 8)))
         x[3, 5] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            calibrate_tensor(x, cfg, channel_axis=axis)
+            calibrate_tensor(x, 4, **cfg)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=(32, 16))
-        cfg = CalibConfig(bits=6, percentile=99.5)
-        a = calibrate_tensor(x, cfg)
-        b = calibrate_tensor(x.copy(), cfg)
+        a = calibrate_tensor(x, 6, 99.5)
+        b = calibrate_tensor(x.copy(), 6, 99.5)
         np.testing.assert_array_equal(a.scale, b.scale)
         np.testing.assert_array_equal(a.zero_point, b.zero_point)
 
-
-class TestCalibConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CalibConfig(bits=1)
-        with pytest.raises(ValueError):
-            CalibConfig(percentile=50.0)
-        with pytest.raises(ValueError):
-            CalibConfig(percentile=101.0)
+    def test_bits_and_percentile_validation(self):
+        x = np.random.default_rng(26).normal(size=(64, 4))
+        for per_channel in (False, True):
+            for kw in (dict(bits=1), dict(bits=9), dict(bits=4, percentile=50.0),
+                       dict(bits=4, percentile=101.0)):
+                with pytest.raises(ValueError):
+                    calibrate_tensor(x, per_channel=per_channel, **kw)

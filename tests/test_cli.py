@@ -89,6 +89,10 @@ class TestChain:
         assert "block0.b_qkv  shape=[192]  dtype=f32  bytes=768" in out
         assert "fold records:" in out
         assert "emit-codes" in out
+        # the label follows the scale count: one per output column, or one
+        assert "  block0.w_qkv  uniform  b=4  per_channel\n" in out
+        assert "  block0.ln1_out  uniform  b=4  per_layer\n" in out
+        assert "  block1.attn_a  log_sqrt2  b=4  per_layer\n" in out
         total, manifest = re.search(r"^bytes: (\d+)  manifest=(\d+)$", out, re.M).groups()
         tensor_bytes = sum(int(b) for b in re.findall(r"  bytes=(\d+)$", out, re.M))
         assert int(total) == path.stat().st_size == 16 + int(manifest) + tensor_bytes
@@ -348,6 +352,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "block9.attn_q" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("site", ["block0.gelu_out", "block0.w_1"])
+    def test_fractional_bit_width_is_data_error(self, workspace, tmp_path, capsys, site):
+        """A site whose bits is 4.7 fails eval and inspect; it must not load as a 4-bit quantizer."""
+        q_c = read_container(workspace["quantized"])
+        meta = json.loads(json.dumps(q_c.meta))
+        meta["sites"][site]["bits"] = 4.7
+        bad = tmp_path / "bad.rvq"
+        write_container(ModelContainer(meta=meta, tensors=q_c.tensors), bad)
+        assert cli_main(["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                         "--data", str(workspace["eval_data"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "malformed quantizer params" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert cli_main(["inspect", str(bad)]) == 1
+        assert "bits must be an integer" in capsys.readouterr().err
 
     def test_ln_site_off_its_fold_target_is_data_error(self, workspace, tmp_path, capsys):
         """A LayerNorm site that is not its fold record's target fails eval before any forward."""

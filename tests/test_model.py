@@ -32,11 +32,10 @@ from scalefold.model import (
 from scalefold.quantizers import (QuantParams, Scheme, fake_quantize, logsqrt2_quantize,
                                   uniform_dequantize, uniform_quantize)
 from scalefold.reparam import reparameterize_layernorm_site
-from scalefold.calibration import CalibConfig, calibrate_tensor
+from scalefold.calibration import calibrate_tensor
 from scalefold.container import ModelContainer, blocks_from_container, container_from_model
 from scalefold.pipeline import (QuantizeConfig, calibrate_model, hooks_from_sites,
                                 quantize_model, reparameterize_model)
-from scalefold.quantizers import Granularity
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 from scalefold.tensors import ShapeError, gelu, matmul, rowwise_softmax
 
@@ -143,8 +142,7 @@ def layer_params(scale, zero, bits=4):
 
 def column_params(w, bits=4):
     """Per-output-channel min/max weight params, as the pipeline fits them."""
-    return calibrate_tensor(w, CalibConfig(bits=bits, granularity=Granularity.PER_CHANNEL,
-                                           percentile=100.0), channel_axis=1)
+    return calibrate_tensor(w, bits, per_channel=True)
 
 
 class TestLayerNorm:
@@ -295,15 +293,14 @@ class TestBlockForward:
         x = rng.normal(size=(cfg.patches, cfg.dim))
         before = block_forward(x, w, cfg)
 
-        ccfg = CalibConfig(bits=4, granularity=Granularity.PER_CHANNEL, percentile=100.0)
         caps = {}
         block_forward(x, w, cfg, capture=caps)
         site1 = reparameterize_layernorm_site(
             w.gamma1, w.beta1, w.w_qkv, w.b_qkv,
-            calibrate_tensor(caps["ln1_out"], ccfg, channel_axis=-1))
+            calibrate_tensor(caps["ln1_out"], 4, per_channel=True))
         site2 = reparameterize_layernorm_site(
             w.gamma2, w.beta2, w.w_1, w.b_1,
-            calibrate_tensor(caps["ln2_out"], ccfg, channel_axis=-1))
+            calibrate_tensor(caps["ln2_out"], 4, per_channel=True))
         w.gamma1, w.beta1, w.w_qkv, w.b_qkv = site1.gamma, site1.beta, site1.weight, site1.bias
         w.gamma2, w.beta2, w.w_1, w.b_1 = site2.gamma, site2.beta, site2.weight, site2.bias
 
@@ -368,8 +365,7 @@ class TestHooks:
         blocks = [random_block(cfg, 28)]
         x = np.random.default_rng(29).normal(size=(2, cfg.patches, cfg.dim))
         chan = QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.05, 0.4, cfg.dim),
-                           zero_point=np.full(cfg.dim, 8, dtype=np.int64),
-                           granularity=Granularity.PER_CHANNEL, channel_axis=-1)
+                           zero_point=np.full(cfg.dim, 8, dtype=np.int64))
         hooks = model_hooks({"attn_q": chan, "attn_k": chan, "attn_v": chan,
                              "attn_a": layer_params(1 / 15, 0),
                              **{s: column_params(getattr(blocks[0], s)) for s in WEIGHT_SITES}})
@@ -405,8 +401,7 @@ class TestModelForward:
         blocks = [random_block(cfg, 40 + i) for i in range(2)]
         xs = np.random.default_rng(41).normal(size=(6, cfg.patches, cfg.dim))
         chan = QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.1, 0.5, cfg.dim),
-                           zero_point=np.arange(cfg.dim, dtype=np.int64),
-                           granularity=Granularity.PER_CHANNEL, channel_axis=-1)
+                           zero_point=np.arange(cfg.dim, dtype=np.int64))
         log_qp = QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))
         mixed = model_hooks(*[{"ln1_out": chan, "attn_a": log_qp,
                                "gelu_out": layer_params(0.3, 8)}] * 2)
@@ -517,8 +512,7 @@ class TestModelForward:
         qx = {"layer": layer_params(0.3, 8),
               "log_sqrt2": QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([2.0])),
               "channel": QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.1, 0.5, 8),
-                                     zero_point=np.arange(8, dtype=np.int64),
-                                     granularity=Granularity.PER_CHANNEL, channel_axis=-1),
+                                     zero_point=np.arange(8, dtype=np.int64)),
               None: None}[x_hook]
         want = _qmatmul(x, qx, w, qw)
         for hook in (None, qw, column_params(2 * w)):
@@ -536,8 +530,7 @@ class TestModelForward:
         s_x, s_w = 2.0 ** -4, 2.0 ** -np.arange(1, n + 1)
         qx = layer_params(s_x, 0, bits=8)
         z_w = np.where(np.arange(n) % 2 == 0, 0, 255)
-        qw = QuantParams(Scheme.UNIFORM, 8, scale=s_w, zero_point=z_w.astype(np.int64),
-                         granularity=Granularity.PER_CHANNEL, channel_axis=1)
+        qw = QuantParams(Scheme.UNIFORM, 8, scale=s_w, zero_point=z_w.astype(np.int64))
         x = np.full((2, 3, k), 300.0 * s_x)          # clips to code 255
         w = np.tile(np.where(z_w == 0, 1e3, -1e3) * s_w, (k, 1))   # clips to 255 or 0
         got = _qmatmul(x, qx, w, qw) / (s_x * s_w)

@@ -21,7 +21,7 @@ from scalefold.pipeline import (
     reparameterize_model,
     run_pipeline,
 )
-from scalefold.quantizers import Granularity, QuantParams, Scheme, fake_quantize
+from scalefold.quantizers import QuantParams, Scheme, fake_quantize
 from scalefold.reparam import ReparamRecord
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 
@@ -127,14 +127,14 @@ class TestCalibrateStage:
         sites = calib_c.meta["sites"]
         assert len(sites) == 12 * CFG.blocks
         ln = QuantParams.from_json(sites["block0.ln1_out"])
-        assert ln.granularity == Granularity.PER_CHANNEL
+        assert ln.scale.shape == (CFG.dim,)
         assert ln.scheme == Scheme.UNIFORM
         att = QuantParams.from_json(sites["block1.attn_a"])
         assert att.scheme == Scheme.LOG_SQRT2
         plain = QuantParams.from_json(sites["block0.gelu_out"])
-        assert plain.granularity == Granularity.PER_LAYER
+        assert plain.scale.shape == (1,)
         w = QuantParams.from_json(sites["block0.w_1"])
-        assert w.granularity == Granularity.PER_CHANNEL
+        assert w.scale.shape == (CFG.mlp_dim,)
 
     def test_ablation_snapshot(self, chain):
         calib_c = chain[3]
@@ -146,7 +146,7 @@ class TestCalibrateStage:
             f"block{i}.{s}" for i in range(CFG.blocks) for s in ("ln1_out", "ln2_out")
         }
         naive = QuantParams.from_json(abl["ln_layer_wise"]["block0.ln1_out"])
-        assert naive.granularity == Granularity.PER_LAYER
+        assert naive.scale.shape == (1,)
 
     def test_meta_records_inputs(self, chain):
         calib_c = chain[3]
@@ -176,7 +176,6 @@ class TestFoldStage:
         rep_c = chain[4]
         for i in range(CFG.blocks):
             qp = QuantParams.from_json(rep_c.meta["sites"][f"block{i}.ln1_out"])
-            assert qp.granularity == Granularity.PER_LAYER
             assert qp.scale.shape == (1,)
 
     def test_pass_trail_order(self, chain):
@@ -244,8 +243,8 @@ def test_carried_sites_match_a_refit_of_the_folded_model(shape, seed):
     for key in carried:
         got = QuantParams.from_json(rep_c.meta["sites"][key])
         want = refit[key]
-        assert (got.scheme, got.granularity, got.bits) == (want.scheme, want.granularity,
-                                                           want.bits), key
+        assert (got.scheme, got.scale.size, got.bits) == (want.scheme, want.scale.size,
+                                                          want.bits), key
         if want.zero_point is not None:
             np.testing.assert_array_equal(got.zero_point, want.zero_point, err_msg=key)
         np.testing.assert_allclose(got.scale, want.scale, rtol=1e-12, atol=0, err_msg=key)
@@ -409,6 +408,37 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="site block0.ln1_out is not the target"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
+    def test_older_layout_keys_give_the_same_report(self, chain):
+        """A q container carrying `granularity` and `channel_axis` evaluates byte for byte the same.
+
+        Containers written before those keys were dropped carry them in every
+        site, fold-record source and `ablation.ln_layer_wise` entry:
+        "per_channel" with axis 1 on the weight sites and -1 on the fold
+        sources, "per_layer" with no axis everywhere else.
+        """
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        meta = json.loads(json.dumps(q_c.meta))
+
+        def add_layout(entry, axis):
+            entry.update(granularity="per_layer" if axis is None else "per_channel",
+                         channel_axis=axis)
+
+        for name, entry in meta["sites"].items():
+            add_layout(entry, 1 if name.split(".")[1] in WEIGHT_SITES else None)
+        for record in meta["reparam_records"].values():
+            add_layout(record["source"], -1)
+        for entry in meta["ablation"]["ln_layer_wise"].values():
+            add_layout(entry, None)
+        new_raw = to_bytes(q_c)
+        old_raw = to_bytes(ModelContainer(meta=meta, tensors=q_c.tensors))
+        assert len(old_raw) > len(new_raw)
+
+        def report_json(raw):
+            r = evaluate(model_c, from_bytes(raw), held_out)
+            return json.dumps(r.to_json(), indent=2, sort_keys=True)
+
+        assert report_json(old_raw) == report_json(new_raw)
+
     def test_report_round_trips_to_json(self, report):
         d = report.to_json()
         assert d["output_mse"] == report.output_mse
@@ -510,8 +540,7 @@ class TestHooksFromSites:
         model_c, held_out = chain[0], chain[2]
         _, blocks = blocks_from_container(model_c)
         sites = {"block0.gelu_out": QuantParams(
-            scheme=Scheme.UNIFORM, bits=4, granularity=Granularity.PER_LAYER,
-            scale=np.array([1.0]), zero_point=np.array([0]))}
+            scheme=Scheme.UNIFORM, bits=4, scale=np.array([1.0]), zero_point=np.array([0]))}
         hooks = hooks_from_sites(CFG, sites)
         assert hooks is sites
         clean, hooked = {}, {}

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalefold.quantizers import (
-    Granularity,
     QuantParams,
     Scheme,
     fake_quantize,
@@ -43,13 +42,10 @@ def exact_sqrt2_pow(s, code):
     return float(mpmath.mpf(s) * mpmath.power(mpmath.sqrt(2), -int(code)))
 
 
-def uparams(s, z, bits, axis=None):
+def uparams(s, z, bits):
     s = np.atleast_1d(np.asarray(s, dtype=np.float64))
     z = np.atleast_1d(np.asarray(z, dtype=np.int64))
-    if axis is None and s.size == 1:
-        return QuantParams(Scheme.UNIFORM, bits, scale=s, zero_point=z)
-    return QuantParams(Scheme.UNIFORM, bits, scale=s, zero_point=z,
-                       granularity=Granularity.PER_CHANNEL, channel_axis=axis)
+    return QuantParams(Scheme.UNIFORM, bits, scale=s, zero_point=z)
 
 
 class TestQuantParams:
@@ -80,25 +76,36 @@ class TestQuantParams:
             QuantParams(Scheme.LOG2, 4, scale=np.array([1.0]),
                         zero_point=np.array([0], dtype=np.int64))
 
-    def test_per_channel_needs_axis(self):
-        with pytest.raises(ValueError):
-            QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0, 2.0]),
-                        zero_point=np.array([0, 0], dtype=np.int64),
-                        granularity=Granularity.PER_CHANNEL)
-
     def test_json_round_trip(self):
-        qp = uparams([1.0, 2.0], [3, 4], 6, axis=-1)
-        back = QuantParams.from_json(qp.to_json())
+        qp = uparams([1.0, 2.0], [3, 4], 6)
+        d = qp.to_json()
+        assert set(d) == {"scheme", "bits", "scale", "zero_point"}
+        back = QuantParams.from_json(d)
         assert back.scheme is qp.scheme and back.bits == qp.bits
         np.testing.assert_array_equal(back.scale, qp.scale)
         np.testing.assert_array_equal(back.zero_point, qp.zero_point)
-        assert back.channel_axis == qp.channel_axis
+        assert back.to_json() == d
+
+    def test_json_keys_of_older_writers_are_ignored(self):
+        """Entries written with `granularity` and `channel_axis` load as the same params."""
+        for qp, extra in (
+            (uparams([1.0, 2.0], [3, 4], 6), {"granularity": "per_channel", "channel_axis": -1}),
+            (uparams(0.5, 7, 4), {"granularity": "per_layer", "channel_axis": None}),
+            (QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([0.9])),
+             {"granularity": "per_layer", "channel_axis": None}),
+        ):
+            assert QuantParams.from_json({**qp.to_json(), **extra}).to_json() == qp.to_json()
 
     @pytest.mark.parametrize("change", [
-        {"bits": None}, {"scale": {"a": 1.0}}, {"zero_point": {"a": 1}}, {"channel_axis": []},
+        {"bits": None}, {"scale": {"a": 1.0}}, {"zero_point": {"a": 1}}, {"bits": 4.7},
+        {"bits": "4"}, {"bits": True}, {"bits": 6.0}, {"zero_point": [6.5, 4]},
+        {"zero_point": [3.0, 4]}, {"zero_point": [3, True]}, {"zero_point": "34"},
+        {"scale": ["0.5", 2.0]}, {"scale": [1.0, None]}, {"scale": [False, 2.0]},
+        {"scale": 1.0},
     ])
     def test_json_malformed_raises_value_error(self, change):
-        d = {**uparams([1.0, 2.0], [3, 4], 6, axis=-1).to_json(), **change}
+        """Wrong JSON types are rejected, never truncated or parsed from strings."""
+        d = {**uparams([1.0, 2.0], [3, 4], 6).to_json(), **change}
         with pytest.raises(ValueError, match="malformed"):
             QuantParams.from_json(d)
 
@@ -189,19 +196,21 @@ class TestUniform:
         x = rng.normal(size=(6, 3)) * [1.0, 5.0, 0.2]
         s = np.array([0.1, 0.7, 0.02])
         z = np.array([3, 8, 12])
-        qp = uparams(s, z, 4, axis=1)
+        qp = uparams(s, z, 4)
         codes = uniform_quantize(x, qp)
         for c in range(3):
             per_layer = uparams(s[c], z[c], 4)
             np.testing.assert_array_equal(codes[:, c],
                                           uniform_quantize(x[:, c], per_layer))
-        # axis may be given negative and must resolve relative to the input
-        np.testing.assert_array_equal(uniform_quantize(x, uparams(s, z, 4, axis=-1)), codes)
+        # the channels are the last axis at any rank
+        np.testing.assert_array_equal(uniform_quantize(x[np.newaxis], qp), codes[np.newaxis])
 
     def test_channel_count_mismatch(self):
-        qp = uparams([1.0, 2.0], [0, 0], 4, axis=1)
-        with pytest.raises(ValueError):
-            uniform_quantize(np.zeros((4, 3)), qp)
+        """The channels are the last axis: a match on any other axis does not count."""
+        for channels, shape in ((2, (4, 3)), (3, (3, 5))):
+            qp = uparams(np.ones(channels), np.zeros(channels, dtype=np.int64), 4)
+            with pytest.raises(ValueError, match=f"{shape[-1]} channels .* carry {channels}"):
+                uniform_quantize(np.zeros(shape), qp)
 
     def test_scheme_mismatch(self):
         log_qp = QuantParams(Scheme.LOG2, 4, scale=np.array([1.0]))

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scalefold.quantizers import (
-    Granularity,
     QuantParams,
     Scheme,
     SQRT2,
@@ -34,12 +33,11 @@ from scalefold.reparam import (
 )
 
 
-def channel_params(s, z, bits=4, axis=-1):
+def channel_params(s, z, bits=4):
     return QuantParams(
         Scheme.UNIFORM, bits,
         scale=np.asarray(s, dtype=np.float64),
         zero_point=np.asarray(z, dtype=np.int64),
-        granularity=Granularity.PER_CHANNEL, channel_axis=axis,
     )
 
 
@@ -82,12 +80,6 @@ class TestBuildRecord:
         np.testing.assert_array_equal(rec.r1, s / rec.target_scale)
         np.testing.assert_array_equal(rec.r2, z - rec.target_zero)
 
-    def test_rejects_per_layer_input(self):
-        qp = QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]),
-                         zero_point=np.array([0], dtype=np.int64))
-        with pytest.raises(ValueError):
-            build_reparam_record(qp)
-
     def test_rejects_log_scheme(self):
         qp = QuantParams(Scheme.LOG2, 4, scale=np.array([1.0]))
         with pytest.raises(ValueError):
@@ -111,8 +103,8 @@ class TestBuildRecord:
         lambda d: d.pop("target_scale"), lambda d: d.pop("source"),
         lambda d: d.update(target_zero=None), lambda d: d.update(target_scale=[1.0]),
         lambda d: d.update(target_zero=6.5), lambda d: d.update(source=[]),
-        lambda d: d.update(source=QuantParams(Scheme.UNIFORM, 4, scale=np.array([2.0]),
-                                              zero_point=np.array([6])).to_json()),
+        lambda d: d.update(source=QuantParams(Scheme.LOG_SQRT2, 4,
+                                              scale=np.array([2.0])).to_json()),
     ])
     def test_malformed_json_is_value_error(self, mutate):
         d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
@@ -338,8 +330,8 @@ class TestSiteReparam:
             np.ones(3), np.zeros(3), np.ones((3, 2)), np.zeros(2),
             channel_params([1.0, 2.0, 3.0], [4, 6, 8]))
         target = site.record.target_params()
-        assert target.granularity is Granularity.PER_LAYER
-        assert target.scale.size == 1
+        assert target.scheme is Scheme.UNIFORM
+        assert target.scale.size == 1 and target.zero_point.size == 1
 
 
 class TestBaseChangeScale:
@@ -382,12 +374,14 @@ class TestRecordValidation:
                               source=channel_params([1.0], [0]))
 
     def test_source_must_be_channel_wise_uniform(self):
-        for source in (
-            QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]), zero_point=np.array([0])),
-            QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0])),
-        ):
-            with pytest.raises(ValueError, match="channel-wise uniform"):
-                ReparamRecord(target_scale=1.0, target_zero=0, source=source)
+        """A uniform source is channel-wise over its scales, one channel included."""
+        with pytest.raises(ValueError, match="must be uniform"):
+            ReparamRecord(target_scale=1.0, target_zero=0,
+                          source=QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0])))
+        one = ReparamRecord(target_scale=1.0, target_zero=0,
+                            source=QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]),
+                                               zero_point=np.array([0])))
+        assert one.channels == 1
 
     def test_length_mismatch(self):
         """The width is the source's: scales and zero points of unequal length are rejected."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scalefold.calibration import CalibConfig, calibrate_tensor
+from scalefold.calibration import calibrate_tensor
 from scalefold.model import ModelConfig, model_forward
 from scalefold.quantizers import Scheme, fake_quantize
 from scalefold.synth import SynthSpec, gen_activations, gen_model
@@ -125,8 +125,7 @@ class TestAttentionProfile:
              for i in range(CFG.blocks)])
         mse = {}
         for scheme in (Scheme.UNIFORM, Scheme.LOG2, Scheme.LOG_SQRT2):
-            qp = calibrate_tensor(pooled, CalibConfig(bits=4, scheme=scheme,
-                                                      percentile=100.0))
+            qp = calibrate_tensor(pooled, 4, scheme=scheme)
             mse[scheme] = float(np.mean((pooled - fake_quantize(pooled, qp)) ** 2))
         assert mse[Scheme.LOG_SQRT2] <= mse[Scheme.LOG2] <= mse[Scheme.UNIFORM]
 
