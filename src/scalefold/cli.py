@@ -13,9 +13,8 @@ from .container import (activations_from_container, container_from_activations,
                         container_from_model, from_bytes, payload_size, read_container,
                         write_container)
 from .model import ModelConfig
-from .pipeline import (PipelineError, QuantizeConfig, calibrate_model,
-                       evaluate, quantize_model, reparameterize_model)
-from .quantizers import QuantParams
+from .pipeline import (PipelineError, QuantizeConfig, calibrate_model, evaluate,
+                       load_sites, quantize_model, reparameterize_model)
 from .synth import SynthSpec, gen_activations, gen_model
 
 
@@ -178,12 +177,11 @@ def _cmd_inspect(args):
         arr = c.tensors[name]
         tag, size = payload_size(name, arr)
         print(f"  {name}  shape={list(arr.shape)}  dtype={tag}  bytes={size}")
-    sites = c.meta.get("sites", {})
-    if sites:
+    if "sites" in c.meta:
+        sites = load_sites(c)
         print(f"sites ({len(sites)}):")
-        for name in sorted(sites):
-            qp = QuantParams.from_json(sites[name])
-            gran = "per_channel" if qp.scale.size > 1 else "per_layer"
+        for name, qp in sorted(sites.items()):
+            gran = f"per_channel  channels={qp.scale.size}" if qp.scale.size > 1 else "per_layer"
             print(f"  {name}  {qp.scheme.value}  b={qp.bits}  {gran}")
     records = c.meta.get("reparam_records", {})
     if records:

@@ -9,24 +9,29 @@ Layout:
 
 The manifest holds the format version, a stage marker, the model
 configuration, the tensor table (name, shape, dtype, byte offset, byte
-length relative to the blob), per-site quantizer parameters, fold records,
-and a logical pass log. Payload dtypes are "f32" (float32 LE) for float
-tensors and, for integer codes, "u4" when every value lies in [0, 15] and
-"u8" (one unsigned byte each) otherwise; writing an integer tensor with a
-value outside [0, 255] raises ContainerError. A u4 payload packs two codes
-per byte: element 2i in the low nibble of byte i, element 2i + 1 in the
-high nibble, so it is ceil(count / 2) bytes long, and an odd count leaves
-the last byte's high nibble zero; a nonzero pad nibble raises
-ContainerError. Both integer tags read back as writable uint8 arrays.
+length relative to the blob), the per-layer quantizer sites, fold records
+and a logical pass log. Float tensors are "f64" (float64 LE) when their name
+ends in ".scale", so quantizer scales read back bit-exact, and "f32"
+(float32 LE) otherwise. Integer tensors are "u4" when every value lies in
+[0, 15] and "u8" (one unsigned byte each) otherwise; writing an integer
+tensor with a value outside [0, 255] raises ContainerError. A u4 payload
+packs two codes per byte: element 2i in the low nibble of byte i, element
+2i + 1 in the high nibble, so it is ceil(count / 2) bytes long, and an odd
+count leaves the last byte's high nibble zero; a nonzero pad nibble raises
+ContainerError. Both integer tags read back as writable uint8 arrays, both
+float tags as float64, and a non-finite float raises ContainerError.
 Compute stays in float64; 32-bit floats exist only in this file format.
 Serialization is deterministic: equal containers produce equal bytes.
 
-A quantized container ships each weight matrix only as its codes,
-`block{i}.{w}.codes` for w in w_qkv, w_o, w_1 and w_2 (u4 at 4 bits or
-fewer, else u8), next to float biases and LayerNorm parameters.
+A per-channel quantizer ships as two tensors, never in the manifest:
+`<key>.scale` (f64) and `<key>.zero` (u4/u8); `channel_tensors` writes them
+and `channel_params` reads them back. A quantized container ships each
+weight matrix only as its codes, `block{i}.{w}.codes` for w in w_qkv, w_o,
+w_1 and w_2 (u4 at 4 bits or fewer, else u8), next to its site's
+`block{i}.{w}.scale` and `.zero`, float biases and LayerNorm parameters.
 `blocks_from_container` loads those codes as `CodeBlock`s centred on the
-zero points of their site in the site table; every other stage holds and
-loads float weights.
+zero points, at the container's `quantize_config.bits_w`; every other stage
+holds and loads float weights.
 """
 
 import json
@@ -36,13 +41,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .model import WEIGHT_SITES, BlockWeights, CodeBlock, ModelConfig
-from .quantizers import QuantParams
+from .quantizers import QuantParams, Scheme
 from .tensors import ShapeError, as_tensor
 
 MAGIC = b"RVQM0001"
 FORMAT_VERSION = 1
 
-_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1"), "u4": np.dtype("u1")}
+_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "u8": np.dtype("u1"),
+           "u4": np.dtype("u1")}
 # JSON type of each field of a tensor-table entry
 _ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int, "length": int}
 
@@ -77,7 +83,7 @@ class ModelContainer:
 
 def _payload_dtype(name, arr):
     if arr.dtype.kind == "f":
-        return "f32"
+        return "f64" if name.endswith(".scale") else "f32"
     if arr.dtype.kind in "iu":
         lo, hi = arr.min(initial=0), arr.max(initial=0)
         if lo < 0 or hi > 255:
@@ -179,8 +185,8 @@ def from_bytes(raw):
             raise ContainerError(f"tensor {name!r}: shape {shape} does not match byte length {length}")
         flat = np.frombuffer(blob, dtype=_DTYPES[tag], count=length // _DTYPES[tag].itemsize,
                              offset=offset)
-        if tag == "f32":
-            arr = as_tensor(flat)
+        if tag in ("f32", "f64"):
+            arr = flat.astype(np.float64)
             if not np.isfinite(arr).all():
                 raise ContainerError(f"tensor {name!r} contains non-finite values")
         elif tag == "u4":
@@ -226,34 +232,65 @@ def _tensor(container, key):
     return container.tensors[key]
 
 
-def _code_block(container, key):
-    """The weight at `key` of a quantized container, from its codes and its site."""
-    codes = _tensor(container, key + ".codes")
-    sites = container.meta.get("sites")
-    if not isinstance(sites, dict) or key not in sites:
-        raise ContainerError(f"quantized container has no site {key!r} for its codes")
+def channel_tensors(key, qp):
+    """The two tensors that ship per-channel uniform quantizer `qp` of `key`."""
+    return {key + ".scale": qp.scale, key + ".zero": qp.zero_point}
+
+
+def channel_vectors(container, key):
+    """(scale, zero) tensors of `key`'s per-channel quantizer; ContainerError if one is missing."""
+    return _tensor(container, key + ".scale"), _tensor(container, key + ".zero")
+
+
+def channel_params(container, key, bits):
+    """`key`'s `bits`-bit uniform quantizer, read back from its `channel_tensors`.
+
+    A missing tensor, or vectors and bits that make no quantizer (a scale
+    that is not positive, a zero point past 2**bits - 1, lengths that
+    differ), raise ContainerError naming the key.
+    """
+    scale, zero = channel_vectors(container, key)
     try:
-        return CodeBlock.from_codes(codes, QuantParams.from_json(sites[key]))
+        return QuantParams(Scheme.UNIFORM, bits, scale=scale, zero_point=zero)
     except ValueError as e:
-        raise ContainerError(f"tensor {key + '.codes'!r} under site {key!r}: {e}") from None
+        raise ContainerError(f"quantizer tensors {key}.scale and {key}.zero: {e}") from None
+
+
+def _weight_bits(container):
+    qcfg = container.meta.get("quantize_config")
+    if not isinstance(qcfg, dict) or "bits_w" not in qcfg:
+        raise ContainerError("quantized container has no quantize_config.bits_w for its codes")
+    return qcfg["bits_w"]
+
+
+def _code_block(container, key, bits):
+    """The weight at `key` of a quantized container, from its codes, scale and zero."""
+    codes = _tensor(container, key + ".codes")
+    qp = channel_params(container, key, bits)
+    try:
+        return CodeBlock.from_codes(codes, qp)
+    except ValueError as e:
+        raise ContainerError(f"tensor {key + '.codes'!r}: {e}") from None
 
 
 def blocks_from_container(container):
     """Unpack (config, [BlockWeights]) from a model container.
 
     A quantized container's weight matrices load as `CodeBlock`s, centred
-    once here. A missing tensor or site, a site that is not uniform affine,
-    codes past the site's range and shapes that do not fit the config raise
-    ContainerError naming them.
+    once here. A missing tensor, a malformed quantizer (see
+    `channel_params`), codes past its range or of another width, and shapes
+    that do not fit the config raise ContainerError naming them.
     """
     if container.kind != "model":
         raise ContainerError(f"expected a model container, got kind {container.kind!r}")
     cfg = container.config()
     codes = WEIGHT_SITES if container.stage == "quantized" else ()
+    bits = _weight_bits(container) if codes else None
     blocks = []
     for i in range(cfg.blocks):
-        kwargs = {name: (_code_block if name in codes else _tensor)(container, f"block{i}.{name}")
-                  for name in WEIGHT_FIELDS}
+        pre = f"block{i}."
+        kwargs = {name: _code_block(container, pre + name, bits) if name in codes
+                  else _tensor(container, pre + name) for name in WEIGHT_FIELDS}
         try:
             blocks.append(BlockWeights(**kwargs).validate(cfg))
         except ShapeError as e:

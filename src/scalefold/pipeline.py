@@ -15,6 +15,13 @@ quantization MSE, taken from the folded floats, for evaluation. The fold and
 quantize stages carry their input's metadata whole and add their own. Each
 stage appends to a logical pass log; identical inputs produce byte-identical
 containers.
+
+Every stage writes its per-layer sites to the manifest's `sites` table and
+its per-channel quantizers as tensors (see `container.channel_tensors`):
+each weight site `block{i}.{w}`, the LayerNorm sites `block{i}.ln{1,2}_out`
+of a calibrated container, and each fold record's channel-wise source
+`reparam_records.block{i}.ln{1,2}_out`. `load_sites` and `load_records`
+read them back.
 """
 
 import math
@@ -24,7 +31,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import calibrate_tensor
-from .container import blocks_from_container, container_from_model
+from .container import (blocks_from_container, channel_params, channel_tensors,
+                        channel_vectors, container_from_model)
 from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, model_forward
 from .quantizers import (QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
@@ -99,16 +107,83 @@ def _fit_sites(blocks, caps, qcfg):
     return {**sites, **_fit_weights(blocks, qcfg)}
 
 
-def _sites_to_json(sites):
-    return {name: qp.to_json() for name, qp in sites.items()}
-
-
 def _sites_from_json(d):
     return {name: QuantParams.from_json(v) for name, v in d.items()}
 
 
 def _site_keys(cfg, names):
     return sorted(f"block{i}.{site}" for i in range(cfg.blocks) for site in names)
+
+
+def _quantize_config(container):
+    try:
+        return QuantizeConfig.from_json(container.meta["quantize_config"])
+    except (KeyError, ValueError) as e:
+        raise PipelineError(f"quantize_config: {e}") from None
+
+
+def _channel_bits(container):
+    """Bit width of each site whose quantizer ships as tensors, by key.
+
+    These are the per-channel sites: every weight, and before the fold the
+    LayerNorm sites, whose channel-wise quantizers the fold makes layer-wise.
+    """
+    cfg, qcfg = container.config(), _quantize_config(container)
+    bits = dict.fromkeys(_site_keys(cfg, WEIGHT_SITES), qcfg.bits_w)
+    if container.stage == "calibrated":
+        bits.update(dict.fromkeys(_site_keys(cfg, LN_SITES), qcfg.bits_a))
+    return bits
+
+
+def _store_sites(container, sites):
+    """Write the site table: per-channel quantizers as tensors, the rest to the manifest."""
+    channel = _channel_bits(container)
+    container.meta["sites"] = {k: qp.to_json() for k, qp in sites.items() if k not in channel}
+    for key in channel:
+        container.tensors.update(channel_tensors(key, sites[key]))
+
+
+def load_sites(container):
+    """The whole site table of a calibrated, folded or quantized container.
+
+    Per-layer sites come from the manifest, per-channel ones from their
+    tensors. A malformed manifest entry raises ValueError, a missing or
+    malformed tensor ContainerError, and a missing site table or quantize
+    config PipelineError.
+    """
+    if not isinstance(container.meta.get("sites"), dict):
+        raise PipelineError(f"{container.stage} container lacks a sites table")
+    sites = _sites_from_json(container.meta["sites"])
+    sites.update({key: channel_params(container, key, bits)
+                  for key, bits in _channel_bits(container).items()})
+    return sites
+
+
+def _store_records(container, records):
+    container.meta["reparam_records"] = {k: rec.to_json() for k, rec in records.items()}
+    for key, rec in records.items():
+        container.tensors.update(channel_tensors(f"reparam_records.{key}", rec.source))
+
+
+def load_records(container):
+    """The fold record of every LayerNorm site, its source read back from its tensors.
+
+    A malformed record, or a source that is not one scale per model channel,
+    raises PipelineError naming it; a missing tensor raises ContainerError.
+    """
+    cfg = container.config()
+    records = {}
+    for key in _site_keys(cfg, LN_SITES):
+        vectors = channel_vectors(container, f"reparam_records.{key}")
+        try:
+            records[key] = ReparamRecord.from_json(container.meta["reparam_records"][key],
+                                                   *vectors)
+        except ValueError as e:
+            raise PipelineError(f"fold record reparam_records.{key}: {e}") from None
+        if records[key].channels != cfg.dim:
+            raise PipelineError(f"fold record reparam_records.{key} has "
+                                f"{records[key].channels} channels, the model {cfg.dim}")
+    return records
 
 
 def _require(container, paths):
@@ -164,8 +239,8 @@ def calibrate_model(model_c, acts, qcfg=None):
     out = container_from_model(cfg, blocks, stage="calibrated")
     out.meta["quantize_config"] = qcfg.to_json()
     out.meta["calib"] = {"samples": int(acts.shape[0])}
-    out.meta["sites"] = _sites_to_json(sites)
-    out.meta["ablation"] = {"ln_layer_wise": _sites_to_json(naive)}
+    _store_sites(out, sites)
+    out.meta["ablation"] = {"ln_layer_wise": {k: qp.to_json() for k, qp in naive.items()}}
     _append_pass(out.meta, "fit-quantizers")
     return out
 
@@ -184,18 +259,21 @@ def reparameterize_model(calib_c, acts=None):
         raise PipelineError(f"fold stage expects a calibrated container, got {calib_c.stage!r}")
     _require(calib_c, [("quantize_config",), ("sites",)])
     cfg, blocks = blocks_from_container(calib_c)
-    qcfg = QuantizeConfig.from_json(calib_c.meta["quantize_config"])
-    sites = _sites_from_json(calib_c.meta["sites"])
+    qcfg = _quantize_config(calib_c)
+    sites = load_sites(calib_c)
 
     records = {}
     for i, bw in enumerate(blocks):
         for site, (g_name, b_name, w_name, bias_name) in LN_SITES.items():
             key = f"block{i}.{site}"
-            res = reparameterize_layernorm_site(
-                getattr(bw, g_name), getattr(bw, b_name),
-                getattr(bw, w_name), getattr(bw, bias_name),
-                sites[key],
-            )
+            try:
+                res = reparameterize_layernorm_site(
+                    getattr(bw, g_name), getattr(bw, b_name),
+                    getattr(bw, w_name), getattr(bw, bias_name),
+                    sites[key],
+                )
+            except ValueError as e:
+                raise PipelineError(f"site {key}: {e}") from None
             setattr(bw, g_name, res.gamma)
             setattr(bw, b_name, res.beta)
             setattr(bw, w_name, res.weight)
@@ -214,8 +292,8 @@ def reparameterize_model(calib_c, acts=None):
     _append_pass(out.meta, "weight-recalibrate")
     _append_pass(out.meta, "softmax-base-change")
 
-    out.meta["sites"] = _sites_to_json(sites)
-    out.meta["reparam_records"] = {k: r.to_json() for k, r in records.items()}
+    _store_sites(out, sites)
+    _store_records(out, records)
     out.meta["softmax_dequant"] = "base-changed-shift"
     return out
 
@@ -226,23 +304,27 @@ def quantize_model(rep_c):
     `block{i}.{w}.codes`, a uint8 array that the container writes two codes
     per byte at 4 bits or fewer, takes the place of `block{i}.{w}`, and
     `weight_mse[block{i}.{w}]` records the site's quantization MSE on the
-    folded floats, which the quantized container no longer holds. The folded
-    container must carry a site per weight and a fold record per LayerNorm
-    site; PipelineError names whatever is missing.
+    folded floats, which the quantized container no longer holds. The
+    quantizer tensors of the weights and fold records carry over whole. The
+    folded container must carry its quantize config, site table and a fold
+    record per LayerNorm site; PipelineError names whatever is missing.
     """
     if rep_c.stage != "reparameterized":
         raise PipelineError(f"quantize stage expects a folded container, got {rep_c.stage!r}")
     cfg, blocks = blocks_from_container(rep_c)
-    weight_keys = _site_keys(cfg, WEIGHT_SITES)
-    _require(rep_c, [("sites", key) for key in weight_keys]
+    _require(rep_c, [("quantize_config",), ("sites",)]
              + [("reparam_records", key) for key in _site_keys(cfg, LN_SITES)])
-    sites = _sites_from_json(rep_c.meta["sites"])
+    sites = load_sites(rep_c)
     out = container_from_model(cfg, blocks, stage="quantized")
     out.meta = {**rep_c.meta, **out.meta}
+    out.tensors = {**rep_c.tensors, **out.tensors}
     weight_mse = {}
-    for key in weight_keys:
+    for key in _site_keys(cfg, WEIGHT_SITES):
         w = out.tensors.pop(key)
-        codes = uniform_quantize(w, sites[key])
+        try:
+            codes = uniform_quantize(w, sites[key])
+        except ValueError as e:
+            raise PipelineError(f"site {key}: {e}") from None
         out.tensors[key + ".codes"] = codes.astype(np.uint8)
         weight_mse[key] = _mse(uniform_dequantize(codes, sites[key]), w)
     out.meta["weight_mse"] = weight_mse
@@ -319,8 +401,9 @@ def evaluate(fp_c, q_c, acts):
     fold record, a weight site's `weight_mse` or `ablation.ln_layer_wise`
     raises PipelineError naming what is missing, as does a malformed quantize
     config, fold record or weight MSE, a LayerNorm site that is not its fold
-    record's target, or a table naming a site the model lacks; all of this
-    is checked before any forward runs.
+    record's target, or a table naming a site the model lacks; a missing or
+    malformed quantizer tensor raises ContainerError. All of this is checked
+    before any forward runs.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -335,30 +418,20 @@ def evaluate(fp_c, q_c, acts):
              + [("reparam_records", key) for key in ln_keys]
              + [("weight_mse", key) for key in weight_keys]
              + [("ablation", "ln_layer_wise")])
-    sites = hooks_from_sites(cfg, _sites_from_json(q_c.meta["sites"]))
+    qcfg = _quantize_config(q_c)
+    sites = hooks_from_sites(cfg, load_sites(q_c))
     weight_mse = {}
     for key in weight_keys:
         value = q_c.meta["weight_mse"][key]
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
             raise PipelineError(f"weight_mse.{key} is {value!r}, not a nonnegative number")
         weight_mse[key] = float(value)
-    records = {}
-    for key in ln_keys:
-        try:
-            records[key] = ReparamRecord.from_json(q_c.meta["reparam_records"][key])
-        except ValueError as e:
-            raise PipelineError(f"fold record reparam_records.{key}: {e}") from None
-        if records[key].channels != cfg.dim:
-            raise PipelineError(f"fold record reparam_records.{key} has "
-                                f"{records[key].channels} channels, the model {cfg.dim}")
+    records = load_records(q_c)
+    for key, rec in records.items():
         # the forward runs the site, the audit and the channel-wise arm the record
-        if sites[key].to_json() != records[key].target_params().to_json():
+        if sites[key].to_json() != rec.target_params().to_json():
             raise PipelineError(f"site {key} is not the target of fold record "
                                 f"reparam_records.{key}")
-    try:
-        qcfg = QuantizeConfig.from_json(q_c.meta["quantize_config"])
-    except ValueError as e:
-        raise PipelineError(f"quantize_config: {e}") from None
     chan_sites = {**sites, **{key: rec.source for key, rec in records.items()},
                   **_fit_weights(fp_blocks, qcfg)}
     layer_sites = hooks_from_sites(cfg, {**chan_sites, **_sites_from_json(

@@ -13,6 +13,7 @@ LayerNorm stacks (n, patches, dim) and weights (in, out) keep them.
 """
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,11 @@ class QuantParams:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if not 2 <= int(self.bits) <= 8:
+        if isinstance(self.bits, bool) or not isinstance(self.bits, numbers.Integral):
+            raise ValueError(f"bit width {self.bits!r} is not an integer")
+        if not 2 <= self.bits <= 8:
             raise ValueError(f"bit width {self.bits} outside [2, 8]")
+        object.__setattr__(self, "bits", int(self.bits))
         scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
         if scale.ndim != 1 or scale.size == 0:
             raise ValueError("scale must be a nonempty vector")

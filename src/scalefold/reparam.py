@@ -67,20 +67,30 @@ class ReparamRecord:
         )
 
     def to_json(self):
+        """The record's scalars; the source's vectors ship as container tensors."""
         return {
             "target_scale": float(self.target_scale),
             "target_zero": int(self.target_zero),
-            "source": self.source.to_json(),
+            "bits": int(self.source.bits),
         }
 
     @classmethod
-    def from_json(cls, d):
-        """Inverse of `to_json`; malformed input raises ValueError."""
+    def from_json(cls, d, scale, zero_point):
+        """Inverse of `to_json`, given the source's scale and zero-point vectors.
+
+        Nothing is converted: target_scale must be a JSON number, target_zero
+        and bits integers, booleans neither. Malformed input raises ValueError.
+        """
         try:
+            target_scale, target_zero, bits = d["target_scale"], d["target_zero"], d["bits"]
+            if (any(isinstance(v, bool) for v in (target_scale, target_zero, bits))
+                    or not isinstance(target_scale, (int, float))
+                    or not isinstance(target_zero, int) or not isinstance(bits, int)):
+                raise TypeError("target_scale must be a number, target_zero and bits integers")
             return cls(
-                target_scale=float(d["target_scale"]),
-                target_zero=d["target_zero"],
-                source=QuantParams.from_json(d["source"]),
+                target_scale=float(target_scale),
+                target_zero=target_zero,
+                source=QuantParams(Scheme.UNIFORM, bits, scale=scale, zero_point=zero_point),
             )
         except (KeyError, OverflowError, TypeError) as e:
             raise ValueError(f"malformed fold record: {type(e).__name__}: {e}") from None

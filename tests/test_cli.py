@@ -16,8 +16,7 @@ from scalefold.cli import cli_main
 from scalefold.container import (ModelContainer, activations_from_container,
                                  blocks_from_container, read_container, write_container)
 from scalefold.model import WEIGHT_SITES, model_forward
-from scalefold.pipeline import hooks_from_sites, run_pipeline
-from scalefold.quantizers import QuantParams
+from scalefold.pipeline import hooks_from_sites, load_sites, run_pipeline
 
 SMALL = {"calib_batches": 6, "eval_batches": 4}
 
@@ -89,8 +88,14 @@ class TestChain:
         assert "block0.b_qkv  shape=[192]  dtype=f32  bytes=768" in out
         assert "fold records:" in out
         assert "emit-codes" in out
-        # the label follows the scale count: one per output column, or one
-        assert "  block0.w_qkv  uniform  b=4  per_channel\n" in out
+        # the label follows the scale count: one per output column, read from
+        # the site's tensors, or one from the manifest
+        assert "  block0.w_qkv  uniform  b=4  per_channel  channels=192\n" in out
+        assert "  block1.w_1  uniform  b=4  per_channel  channels=256\n" in out
+        assert "block0.w_qkv.scale  shape=[192]  dtype=f64  bytes=1536" in out
+        assert "block0.w_qkv.zero  shape=[192]  dtype=u4  bytes=96" in out
+        assert "reparam_records.block0.ln1_out.scale  shape=[64]  dtype=f64" in out
+        assert re.search(r"^sites \(24\):$", out, re.M)
         assert "  block0.ln1_out  uniform  b=4  per_layer\n" in out
         assert "  block1.attn_a  log_sqrt2  b=4  per_layer\n" in out
         total, manifest = re.search(r"^bytes: (\d+)  manifest=(\d+)$", out, re.M).groups()
@@ -140,8 +145,7 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
     else:
         q_c = read_container(workspace["quantized"])
     cfg, blocks = blocks_from_container(q_c)
-    hooks = hooks_from_sites(cfg, {k: QuantParams.from_json(v)
-                                   for k, v in q_c.meta["sites"].items()})
+    hooks = hooks_from_sites(cfg, load_sites(q_c))
     seen = {"uniform_centred": set(), "fake_quantize": set()}
 
     def spy(name):
@@ -353,21 +357,63 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and "block9.attn_q" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("site", ["block0.gelu_out", "block0.w_1"])
-    def test_fractional_bit_width_is_data_error(self, workspace, tmp_path, capsys, site):
-        """A site whose bits is 4.7 fails eval and inspect; it must not load as a 4-bit quantizer."""
+    @pytest.mark.parametrize("path, named", [
+        pytest.param(("sites", "block0.gelu_out", "bits"), "malformed quantizer params",
+                     id="block0.gelu_out"),
+        pytest.param(("quantize_config", "bits_w"), "bits_w must be int", id="block0.w_1"),
+    ])
+    def test_fractional_bit_width_is_data_error(self, workspace, tmp_path, capsys, path, named):
+        """A bit width of 4.7 fails eval and inspect; it must not load as a 4-bit quantizer.
+
+        A manifest site carries its own bits; a weight site such as block0.w_1
+        ships its vectors as tensors and takes `quantize_config.bits_w`.
+        """
         q_c = read_container(workspace["quantized"])
         meta = json.loads(json.dumps(q_c.meta))
-        meta["sites"][site]["bits"] = 4.7
+        node = meta
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 4.7
         bad = tmp_path / "bad.rvq"
         write_container(ModelContainer(meta=meta, tensors=q_c.tensors), bad)
         assert cli_main(["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
                          "--data", str(workspace["eval_data"])]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "malformed quantizer params" in captured.err
+        assert captured.err.startswith("error:") and named in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert cli_main(["inspect", str(bad)]) == 1
-        assert "bits must be an integer" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["calibrated", "quantized"])
+    @pytest.mark.parametrize("damage", ["negative-scale", "zero-past-qmax", "short-scale",
+                                        "no-zero"])
+    def test_malformed_vector_is_data_error(self, workspace, tmp_path, capsys, stage, damage):
+        """A damaged per-channel vector fails inspect and the next stage: exit 1, no traceback."""
+        c = read_container(workspace[stage])
+        key = "block0.ln1_out" if stage == "calibrated" else "block1.w_2"
+        tensors = dict(c.tensors)
+        scale, zero = tensors[key + ".scale"].copy(), tensors[key + ".zero"].copy()
+        if damage == "negative-scale":
+            scale[0] = -scale[0]
+        elif damage == "zero-past-qmax":
+            zero[0] = 16
+        elif damage == "short-scale":
+            scale = scale[:-1]
+        tensors[key + ".scale"], tensors[key + ".zero"] = scale, zero
+        if damage == "no-zero":
+            del tensors[key + ".zero"]
+        bad = tmp_path / "bad.rvq"
+        write_container(ModelContainer(meta=c.meta, tensors=tensors), bad)
+        if stage == "calibrated":
+            argv = ["reparam", "--model", str(bad), "--out", str(tmp_path / "out.rvq")]
+        else:
+            argv = ["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                    "--data", str(workspace["eval_data"])]
+        for args in (argv, ["inspect", str(bad)]):
+            assert cli_main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not (tmp_path / "out.rvq").exists()
 
     def test_ln_site_off_its_fold_target_is_data_error(self, workspace, tmp_path, capsys):
         """A LayerNorm site that is not its fold record's target fails eval before any forward."""

@@ -135,6 +135,32 @@ class TestRoundTrip:
         with pytest.raises(ContainerError, match="'w'.*byte length"):
             from_bytes(raw)
 
+    def test_scales_ship_as_exact_f64(self):
+        """A tensor named `.scale` keeps every bit; any other float tensor rounds to f32."""
+        values = np.array([0.1, 1.0 / 3.0, 2.0**-60, 1e30])
+        raw = to_bytes(ModelContainer(meta={}, tensors={"w.scale": values, "w": values}))
+        assert {e["name"]: (e["dtype"], e["length"]) for e in _entries(raw)} == {
+            "w": ("f32", 16), "w.scale": ("f64", 32)}
+        assert payload_size("w.scale", values) == ("f64", 32)
+        back = from_bytes(raw).tensors
+        assert back["w.scale"].dtype == np.float64 and back["w.scale"].flags.writeable
+        np.testing.assert_array_equal(back["w.scale"].view(np.uint64), values.view(np.uint64))
+        assert not np.array_equal(back["w"], values)
+        assert to_bytes(from_bytes(raw)) == raw
+
+    @pytest.mark.parametrize("length", [0, 8, 12, 24])
+    def test_f64_length_other_than_eight_per_value_is_refused(self, length):
+        entry = {"name": "w.scale", "shape": [2], "dtype": "f64", "offset": 0, "length": length}
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [entry]}, b"\x00" * 24)
+        with pytest.raises(ContainerError, match="'w.scale'.*byte length"):
+            from_bytes(raw)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_f64_is_refused(self, value):
+        raw = to_bytes(ModelContainer(meta={}, tensors={"w.scale": np.array([1.0, value])}))
+        with pytest.raises(ContainerError, match="'w.scale'.*non-finite"):
+            from_bytes(raw)
+
     @pytest.mark.parametrize("values", [[0, 256], [-1, 3], [2**31 - 1]])
     def test_integer_tensor_outside_u8_is_refused_on_write(self, values):
         c = ModelContainer(meta={"kind": "model"},
@@ -179,7 +205,7 @@ class TestMalformed:
         entry = {"name": "x", "shape": [4], "dtype": "f32", "offset": 0, "length": 16}
         doc = json.dumps({"format_version": FORMAT_VERSION,
                           "tensors": [entry]}).encode()
-        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 8
+        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 2
         with pytest.raises(ContainerError, match="blob"):
             from_bytes(raw)
 
@@ -192,10 +218,10 @@ class TestMalformed:
             from_bytes(raw)
 
     def test_unknown_dtype(self):
-        entry = {"name": "x", "shape": [1], "dtype": "f64", "offset": 0, "length": 8}
+        entry = {"name": "x", "shape": [1], "dtype": "f16", "offset": 0, "length": 2}
         doc = json.dumps({"format_version": FORMAT_VERSION,
                           "tensors": [entry]}).encode()
-        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 8
+        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 2
         with pytest.raises(ContainerError, match="dtype"):
             from_bytes(raw)
 
@@ -334,18 +360,18 @@ class TestModelPacking:
             blocks_from_container(c)
 
 
-def _damage_codes(q, key, codes=None, site=None):
-    """A copy of quantized container q with tensor `key` and site `key`'s entry replaced.
+def _damage_codes(q, key, **replace):
+    """A copy of quantized container q with tensors `key.codes`, `.scale` or `.zero` replaced.
 
-    None leaves one as it is; "drop" deletes it.
+    Each keyword names a suffix; "drop" deletes that tensor.
     """
-    tensors, sites = dict(q.tensors), dict(q.meta["sites"])
-    for table, name, value in ((tensors, key + ".codes", codes), (sites, key, site)):
+    tensors = dict(q.tensors)
+    for suffix, value in replace.items():
         if isinstance(value, str):
-            del table[name]
-        elif value is not None:
-            table[name] = value
-    return ModelContainer(meta={**q.meta, "sites": sites}, tensors=tensors)
+            del tensors[f"{key}.{suffix}"]
+        else:
+            tensors[f"{key}.{suffix}"] = value
+    return ModelContainer(meta=q.meta, tensors=tensors)
 
 
 class TestCodeBlocks:
@@ -361,29 +387,49 @@ class TestCodeBlocks:
             assert block.centred.dtype == np.float64
             np.testing.assert_array_equal(block.centred + block.params.zero_point,
                                           q.tensors[f"block0.{w}.codes"])
-            assert block.params.to_json() == q.meta["sites"][f"block0.{w}"]
+            assert block.params.bits == q.meta["quantize_config"]["bits_w"] == 3
+            assert block.params.scale is q.tensors[f"block0.{w}.scale"]
+            np.testing.assert_array_equal(block.params.zero_point, q.tensors[f"block0.{w}.zero"])
+            assert f"block0.{w}" not in q.meta["sites"]
 
-    @pytest.mark.parametrize("codes, site, named", [
-        ("drop", None, "missing tensor 'block0.w_o.codes'"),
-        (None, "drop", "no site 'block0.w_o'"),
-        (None, {"scheme": "log2", "bits": 3, "scale": [0.5]}, "'block0.w_o'.*log2"),
-        (None, [1, 2], "'block0.w_o'.*malformed"),
-        (np.zeros((4, 5), dtype=np.uint8), None, "'block0.w_o.codes'.*5 channels"),
-        (np.zeros((5, 4), dtype=np.uint8), None, "block0: w_o has shape"),
-        (np.full((4, 4), 8, dtype=np.uint8), None, "'block0.w_o.codes'.*outside \\[0, 7\\]"),
-        (np.zeros((4, 4)), None, "'block0.w_o.codes'.*integer"),
-    ], ids=["no-codes", "no-site", "log-site", "bad-site", "channels", "shape", "past-qmax",
-            "float-codes"])
-    def test_inconsistent_codes_are_named(self, quantized_bytes, codes, site, named):
+    @pytest.mark.parametrize("replace, named", [
+        ({"codes": "drop"}, "missing tensor 'block0.w_o.codes'"),
+        ({"scale": "drop"}, "missing tensor 'block0.w_o.scale'"),
+        ({"scale": np.full(4, -0.5)}, "block0.w_o.scale.*positive"),
+        ({"codes": np.zeros((4, 5), dtype=np.uint8)}, "'block0.w_o.codes'.*5 channels"),
+        ({"codes": np.zeros((5, 4), dtype=np.uint8)}, "block0: w_o has shape"),
+        ({"codes": np.full((4, 4), 8, dtype=np.uint8)}, "'block0.w_o.codes'.*outside \\[0, 7\\]"),
+        ({"codes": np.zeros((4, 4))}, "'block0.w_o.codes'.*integer"),
+        ({"zero": np.full(4, 8, dtype=np.uint8)}, "block0.w_o.zero.*outside \\[0, 7\\]"),
+        ({"zero": "drop"}, "missing tensor 'block0.w_o.zero'"),
+        ({"scale": np.ones(5), "zero": np.zeros(5, dtype=np.uint8)},
+         "'block0.w_o.codes'.*4 channels but params carry 5"),
+        ({"scale": np.ones(5)}, "block0.w_o.zero.*length"),
+        ({"zero": np.zeros(4)}, "block0.w_o.zero.*integers"),
+    ], ids=["no-codes", "no-site", "bad-site", "channels", "shape", "past-qmax", "float-codes",
+            "zero-past-qmax", "no-zero", "scale-length", "unequal-lengths", "float-zero"])
+    def test_inconsistent_codes_are_named(self, quantized_bytes, replace, named):
         q = from_bytes(quantized_bytes)
         with pytest.raises(ContainerError, match=named):
-            blocks_from_container(_damage_codes(q, "block0.w_o", codes, site))
+            blocks_from_container(_damage_codes(q, "block0.w_o", **replace))
 
-    def test_no_site_table_is_named(self, quantized_bytes):
+    @pytest.mark.parametrize("qcfg", [None, {}, {"bits_w": 4.7}, {"bits_w": True}, {"bits_w": 9}])
+    def test_weight_bit_width_is_the_quantize_configs(self, quantized_bytes, qcfg):
+        """The codes take `quantize_config.bits_w`; a missing or bad one is named."""
+        q = from_bytes(quantized_bytes)
+        meta = {k: v for k, v in q.meta.items() if k != "quantize_config"}
+        if qcfg is not None:
+            meta["quantize_config"] = qcfg
+        with pytest.raises(ContainerError, match="bits_w|bit width"):
+            blocks_from_container(ModelContainer(meta=meta, tensors=q.tensors))
+
+    def test_no_site_table_is_needed(self, quantized_bytes):
+        """The codes carry their quantizers in their own tensors, not in the site table."""
         q = from_bytes(quantized_bytes)
         meta = {k: v for k, v in q.meta.items() if k != "sites"}
-        with pytest.raises(ContainerError, match="no site 'block0.w_qkv'"):
-            blocks_from_container(ModelContainer(meta=meta, tensors=q.tensors))
+        _, blocks = blocks_from_container(ModelContainer(meta=meta, tensors=q.tensors))
+        _, want = blocks_from_container(q)
+        np.testing.assert_array_equal(blocks[0].w_o.dequantize(), want[0].w_o.dequantize())
 
 
 class TestActivationsPacking:

@@ -34,7 +34,7 @@ from scalefold.quantizers import (QuantParams, Scheme, fake_quantize, logsqrt2_q
 from scalefold.reparam import reparameterize_layernorm_site
 from scalefold.calibration import calibrate_tensor
 from scalefold.container import ModelContainer, blocks_from_container, container_from_model
-from scalefold.pipeline import (QuantizeConfig, calibrate_model, hooks_from_sites,
+from scalefold.pipeline import (QuantizeConfig, calibrate_model, hooks_from_sites, load_sites,
                                 quantize_model, reparameterize_model)
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 from scalefold.tensors import ShapeError, gelu, matmul, rowwise_softmax
@@ -126,8 +126,6 @@ def fold_and_quantize(cfg, spec, bits):
     return rep_c, quantize_model(rep_c)
 
 
-def site_table(c):
-    return {k: QuantParams.from_json(v) for k, v in c.meta["sites"].items()}
 
 
 def model_hooks(*per_block):
@@ -454,7 +452,7 @@ class TestModelForward:
         cfg = ModelConfig(patches=8, dim=32, heads=2, head_dim=16, mlp_dim=64, blocks=2)
         spec = SynthSpec(seed=bits)
         rep_c, q_c = fold_and_quantize(cfg, spec, bits)
-        hooks = hooks_from_sites(cfg, site_table(q_c))
+        hooks = hooks_from_sites(cfg, load_sites(q_c))
         xs = gen_activations(cfg, spec, 3, stream=1)
         got = model_forward(xs, blocks_from_container(q_c)[1], cfg, hooks=hooks)
         want = fake_quant_forward(xs, blocks_from_container(rep_c)[1], cfg, hooks)
@@ -472,7 +470,7 @@ class TestModelForward:
         cfg = ModelConfig(patches=8, dim=32, heads=2, head_dim=16, mlp_dim=64, blocks=2)
         spec = SynthSpec(seed=5)
         _, q_c = fold_and_quantize(cfg, spec, 4)
-        sites = site_table(q_c)
+        sites = load_sites(q_c)
         hooks = hooks_from_sites(cfg, sites)
         xs = gen_activations(cfg, spec, 3, stream=1)
         # the last product, whose output no later quantizer can round away

@@ -1,11 +1,12 @@
 """Staged pipeline tests: stage gating, pass trail, determinism, evaluation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from scalefold.container import (ModelContainer, blocks_from_container,
+from scalefold.container import (ContainerError, ModelContainer, blocks_from_container,
                                  container_from_model, from_bytes, to_bytes)
 from scalefold.model import ACTIVATION_SITES, ModelConfig, WEIGHT_SITES, model_forward
 from scalefold.pipeline import (
@@ -17,12 +18,13 @@ from scalefold.pipeline import (
     capture_activations,
     evaluate,
     hooks_from_sites,
+    load_records,
+    load_sites,
     quantize_model,
     reparameterize_model,
     run_pipeline,
 )
 from scalefold.quantizers import QuantParams, Scheme, fake_quantize
-from scalefold.reparam import ReparamRecord
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 
 CFG = ModelConfig()
@@ -122,18 +124,21 @@ class TestStageGating:
 
 class TestCalibrateStage:
     def test_stage_and_site_table(self, chain):
+        """The manifest holds the per-layer sites, the tensors the LayerNorm and weight ones."""
         calib_c = chain[3]
         assert calib_c.stage == "calibrated"
-        sites = calib_c.meta["sites"]
+        sites = load_sites(calib_c)
         assert len(sites) == 12 * CFG.blocks
-        ln = QuantParams.from_json(sites["block0.ln1_out"])
+        assert len(calib_c.meta["sites"]) == 6 * CFG.blocks
+        ln = sites["block0.ln1_out"]
         assert ln.scale.shape == (CFG.dim,)
         assert ln.scheme == Scheme.UNIFORM
-        att = QuantParams.from_json(sites["block1.attn_a"])
+        assert calib_c.tensors["block0.ln1_out.scale"] is ln.scale
+        att = sites["block1.attn_a"]
         assert att.scheme == Scheme.LOG_SQRT2
-        plain = QuantParams.from_json(sites["block0.gelu_out"])
+        plain = sites["block0.gelu_out"]
         assert plain.scale.shape == (1,)
-        w = QuantParams.from_json(sites["block0.w_1"])
+        w = sites["block0.w_1"]
         assert w.scale.shape == (CFG.mlp_dim,)
 
     def test_ablation_snapshot(self, chain):
@@ -195,13 +200,14 @@ class TestFoldStage:
     def test_activation_sites_carry_through_the_fold(self, chain):
         """The fold replaces each LayerNorm site by its target and keeps every other activation site."""
         calib_c, rep_c = chain[3], chain[4]
+        records, calibrated = load_records(from_bytes(to_bytes(rep_c))), load_sites(calib_c)
         for i in range(CFG.blocks):
             for site in ACTIVATION_SITES:
                 key = f"block{i}.{site}"
                 if site in LN_SITES:
-                    rec = ReparamRecord.from_json(rep_c.meta["reparam_records"][key])
+                    rec = records[key]
                     assert rep_c.meta["sites"][key] == rec.target_params().to_json()
-                    assert rec.source.to_json() == calib_c.meta["sites"][key]
+                    assert rec.source.to_json() == calibrated[key].to_json()
                 else:
                     assert rep_c.meta["sites"][key] == calib_c.meta["sites"][key]
 
@@ -266,7 +272,7 @@ class TestQuantizeStage:
         """No float weight matrix is left; each site's MSE is taken on the folded floats."""
         rep_c, q_c = chain[4], chain[5]
         _, folded = blocks_from_container(rep_c)
-        sites = {k: QuantParams.from_json(v) for k, v in q_c.meta["sites"].items()}
+        sites = load_sites(q_c)
         assert sorted(q_c.meta["weight_mse"]) == sorted(
             f"block{i}.{s}" for i in range(CFG.blocks) for s in WEIGHT_SITES)
         for i, bw in enumerate(folded):
@@ -387,7 +393,7 @@ class TestEvaluate:
         monkeypatch.setattr("scalefold.pipeline.model_forward", spy)
         evaluate(model_c, q_c, held_out)
         layer_wise, channel_wise = tables
-        calibrated = calib_c.meta["sites"]
+        calibrated = {k: v.to_json() for k, v in load_sites(calib_c).items()}
         naive = calib_c.meta["ablation"]["ln_layer_wise"]
         assert {k: v.to_json() for k, v in channel_wise.items()} == calibrated
         assert {k: v.to_json() for k, v in layer_wise.items()} == {**calibrated, **naive}
@@ -402,7 +408,7 @@ class TestEvaluate:
             "scale": {**site, "scale": [3 * site["scale"][0]], "zero_point": [0]},
             "zero_point": {**site, "zero_point": [(site["zero_point"][0] + 1) % 16]},
             "bits": {**site, "bits": 5},
-            "channel_wise": q_c.meta["reparam_records"]["block0.ln1_out"]["source"],
+            "channel_wise": load_records(q_c)["block0.ln1_out"].source.to_json(),
         }[change]
         meta = {**q_c.meta, "sites": {**q_c.meta["sites"], "block0.ln1_out": site}}
         with pytest.raises(PipelineError, match="site block0.ln1_out is not the target"):
@@ -412,23 +418,13 @@ class TestEvaluate:
         """A q container carrying `granularity` and `channel_axis` evaluates byte for byte the same.
 
         Containers written before those keys were dropped carry them in every
-        site, fold-record source and `ablation.ln_layer_wise` entry:
-        "per_channel" with axis 1 on the weight sites and -1 on the fold
-        sources, "per_layer" with no axis everywhere else.
+        manifest site and `ablation.ln_layer_wise` entry, all of them per
+        layer now: "per_layer" with no axis.
         """
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
         meta = json.loads(json.dumps(q_c.meta))
-
-        def add_layout(entry, axis):
-            entry.update(granularity="per_layer" if axis is None else "per_channel",
-                         channel_axis=axis)
-
-        for name, entry in meta["sites"].items():
-            add_layout(entry, 1 if name.split(".")[1] in WEIGHT_SITES else None)
-        for record in meta["reparam_records"].values():
-            add_layout(record["source"], -1)
-        for entry in meta["ablation"]["ln_layer_wise"].values():
-            add_layout(entry, None)
+        for entry in [*meta["sites"].values(), *meta["ablation"]["ln_layer_wise"].values()]:
+            entry.update(granularity="per_layer", channel_axis=None)
         new_raw = to_bytes(q_c)
         old_raw = to_bytes(ModelContainer(meta=meta, tensors=q_c.tensors))
         assert len(old_raw) > len(new_raw)
@@ -479,7 +475,7 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="quantize_config"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
-    @pytest.mark.parametrize("field", ["target_scale", "target_zero", "source"])
+    @pytest.mark.parametrize("field", ["target_scale", "target_zero", "bits"])
     def test_malformed_fold_record_is_named(self, chain, field):
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
         records = {**q_c.meta["reparam_records"]}
@@ -492,13 +488,10 @@ class TestEvaluate:
 
     def test_fold_record_of_wrong_width_is_named(self, chain):
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
-        records = {**q_c.meta["reparam_records"]}
-        rec = records["block0.ln2_out"]
-        source = rec["source"]
-        records["block0.ln2_out"] = {**rec, "source": {
-            **source, "scale": source["scale"][:-1], "zero_point": source["zero_point"][:-1]}}
-        stripped = ModelContainer(meta={**q_c.meta, "reparam_records": records},
-                                  tensors=q_c.tensors)
+        key = "reparam_records.block0.ln2_out"
+        stripped = ModelContainer(meta=q_c.meta, tensors={
+            **q_c.tensors, key + ".scale": q_c.tensors[key + ".scale"][:-1],
+            key + ".zero": q_c.tensors[key + ".zero"][:-1]})
         with pytest.raises(PipelineError, match="block0.ln2_out has 63 channels"):
             evaluate(model_c, stripped, held_out)
 
@@ -556,3 +549,106 @@ class TestHooksFromSites:
         bad = {**sites, "block2.attn_q": qp, "block0.attn_x": qp, "attn_q": qp}
         with pytest.raises(PipelineError, match="attn_q, block0.attn_x, block2.attn_q$"):
             hooks_from_sites(CFG, bad)
+
+
+def _damaged(c, key, damage):
+    """A copy of container `c` with the per-channel quantizer tensors of `key` damaged."""
+    tensors = dict(c.tensors)
+    scale, zero = tensors[key + ".scale"].copy(), tensors[key + ".zero"].copy()
+    if damage in ("nan", "zero", "negative"):
+        scale[3] = {"nan": np.nan, "zero": 0.0, "negative": -scale[3]}[damage]
+    elif damage == "zero-past-qmax":
+        zero[3] = 16
+    elif damage == "short":
+        scale, zero = scale[:-1], zero[:-1]
+    tensors[key + ".scale"], tensors[key + ".zero"] = scale, zero
+    if damage.startswith("no-"):
+        del tensors[f"{key}.{damage[3:]}"]
+    return ModelContainer(meta=c.meta, tensors=tensors)
+
+
+class TestQuantizerTensors:
+    """Per-channel quantizers ship as `.scale` and `.zero` tensors, and a damaged one is named."""
+
+    @pytest.mark.parametrize("damage", ["nan", "zero", "negative", "zero-past-qmax", "short",
+                                        "no-scale", "no-zero"])
+    @pytest.mark.parametrize("stage, key", [
+        ("calibrated", "block0.ln2_out"), ("reparameterized", "block1.w_1"),
+        ("quantized", "block0.w_o"), ("quantized", "reparam_records.block1.ln1_out"),
+    ])
+    def test_damaged_vector_is_a_clean_error(self, chain, monkeypatch, stage, key, damage):
+        """Each stage that reads the vectors fails with a named error before any forward runs."""
+        model_c, held_out, calib_c, rep_c, q_c = chain[0], chain[2], *chain[3:]
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
+        run = {
+            "calibrated": lambda c: reparameterize_model(c),
+            "reparameterized": lambda c: quantize_model(c),
+            "quantized": lambda c: evaluate(model_c, c, held_out),
+        }[stage]
+        damaged = _damaged({"calibrated": calib_c, "reparameterized": rep_c,
+                            "quantized": q_c}[stage], key, damage)
+        with pytest.raises((ContainerError, PipelineError), match=key.rpartition(".")[2]):
+            run(damaged)
+
+    def test_vectors_read_back_bit_exact(self, chain):
+        """The f64 scales and integer zero points of every stage survive the file unchanged."""
+        for c in chain[3:]:
+            back = from_bytes(to_bytes(c))
+            for name in c.tensors:
+                if name.endswith((".scale", ".zero")):
+                    np.testing.assert_array_equal(back.tensors[name], c.tensors[name])
+                    assert back.tensors[name].dtype == (
+                        np.float64 if name.endswith(".scale") else np.uint8)
+        q_c = chain[5]
+        for key, qp in load_sites(from_bytes(to_bytes(q_c))).items():
+            assert qp.to_json() == load_sites(q_c)[key].to_json()
+
+    def test_manifest_holds_no_vector(self, chain):
+        """No manifest value but a tensor shape is a list of more than one number."""
+        def vectors(node, path):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield from vectors(v, f"{path}.{k}")
+            elif isinstance(node, list):
+                if sum(isinstance(v, (int, float)) for v in node) > 1:
+                    yield path
+                for j, v in enumerate(node):
+                    yield from vectors(v, f"{path}[{j}]")
+
+        for c in chain[3:]:
+            raw = to_bytes(c)
+            manifest = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+            found = [p for p in vectors(manifest, c.stage)
+                     if not re.fullmatch(rf"{c.stage}\.tensors\[\d+\]\.shape", p)]
+            assert found == []
+
+    def test_older_layout_with_vectors_in_json_is_a_clean_error(self, chain):
+        """A q container that keeps its weight sites and fold sources in JSON does not load."""
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        sites, records = load_sites(q_c), load_records(q_c)
+        meta = json.loads(json.dumps(q_c.meta))
+        meta["sites"] = {k: qp.to_json() for k, qp in sites.items()}
+        for key, rec in records.items():
+            meta["reparam_records"][key] = {"target_scale": rec.target_scale,
+                                            "target_zero": rec.target_zero,
+                                            "source": rec.source.to_json()}
+        old = from_bytes(to_bytes(ModelContainer(meta=meta, tensors={
+            k: v for k, v in q_c.tensors.items() if not k.endswith((".scale", ".zero"))})))
+        with pytest.raises(ContainerError, match="missing tensor 'block0.w_1.scale'"):
+            evaluate(model_c, old, held_out)
+        with pytest.raises(ContainerError, match="missing tensor"):
+            blocks_from_container(old)
+
+
+def test_default_quantized_container_fits_its_size_budget():
+    """The default 16x64 4/4 quantized container at seed 0 stays within 76,000 bytes.
+
+    It is the benchmark's small-lib artifact (64 calibration samples). Its
+    per-channel vectors as decimal JSON made it 93.0 kB; as f64 and u4
+    tensors it is about 75.0 kB, so a re-inflated manifest fails here.
+    """
+    spec = SynthSpec(seed=0)
+    model_c = container_from_model(CFG, gen_model(CFG, spec), stage="fp",
+                                   meta_extra={"synth_spec": spec.to_json()})
+    q_c = run_pipeline(model_c, gen_activations(CFG, spec, 64))
+    assert len(to_bytes(q_c)) <= 76_000

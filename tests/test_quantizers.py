@@ -66,6 +66,18 @@ class TestQuantParams:
         with pytest.raises(ValueError):
             uparams(1.0, -1, 4)
 
+    @pytest.mark.parametrize("bits", [4.7, 4.0, True, "4", None])
+    def test_rejects_a_bit_width_that_is_not_an_integer(self, bits):
+        """A fractional, boolean or string width fails at construction, for every scheme."""
+        with pytest.raises(ValueError, match="not an integer"):
+            QuantParams(Scheme.LOG2, bits, scale=[1.0])
+        with pytest.raises(ValueError, match="not an integer"):
+            QuantParams(Scheme.UNIFORM, bits, scale=[1.0], zero_point=[0])
+
+    def test_integer_bit_width_is_stored_as_int(self):
+        qp = QuantParams(Scheme.LOG2, np.int64(5), scale=[1.0])
+        assert type(qp.bits) is int and qp.bits == 5
+
     def test_rejects_float_zero_point(self):
         with pytest.raises(ValueError):
             QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]),

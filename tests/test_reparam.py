@@ -87,7 +87,7 @@ class TestBuildRecord:
 
     def test_json_round_trip(self):
         rec = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8]))
-        back = ReparamRecord.from_json(rec.to_json())
+        back = ReparamRecord.from_json(rec.to_json(), rec.source.scale, rec.source.zero_point)
         np.testing.assert_array_equal(back.r1, rec.r1)
         np.testing.assert_array_equal(back.r2, rec.r2)
         assert back.target_scale == rec.target_scale
@@ -95,27 +95,40 @@ class TestBuildRecord:
         np.testing.assert_array_equal(back.source.scale, rec.source.scale)
 
     def test_json_holds_no_fold_factors(self):
-        """r1 and r2 are derived from the source and target, so the record stores neither."""
+        """r1 and r2 are derived from the source and target, so the record stores neither.
+
+        Nor does it hold the source's vectors, which ship as container tensors.
+        """
         d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
-        assert set(d) == {"target_scale", "target_zero", "source"}
+        assert d == {"target_scale": 2.0, "target_zero": 6, "bits": 4}
 
     @pytest.mark.parametrize("mutate", [
-        lambda d: d.pop("target_scale"), lambda d: d.pop("source"),
+        lambda d: d.pop("target_scale"), lambda d: d.pop("bits"),
         lambda d: d.update(target_zero=None), lambda d: d.update(target_scale=[1.0]),
-        lambda d: d.update(target_zero=6.5), lambda d: d.update(source=[]),
-        lambda d: d.update(source=QuantParams(Scheme.LOG_SQRT2, 4,
-                                              scale=np.array([2.0])).to_json()),
+        lambda d: d.update(target_zero=6.5), lambda d: d.update(bits=[]),
+        lambda d: d.update(bits=9), lambda d: d.update(target_zero="6"),
+        lambda d: d.update(bits=4.0),
     ])
     def test_malformed_json_is_value_error(self, mutate):
         d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
         mutate(d)
         with pytest.raises(ValueError):
-            ReparamRecord.from_json(d)
+            ReparamRecord.from_json(d, np.array([1.0, 2.0, 3.0]), np.array([4, 6, 8]))
+
+    @pytest.mark.parametrize("change", [
+        {"target_scale": "2.5"}, {"target_scale": True}, {"target_zero": True},
+        {"target_zero": 2.5}, {"bits": True},
+    ])
+    def test_json_types_are_not_converted(self, change):
+        """A string is no scale and a boolean no integer: each is rejected, not converted."""
+        d = {**build_reparam_record(channel_params([1.0, 2.0], [4, 6])).to_json(), **change}
+        with pytest.raises(ValueError, match="malformed fold record"):
+            ReparamRecord.from_json(d, np.array([1.0, 2.0]), np.array([4, 6]))
 
     @pytest.mark.parametrize("d", [None, [], "r1"])
     def test_non_object_json_is_value_error(self, d):
         with pytest.raises(ValueError, match="malformed fold record"):
-            ReparamRecord.from_json(d)
+            ReparamRecord.from_json(d, np.array([1.0]), np.array([0]))
 
 
 class TestAffineAdjustment:
@@ -386,6 +399,5 @@ class TestRecordValidation:
     def test_length_mismatch(self):
         """The width is the source's: scales and zero points of unequal length are rejected."""
         d = build_reparam_record(channel_params([1.0, 2.0], [0, 1])).to_json()
-        d["source"]["zero_point"] = [0]
         with pytest.raises(ValueError, match="zero_point length"):
-            ReparamRecord.from_json(d)
+            ReparamRecord.from_json(d, np.array([1.0, 2.0]), np.array([0]))
