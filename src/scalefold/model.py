@@ -19,8 +19,13 @@ A block loaded from a quantized container holds its weight matrices as
 `CodeBlock`s, the shipped codes centred once at load, and each weight
 product multiplies those codes with the block's own params, not the table's
 entry at its name; no weight is quantized in the forward.
-A `capture` dict collects the pre-hook tensors at each named site, which is
-how calibration and evaluation observe the model. Every forward function
+`capture` is a sink for the pre-hook tensor at each named site: the forward
+runs `capture[name] = tensor` once per site, as it reaches the site, and
+never reads the sink back. A plain dict therefore keeps every site of the
+pass; calibration and evaluation instead pass an observer that fits or
+measures each site on arrival and keeps nothing, so neither holds the
+captures of a whole stack. The forward goes on to use each tensor, so a
+sink must not modify it. Every forward function
 takes one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
 as one pass, and each of its samples comes out bit-identical to running
 that sample alone.
@@ -183,11 +188,16 @@ def _centred(w, qp):
     return w.centred if isinstance(w, CodeBlock) else uniform_centred(w, qp)
 
 
+# Elements of A per chunk of the log-sqrt2 A @ V: at about 50 working bytes
+# each, 2**15 of them keep a chunk near `tensors.matmul`'s 2 MiB budget.
+_LOG_CHUNK = 1 << 15
+
+
 def _same(t):
     return t
 
 
-def _log_sqrt2_matmul(a, qa, vc, v_qmax):
+def _log_sqrt2_bands(a, qa, vc, v_qmax):
     """Half-power codes of `a` times the centred integer codes `vc`, unscaled.
 
     With c = logsqrt2_quantize(a), e = (c + 1) >> 1 and p = c & 1, the
@@ -221,6 +231,28 @@ def _log_sqrt2_matmul(a, qa, vc, v_qmax):
         r = split @ vc
         acc += np.ldexp(r[..., :rows, :] + SQRT2 * r[..., rows:, :], -hi)
     return acc
+
+
+def _log_sqrt2_matmul(a, qa, vc, v_qmax):
+    """`_log_sqrt2_bands` over chunks of at most `_LOG_CHUNK` elements of `a`.
+
+    The chunks split the flattened leading (sample, head) axes, so the
+    codes, bands and split operand, about 50 bytes per element of `a`, never
+    exist for a whole stack at once. Each output row depends on its own
+    matrix only, so the chunks give the unchunked product bit for bit. An
+    `a` that fits in one chunk, such as one sample, runs as it is.
+    """
+    if a.size <= _LOG_CHUNK:
+        return _log_sqrt2_bands(a, qa, vc, v_qmax)
+    (rows, k), m = a.shape[-2:], vc.shape[-1]
+    batch = np.broadcast_shapes(a.shape[:-2], vc.shape[:-2])
+    a3 = np.broadcast_to(a, batch + (rows, k)).reshape(-1, rows, k)
+    v3 = np.broadcast_to(vc, batch + (k, m)).reshape(-1, k, m)
+    out = np.empty((len(a3), rows, m))
+    step = max(1, _LOG_CHUNK // (rows * k))
+    for lo in range(0, len(a3), step):
+        out[lo:lo + step] = _log_sqrt2_bands(a3[lo:lo + step], qa, v3[lo:lo + step], v_qmax)
+    return out.reshape(batch + (rows, m))
 
 
 def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
@@ -282,7 +314,11 @@ def layernorm_forward(x, gamma, beta, eps=1e-5):
     x = as_tensor(x)
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * as_tensor(gamma) + as_tensor(beta)
+    y = x - mu
+    y /= np.sqrt(var + eps)
+    y *= as_tensor(gamma)
+    y += as_tensor(beta)
+    return y
 
 
 def _tokens(x, cfg):
@@ -355,9 +391,11 @@ def model_forward(x, blocks, cfg, hooks=None, capture=None):
     """Run all blocks on one (patches, dim) sample or an (n, patches, dim) stack.
 
     `hooks` is the flat site table {"block{i}.{site}": QuantParams}, keyed as
-    `capture` is; a name it lacks, or hooks None, bypasses that site. Captures
-    keep the input's leading axis: a stack captures (n, patches, dim) per site
-    and (n, heads, patches, patches) at attn_a.
+    `capture` is; a name it lacks, or hooks None, bypasses that site.
+    `capture`, if given, receives `capture[name] = tensor` once per site in
+    forward order (see the module docstring). Captures keep the input's
+    leading axis: a stack captures (n, patches, dim) per site and
+    (n, heads, patches, patches) at attn_a.
     """
     out = as_tensor(x)
     for i, w in enumerate(blocks):

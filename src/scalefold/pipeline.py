@@ -4,6 +4,10 @@ The flow has no optimization loop. One capture pass, a single forward over
 the whole calibration stack, fits every quantizer from data (channel-wise
 affine on the post-LayerNorm sites, a sqrt(2)-base log quantizer on
 post-Softmax, layer-wise affine elsewhere, channel-wise min/max on weights).
+Each activation site is fitted the moment the forward reaches it: the pass
+hands its sites to an observer (the `capture` sink of `model_forward`),
+which reduces each stack and keeps none, and evaluation measures its
+forwards the same way. No stage holds the captures of a whole stack.
 The fold stage then rewrites each LayerNorm site's affine parameters and
 consumer weights so a single layer-wise quantizer reproduces the
 channel-wise codes, refits only the rewritten weights, and swaps the
@@ -31,8 +35,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .calibration import calibrate_tensor
-from .container import (blocks_from_container, channel_params, channel_tensors,
-                        channel_vectors, container_from_model)
+from .container import (ContainerError, blocks_from_container, channel_params,
+                        channel_tensors, channel_vectors, container_from_model)
 from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, model_forward
 from .quantizers import (QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
@@ -46,8 +50,6 @@ LN_SITES = {
     "ln1_out": ("gamma1", "beta1", "w_qkv", "b_qkv"),
     "ln2_out": ("gamma2", "beta2", "w_1", "b_1"),
 }
-# activation sites that keep a layer-wise affine quantizer throughout
-PLAIN_SITES = ("attn_q", "attn_k", "attn_v", "msa_proj_in", "gelu_out")
 
 
 class PipelineError(RuntimeError):
@@ -80,11 +82,46 @@ def _check_acts(cfg, acts):
     return acts
 
 
-def capture_activations(blocks, cfg, acts):
-    """Forward the whole stack in one pass; each site's capture keeps axis 0."""
-    caps = {}
-    model_forward(_check_acts(cfg, acts), blocks, cfg, capture=caps)
-    return caps
+class _SiteObserver:
+    """A `model_forward` capture sink that hands each site to `observe(name, tensor)`.
+
+    It keeps nothing, so each captured stack is garbage once the forward has
+    moved past its site and `observe` has reduced it.
+    """
+
+    def __init__(self, observe):
+        self._observe = observe
+
+    def __setitem__(self, name, tensor):
+        self._observe(name, tensor)
+
+
+def capture_activations(blocks, cfg, acts, capture=None):
+    """Forward the whole stack in one pass, handing each site's stack to `capture`.
+
+    Each capture keeps axis 0. `capture` None collects every site into a new
+    dict, which is returned; any other sink gets each site once, as the
+    forward reaches it, and is returned as it is.
+    """
+    capture = {} if capture is None else capture
+    model_forward(_check_acts(cfg, acts), blocks, cfg, capture=capture)
+    return capture
+
+
+def _site_of(key):
+    return key.partition(".")[2]
+
+
+def _fit_site(key, x, qcfg):
+    """The calibrated quantizer of activation site `key` from its captured stack `x`.
+
+    Channel-wise affine after LayerNorm, log-sqrt2 after Softmax, layer-wise
+    affine everywhere else.
+    """
+    site = _site_of(key)
+    if site == "attn_a":
+        return calibrate_tensor(x, qcfg.bits_a, scheme=Scheme.LOG_SQRT2)
+    return calibrate_tensor(x, qcfg.bits_a, qcfg.percentile, per_channel=site in LN_SITES)
 
 
 def _fit_weights(blocks, qcfg):
@@ -94,21 +131,32 @@ def _fit_weights(blocks, qcfg):
 
 
 def _fit_sites(blocks, caps, qcfg):
-    """Fit the layer-wise, post-Softmax and weight sites of every block.
+    """Fit every site of every block from the whole-stack capture dict `caps`.
 
-    Activation sites fit from the captured stacks, weights with `_fit_weights`.
+    Each capture goes through `_fit_site` and the weights through
+    `_fit_weights`, which is what `calibrate_model` does site by site as its
+    forward streams.
     """
-    bits, p = qcfg.bits_a, qcfg.percentile
+    return {**{key: _fit_site(key, x, qcfg) for key, x in caps.items()},
+            **_fit_weights(blocks, qcfg)}
+
+
+def _layer_wise_from_json(d, where):
+    """Per-layer sites from the manifest table at key path `where`.
+
+    A malformed entry, or one holding more than one scale, raises
+    ContainerError naming `where`.key.
+    """
     sites = {}
-    for i in range(len(blocks)):
-        pre = f"block{i}."
-        sites[pre + "attn_a"] = calibrate_tensor(caps[pre + "attn_a"], bits, scheme=Scheme.LOG_SQRT2)
-        sites.update({pre + s: calibrate_tensor(caps[pre + s], bits, p) for s in PLAIN_SITES})
-    return {**sites, **_fit_weights(blocks, qcfg)}
-
-
-def _sites_from_json(d):
-    return {name: QuantParams.from_json(v) for name, v in d.items()}
+    for key, value in d.items():
+        try:
+            sites[key] = QuantParams.from_json(value)
+        except ValueError as e:
+            raise ContainerError(f"{where}.{key}: {e}") from None
+        if sites[key].scale.size != 1:
+            raise ContainerError(f"{where}.{key} holds {sites[key].scale.size} scales; a "
+                                 "manifest site is per layer")
+    return sites
 
 
 def _site_keys(cfg, names):
@@ -143,20 +191,32 @@ def _store_sites(container, sites):
         container.tensors.update(channel_tensors(key, sites[key]))
 
 
+def _channels(cfg, site):
+    """Channel count of per-channel site `site`: a weight's output columns, else dim."""
+    return {"w_qkv": 3 * cfg.dim, "w_1": cfg.mlp_dim}.get(site, cfg.dim)
+
+
 def load_sites(container):
     """The whole site table of a calibrated, folded or quantized container.
 
     Per-layer sites come from the manifest, per-channel ones from their
-    tensors. A malformed manifest entry raises ValueError, a missing or
-    malformed tensor ContainerError, and a missing site table or quantize
-    config PipelineError.
+    tensors. A manifest entry that is malformed or holds more than one
+    scale, a missing or malformed tensor, and per-channel vectors whose
+    length is not the site's channel count (a weight's output columns, a
+    LayerNorm site's dim) raise ContainerError naming the site; a missing
+    site table or quantize config raises PipelineError.
     """
     if not isinstance(container.meta.get("sites"), dict):
         raise PipelineError(f"{container.stage} container lacks a sites table")
-    sites = _sites_from_json(container.meta["sites"])
-    sites.update({key: channel_params(container, key, bits)
-                  for key, bits in _channel_bits(container).items()})
-    return sites
+    cfg = container.config()
+    channel = {}
+    for key, bits in _channel_bits(container).items():
+        channel[key] = channel_params(container, key, bits)
+        want = _channels(cfg, _site_of(key))
+        if channel[key].scale.size != want:
+            raise ContainerError(f"quantizer tensors {key}.scale and {key}.zero hold "
+                                 f"{channel[key].scale.size} channels, the model {want}")
+    return {**_layer_wise_from_json(container.meta["sites"], "sites"), **channel}
 
 
 def _store_records(container, records):
@@ -221,20 +281,23 @@ def _append_pass(meta, name):
 def calibrate_model(model_c, acts, qcfg=None):
     """Stage 1: fit all quantizers from calibration data.
 
-    Also fits naive layer-wise affine parameters for the LayerNorm sites
+    One forward over the calibration stack hands each activation site to
+    `_fit_site` as it reaches it, so no site's stack outlives its fit. Also
+    fits naive layer-wise affine parameters for the LayerNorm sites
     (`ablation.ln_layer_wise`), which `evaluate`'s layer-wise arm runs.
     """
     qcfg = qcfg or QuantizeConfig()
     _require_floats(model_c, "calibration")
     cfg, blocks = blocks_from_container(model_c)
     acts = _check_acts(cfg, acts)
-    caps = capture_activations(blocks, cfg, acts)
+    sites, naive = _fit_weights(blocks, qcfg), {}
 
-    bits, p = qcfg.bits_a, qcfg.percentile
-    ln_keys = _site_keys(cfg, LN_SITES)
-    sites = _fit_sites(blocks, caps, qcfg)
-    sites.update({key: calibrate_tensor(caps[key], bits, p, per_channel=True) for key in ln_keys})
-    naive = {key: calibrate_tensor(caps[key], bits, p) for key in ln_keys}
+    def fit(key, x):
+        sites[key] = _fit_site(key, x, qcfg)
+        if _site_of(key) in LN_SITES:
+            naive[key] = calibrate_tensor(x, qcfg.bits_a, qcfg.percentile)
+
+    capture_activations(blocks, cfg, acts, capture=_SiteObserver(fit))
 
     out = container_from_model(cfg, blocks, stage="calibrated")
     out.meta["quantize_config"] = qcfg.to_json()
@@ -379,6 +442,13 @@ def _mse(a, b):
     return float(np.mean((as_tensor(a) - as_tensor(b)) ** 2))
 
 
+def _add_squared_error(acc, recon, x):
+    """Add the sum of (recon - x)**2 and its element count to acc = [sum, count]."""
+    err = recon - x
+    acc[0] += float(np.sum(err ** 2))
+    acc[1] += err.size
+
+
 def _dot(a, b):
     """The correctly rounded sum of a * b, so no BLAS reduction order shows in it."""
     return math.fsum((a * b).tolist())
@@ -392,7 +462,10 @@ def evaluate(fp_c, q_c, acts):
     two ablations: end-to-end MSE with naive layer-wise / channel-wise /
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
     log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
-    once over the whole held-out stack. The two LayerNorm ablation arms run
+    once over the whole held-out stack, and an observer on each of the two
+    main forwards measures every site as the forward reaches it (the per-site
+    MSE on the quantized one; code equality and the Softmax ablation on the
+    float one), so no capture outlives its site. The two LayerNorm ablation arms run
     the float model on the container's activation sites, with each LayerNorm
     site replaced by its fold record's `source` (channel-wise) or by
     `ablation.ln_layer_wise` (layer-wise), and weight sites refitted from
@@ -434,40 +507,50 @@ def evaluate(fp_c, q_c, acts):
                                 f"reparam_records.{key}")
     chan_sites = {**sites, **{key: rec.source for key, rec in records.items()},
                   **_fit_weights(fp_blocks, qcfg)}
-    layer_sites = hooks_from_sites(cfg, {**chan_sites, **_sites_from_json(
-        q_c.meta["ablation"]["ln_layer_wise"])})
+    layer_sites = hooks_from_sites(cfg, {**chan_sites, **_layer_wise_from_json(
+        q_c.meta["ablation"]["ln_layer_wise"], "ablation.ln_layer_wise")})
     _, q_blocks = blocks_from_container(q_c)
 
-    fp_caps, q_caps = {}, {}
-    fp_out = model_forward(acts, fp_blocks, cfg, capture=fp_caps)
-    q_out = model_forward(acts, q_blocks, cfg, hooks=sites, capture=q_caps)
+    # each forward hands every activation site to an observer that reduces
+    # it on the spot, so neither holds its captures
+    act_mse = {}
 
-    per_site_mse = {}
-    for name, qp in sorted(sites.items()):
-        if name in weight_mse:
-            per_site_mse[name] = weight_mse[name]
-        else:
-            seen = q_caps[name]
-            per_site_mse[name] = _mse(fake_quantize(seen, qp), seen)
+    def site_error(name, x):
+        act_mse[name] = _mse(fake_quantize(x, sites[name]), x)
 
+    # code equality at the folded sites, computed from the audit records at
+    # full float64 precision on the float model's activations; the
+    # post-Softmax quantizer families (ablation 2) on the float attn_a
+    equal = {}
+    sq = {"log2": [0.0, 0], "log_sqrt2": [0.0, 0], "base_changed": [0.0, 0]}
+
+    def audit(name, x):
+        if name in records:
+            rec = records[name]
+            codes_chan = uniform_quantize(x, rec.source)
+            adjusted = (x + rec.source.scale * rec.r2) / rec.r1
+            eq = uniform_quantize(adjusted, rec.target_params()) == codes_chan
+            equal[name] = (float(np.mean(eq)), int(eq.sum()), eq.size)
+        elif _site_of(name) == "attn_a":
+            s, bits = float(sites[name].scale[0]), sites[name].bits
+
+            _add_squared_error(sq["log2"], log2_dequantize(log2_quantize(x, s, bits), s, bits), x)
+            codesq = logsqrt2_quantize(x, s, bits)
+            _add_squared_error(sq["log_sqrt2"], logsqrt2_dequantize(codesq, s, bits), x)
+            # inference route: parity-adjusted scales on the integer shift path
+            _add_squared_error(sq["base_changed"], logsqrt2_dequantize_shift(codesq, s, bits), x)
+
+    fp_out = model_forward(acts, fp_blocks, cfg, capture=_SiteObserver(audit))
+    q_out = model_forward(acts, q_blocks, cfg, hooks=sites, capture=_SiteObserver(site_error))
+
+    per_site_mse = dict(sorted({**act_mse, **weight_mse}.items()))
     output_mse = _mse(q_out, fp_out)
     va, vb = q_out.ravel(), fp_out.ravel()
     output_cosine = _dot(va, vb) / (math.sqrt(_dot(va, va)) * math.sqrt(_dot(vb, vb)))
 
-    # code equality at the folded sites, computed from the audit records at
-    # full float64 precision on the float model's activations
-    code_equality = {}
-    hits = total = 0
-    for name, rec in records.items():
-        x = fp_caps[name]
-        codes_chan = uniform_quantize(x, rec.source)
-        adjusted = (x + rec.source.scale * rec.r2) / rec.r1
-        codes_layer = uniform_quantize(adjusted, rec.target_params())
-        eq = codes_chan == codes_layer
-        code_equality[name] = float(np.mean(eq))
-        hits += int(eq.sum())
-        total += eq.size
-    code_equality_rate = float(hits / total)
+    code_equality = {name: equal[name][0] for name in records}
+    code_equality_rate = float(sum(v[1] for v in equal.values())
+                               / sum(v[2] for v in equal.values()))
 
     # ablation 1: LayerNorm-site granularity, end to end
     ln_ablation = {}
@@ -476,22 +559,6 @@ def evaluate(fp_c, q_c, acts):
         ln_ablation[label] = _mse(out, fp_out)
     ln_ablation["reparam"] = output_mse
 
-    # ablation 2: post-Softmax quantizer family, on the captured tensors
-    sq = {"log2": [0.0, 0], "log_sqrt2": [0.0, 0], "base_changed": [0.0, 0]}
-    for i in range(cfg.blocks):
-        key = f"block{i}.attn_a"
-        a = fp_caps[key]
-        s = float(sites[key].scale[0])
-        bits = sites[key].bits
-        codes2 = log2_quantize(a, s, bits)
-        err2 = log2_dequantize(codes2, s, bits) - a
-        codesq = logsqrt2_quantize(a, s, bits)
-        errq = logsqrt2_dequantize(codesq, s, bits) - a
-        # inference route: parity-adjusted scales on the integer shift path
-        errb = logsqrt2_dequantize_shift(codesq, s, bits) - a
-        for label, err in (("log2", err2), ("log_sqrt2", errq), ("base_changed", errb)):
-            sq[label][0] += float(np.sum(err ** 2))
-            sq[label][1] += err.size
     softmax_ablation = {k: v[0] / v[1] for k, v in sq.items()}
 
     return EvalReport(

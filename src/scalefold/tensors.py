@@ -182,12 +182,15 @@ def rowwise_softmax(x):
     finite input, including rows with large magnitudes.
     """
     x = as_tensor(x)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def gelu(x):
     """x * Phi(x) with the exact Gaussian CDF, not the tanh approximation."""
     x = as_tensor(x)
-    return x * ndtr(x)
+    out = ndtr(x)
+    out *= x
+    return out

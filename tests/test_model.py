@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -159,6 +160,22 @@ class TestLayerNorm:
         base = layernorm_forward(x, gamma, np.zeros(6))
         shifted = layernorm_forward(x, gamma, np.full(6, 2.5))
         np.testing.assert_allclose(shifted, base + 2.5, atol=1e-12)
+
+    def test_normalizes_in_one_buffer(self):
+        """The out-of-place expression bit for bit, with the output its only full-size buffer."""
+        rng = np.random.default_rng(65)
+        x = rng.normal(size=(64, 4096)) * 3 + 1
+        gamma, beta = rng.uniform(0.5, 2.0, 4096), rng.normal(size=4096)
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        tracemalloc.start()
+        try:
+            out = layernorm_forward(x, gamma, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, (x - mu) / np.sqrt(var + 1e-5) * gamma + beta)
+        # row statistics and numpy's reduction buffers aside, nothing but the output
+        assert peak <= 1.1 * out.nbytes
 
     def test_population_variance_oracle(self):
         rng = np.random.default_rng(61)
@@ -589,6 +606,19 @@ class TestModelForward:
             for col, value in zip(c_v.T, out):
                 exact = sum(Fraction(int(c) - 128, 2 ** int(x)) for x, c in zip(row, col))
                 assert value == float(exact)
+
+    def test_parity_split_does_not_depend_on_chunking(self, monkeypatch):
+        """A @ V runs in chunks of (sample, head) matrices; any chunk size gives the same bits."""
+        rng = np.random.default_rng(52)
+        qa = QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([1.0]))
+        qv = layer_params(0.05, 128, bits=8)
+        a = rowwise_softmax(rng.normal(size=(6, 2, 9, 33)) * 3)
+        heads, shared = rng.normal(size=(6, 2, 33, 7)), rng.normal(size=(33, 7))
+        want = [_qmatmul(a, qa, v, qv) for v in (heads, shared)]
+        for chunk in (1, 1000, 1 << 20):     # 1, 3 and all 12 matrices per chunk
+            monkeypatch.setattr("scalefold.model._LOG_CHUNK", chunk)
+            for v, expected in zip((heads, shared), want):
+                np.testing.assert_array_equal(_qmatmul(a, qa, v, qv), expected)
 
     @pytest.mark.parametrize("bits", [4, 8])
     def test_hooked_output_is_the_same_at_any_blas_thread_count(self, bits):

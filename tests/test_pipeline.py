@@ -411,7 +411,11 @@ class TestEvaluate:
             "channel_wise": load_records(q_c)["block0.ln1_out"].source.to_json(),
         }[change]
         meta = {**q_c.meta, "sites": {**q_c.meta["sites"], "block0.ln1_out": site}}
-        with pytest.raises(PipelineError, match="site block0.ln1_out is not the target"):
+        # a channel-wise entry is no manifest site at all, so loading the table rejects it
+        error, named = ((ContainerError, "sites.block0.ln1_out holds 64 scales")
+                        if change == "channel_wise"
+                        else (PipelineError, "site block0.ln1_out is not the target"))
+        with pytest.raises(error, match=named):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
     def test_older_layout_keys_give_the_same_report(self, chain):
@@ -589,6 +593,39 @@ class TestQuantizerTensors:
                             "quantized": q_c}[stage], key, damage)
         with pytest.raises((ContainerError, PipelineError), match=key.rpartition(".")[2]):
             run(damaged)
+
+    @pytest.mark.parametrize("stage, key, channels", [
+        ("calibrated", "block0.ln2_out", 64), ("reparameterized", "block1.w_qkv", 192),
+        ("quantized", "block0.w_1", 256),
+    ])
+    def test_vectors_of_the_wrong_length_are_named(self, chain, stage, key, channels):
+        """A per-channel site one entry short is named with both lengths when its table loads.
+
+        The fold used to read a 63-entry `block0.ln2_out` as it was and then
+        blame the LayerNorm's gamma and beta, which have the right length.
+        """
+        damaged = _damaged({c.stage: c for c in chain[3:]}[stage], key, "short")
+        named = rf"{key}\.scale and {key}\.zero hold {channels - 1} channels, the model {channels}"
+        with pytest.raises(ContainerError, match=named):
+            load_sites(damaged)
+        if stage == "calibrated":
+            with pytest.raises(ContainerError, match=named):
+                reparameterize_model(damaged)
+
+    @pytest.mark.parametrize("path", ["sites.block0.attn_q",
+                                      "ablation.ln_layer_wise.block1.ln2_out"])
+    def test_manifest_site_with_many_scales_is_named(self, chain, monkeypatch, path):
+        """A manifest site is per layer: one with 64 scales and zero points is rejected, named."""
+        model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
+        meta = json.loads(json.dumps(q_c.meta))
+        *parents, key = path.split(".", path.count(".") - 1)
+        table = meta
+        for name in parents:
+            table = table[name]
+        table[key] = {**table[key], "scale": [1.0] * 64, "zero_point": [0] * 64}
+        with pytest.raises(ContainerError, match=rf"{re.escape(path)} holds 64 scales"):
+            evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
     def test_vectors_read_back_bit_exact(self, chain):
         """The f64 scales and integer zero points of every stage survive the file unchanged."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf
+from scipy.special import erf, ndtr
 
 from scalefold import tensors
 from scalefold.tensors import (ShapeError, _slice_bits, _slices, as_int_tensor, as_tensor, gelu,
@@ -263,6 +263,30 @@ class TestRowwiseSoftmax:
     def test_shift_invariance(self, row, c):
         x = np.array([row])
         np.testing.assert_allclose(rowwise_softmax(x), rowwise_softmax(x + c), atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (rowwise_softmax,
+     lambda x: np.exp(x - x.max(axis=-1, keepdims=True))
+     / np.exp(x - x.max(axis=-1, keepdims=True)).sum(axis=-1, keepdims=True)),
+    (gelu, lambda x: x * ndtr(x)),
+])
+def test_elementwise_kernel_writes_one_buffer(kernel, reference):
+    """Softmax and GELU give their out-of-place expressions bit for bit in one output buffer.
+
+    Holding softmax's shifted input, its exponentials and its output at
+    once would take three times the output.
+    """
+    x = np.random.default_rng(64).normal(size=(64, 4096)) * 4
+    tracemalloc.start()
+    try:
+        out = kernel(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, reference(x))
+    # row statistics and numpy's reduction buffers aside, nothing but the output
+    assert peak <= 1.1 * out.nbytes
 
 
 class TestGelu:
