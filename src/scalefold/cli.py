@@ -183,9 +183,10 @@ def _cmd_inspect(args):
         for name, qp in sorted(sites.items()):
             gran = f"per_channel  channels={qp.scale.size}" if qp.scale.size > 1 else "per_layer"
             print(f"  {name}  {qp.scheme.value}  b={qp.bits}  {gran}")
-    records = c.meta.get("reparam_records", {})
+    records = [name[len("reparam_records."):-len(".scale")] for name in sorted(c.tensors)
+               if name.startswith("reparam_records.") and name.endswith(".scale")]
     if records:
-        print(f"fold records: {', '.join(sorted(records))}")
+        print(f"fold records: {', '.join(records)}")
     passes = c.meta.get("passes", [])
     if passes:
         trail = " -> ".join(p["name"] for p in passes)

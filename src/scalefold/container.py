@@ -1,16 +1,22 @@
 """The .rvq container: a JSON manifest plus a raw little-endian blob.
 
-Layout:
+Layout (format version 2):
 
     bytes 0..8    magic "RVQM0001"
     bytes 8..16   manifest length, unsigned 64-bit little-endian
     manifest      UTF-8 JSON
-    blob          tensor payloads, back to back
+    blob          tensor payloads, back to back in tensor-table order
 
 The manifest holds the format version, a stage marker, the model
-configuration, the tensor table (name, shape, dtype, byte offset, byte
-length relative to the blob), the per-layer quantizer sites, fold records
-and a logical pass log. Float tensors are "f64" (float64 LE) when their name
+configuration, the tensor table, the per-layer quantizer sites and a logical
+pass log. Each tensor-table entry is exactly {name, shape, dtype}; `to_bytes`
+lists the tensors in name order. A payload's byte length follows from its
+shape and dtype, so the blob is exactly the table's payloads in table order:
+a blob with bytes left over or missing raises ContainerError, and so does an
+entry with any other field, such as the byte offset and length that version
+1 stored. A file of another version raises ContainerError.
+
+Float tensors are "f64" (float64 LE) when their name
 ends in ".scale", so quantizer scales read back bit-exact, and "f32"
 (float32 LE) otherwise. Integer tensors are "u4" when every value lies in
 [0, 15] and "u8" (one unsigned byte each) otherwise; writing an integer
@@ -45,12 +51,12 @@ from .quantizers import QuantParams, Scheme
 from .tensors import ShapeError, as_tensor
 
 MAGIC = b"RVQM0001"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"), "u8": np.dtype("u1"),
            "u4": np.dtype("u1")}
-# JSON type of each field of a tensor-table entry
-_ENTRY_TYPES = {"name": str, "shape": list, "dtype": str, "offset": int, "length": int}
+# JSON type of each field of a tensor-table entry, which has no other field
+_ENTRY_TYPES = {"name": str, "shape": list, "dtype": str}
 
 WEIGHT_FIELDS = tuple(f.name for f in fields(BlockWeights))
 
@@ -123,23 +129,12 @@ def to_bytes(container):
     """Serialize deterministically; tensors are laid out in name order."""
     table = []
     chunks = []
-    offset = 0
     for name in sorted(container.tensors):
         arr = container.tensors[name]
         tag = _payload_dtype(name, arr)
-        if tag == "u4":
-            payload = _pack_u4(arr)
-        else:
-            payload = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
-        table.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": tag,
-            "offset": offset,
-            "length": len(payload),
-        })
-        chunks.append(payload)
-        offset += len(payload)
+        table.append({"name": name, "shape": list(arr.shape), "dtype": tag})
+        chunks.append(_pack_u4(arr) if tag == "u4"
+                      else np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes())
     manifest = dict(container.meta)
     manifest["format_version"] = FORMAT_VERSION
     manifest["tensors"] = table
@@ -148,7 +143,11 @@ def to_bytes(container):
 
 
 def from_bytes(raw):
-    """Parse and validate container bytes; inverse of `to_bytes`."""
+    """Parse and validate container bytes; inverse of `to_bytes`.
+
+    The payloads are read back to back in table order, and must fill the
+    blob exactly.
+    """
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise ContainerError("bad magic: not a container file")
     doc_len = int.from_bytes(raw[8:16], "little")
@@ -167,9 +166,10 @@ def from_bytes(raw):
     blob = raw[16 + doc_len:]
 
     tensors = {}
+    offset = 0
     for entry in manifest["tensors"]:
-        if not (isinstance(entry, dict)
-                and all(isinstance(entry.get(k), t) for k, t in _ENTRY_TYPES.items())
+        if not (isinstance(entry, dict) and entry.keys() == _ENTRY_TYPES.keys()
+                and all(isinstance(entry[k], t) for k, t in _ENTRY_TYPES.items())
                 and all(isinstance(v, int) and v >= 0 for v in entry["shape"])):
             raise ContainerError(f"malformed tensor entry {entry!r}")
         name, tag, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
@@ -177,14 +177,13 @@ def from_bytes(raw):
             raise ContainerError(f"duplicate tensor name {name!r}")
         if tag not in _DTYPES:
             raise ContainerError(f"tensor {name!r} has unknown dtype {tag!r}")
-        offset, length = entry["offset"], entry["length"]
-        if offset < 0 or length < 0 or offset + length > len(blob):
-            raise ContainerError(f"tensor {name!r} extends past the blob")
         count = math.prod(shape)
-        if _payload_length(tag, count) != length:
-            raise ContainerError(f"tensor {name!r}: shape {shape} does not match byte length {length}")
+        length = _payload_length(tag, count)
+        if offset + length > len(blob):
+            raise ContainerError(f"tensor {name!r} extends past the blob")
         flat = np.frombuffer(blob, dtype=_DTYPES[tag], count=length // _DTYPES[tag].itemsize,
                              offset=offset)
+        offset += length
         if tag in ("f32", "f64"):
             arr = flat.astype(np.float64)
             if not np.isfinite(arr).all():
@@ -194,6 +193,9 @@ def from_bytes(raw):
         else:
             arr = flat.copy()   # own its bytes: frombuffer's view is read-only
         tensors[name] = arr.reshape(shape)
+    if offset != len(blob):
+        raise ContainerError(f"blob is {len(blob)} bytes, but its tensors' shapes "
+                             f"take {offset}")
 
     meta = {k: v for k, v in manifest.items() if k not in ("tensors", "format_version")}
     return ModelContainer(meta=meta, tensors=tensors)
@@ -237,11 +239,6 @@ def channel_tensors(key, qp):
     return {key + ".scale": qp.scale, key + ".zero": qp.zero_point}
 
 
-def channel_vectors(container, key):
-    """(scale, zero) tensors of `key`'s per-channel quantizer; ContainerError if one is missing."""
-    return _tensor(container, key + ".scale"), _tensor(container, key + ".zero")
-
-
 def channel_params(container, key, bits):
     """`key`'s `bits`-bit uniform quantizer, read back from its `channel_tensors`.
 
@@ -249,7 +246,7 @@ def channel_params(container, key, bits):
     that is not positive, a zero point past 2**bits - 1, lengths that
     differ), raise ContainerError naming the key.
     """
-    scale, zero = channel_vectors(container, key)
+    scale, zero = _tensor(container, key + ".scale"), _tensor(container, key + ".zero")
     try:
         return QuantParams(Scheme.UNIFORM, bits, scale=scale, zero_point=zero)
     except ValueError as e:

@@ -127,10 +127,6 @@ class CodeBlock:
     def shape(self):
         return self.centred.shape
 
-    @property
-    def ndim(self):
-        return self.centred.ndim
-
     def dequantize(self):
         return param_view(self.params.scale, self.centred) * self.centred
 

@@ -25,7 +25,9 @@ its per-channel quantizers as tensors (see `container.channel_tensors`):
 each weight site `block{i}.{w}`, the LayerNorm sites `block{i}.ln{1,2}_out`
 of a calibrated container, and each fold record's channel-wise source
 `reparam_records.block{i}.ln{1,2}_out`. `load_sites` and `load_records`
-read them back.
+read them back. A fold record is its source and nothing else: the source's
+bit width is `quantize_config.bits_a`, and the layer-wise target is derived
+from it (see `reparam.ReparamRecord`).
 """
 
 import math
@@ -36,7 +38,7 @@ import numpy as np
 
 from .calibration import calibrate_tensor
 from .container import (ContainerError, blocks_from_container, channel_params,
-                        channel_tensors, channel_vectors, container_from_model)
+                        channel_tensors, container_from_model)
 from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, model_forward
 from .quantizers import (QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
@@ -196,6 +198,15 @@ def _channels(cfg, site):
     return {"w_qkv": 3 * cfg.dim, "w_1": cfg.mlp_dim}.get(site, cfg.dim)
 
 
+def _channel_site(container, key, bits, want):
+    """`key`'s per-channel quantizer from its tensors; ContainerError unless `want` channels."""
+    qp = channel_params(container, key, bits)
+    if qp.scale.size != want:
+        raise ContainerError(f"quantizer tensors {key}.scale and {key}.zero hold "
+                             f"{qp.scale.size} channels, the model {want}")
+    return qp
+
+
 def load_sites(container):
     """The whole site table of a calibrated, folded or quantized container.
 
@@ -209,40 +220,29 @@ def load_sites(container):
     if not isinstance(container.meta.get("sites"), dict):
         raise PipelineError(f"{container.stage} container lacks a sites table")
     cfg = container.config()
-    channel = {}
-    for key, bits in _channel_bits(container).items():
-        channel[key] = channel_params(container, key, bits)
-        want = _channels(cfg, _site_of(key))
-        if channel[key].scale.size != want:
-            raise ContainerError(f"quantizer tensors {key}.scale and {key}.zero hold "
-                                 f"{channel[key].scale.size} channels, the model {want}")
+    channel = {key: _channel_site(container, key, bits, _channels(cfg, _site_of(key)))
+               for key, bits in _channel_bits(container).items()}
     return {**_layer_wise_from_json(container.meta["sites"], "sites"), **channel}
 
 
-def _store_records(container, records):
-    container.meta["reparam_records"] = {k: rec.to_json() for k, rec in records.items()}
-    for key, rec in records.items():
-        container.tensors.update(channel_tensors(f"reparam_records.{key}", rec.source))
-
-
 def load_records(container):
-    """The fold record of every LayerNorm site, its source read back from its tensors.
+    """The fold record of every LayerNorm site, read back from its source's tensors.
 
-    A malformed record, or a source that is not one scale per model channel,
-    raises PipelineError naming it; a missing tensor raises ContainerError.
+    A source is a `quantize_config.bits_a`-bit quantizer with one channel
+    per model dim. A missing or malformed source tensor, or one of another
+    length, raises ContainerError naming it (as in `load_sites`); a source
+    whose derived layer-wise target is not a valid quantizer raises
+    PipelineError naming the record.
     """
-    cfg = container.config()
+    cfg, qcfg = container.config(), _quantize_config(container)
     records = {}
     for key in _site_keys(cfg, LN_SITES):
-        vectors = channel_vectors(container, f"reparam_records.{key}")
+        name = f"reparam_records.{key}"
+        records[key] = ReparamRecord(_channel_site(container, name, qcfg.bits_a, cfg.dim))
         try:
-            records[key] = ReparamRecord.from_json(container.meta["reparam_records"][key],
-                                                   *vectors)
+            records[key].target_params()
         except ValueError as e:
-            raise PipelineError(f"fold record reparam_records.{key}: {e}") from None
-        if records[key].channels != cfg.dim:
-            raise PipelineError(f"fold record reparam_records.{key} has "
-                                f"{records[key].channels} channels, the model {cfg.dim}")
+            raise PipelineError(f"fold record {name}: target {e}") from None
     return records
 
 
@@ -250,7 +250,7 @@ def _require(container, paths):
     """Raise PipelineError naming every key path absent from the container's metadata.
 
     A path is a tuple of keys into nested objects, for example
-    ("reparam_records", "block0.ln1_out").
+    ("sites", "block0.gelu_out").
     """
     def present(path):
         node = container.meta
@@ -316,7 +316,7 @@ def reparameterize_model(calib_c, acts=None):
     the fold's layer-wise target. x~ @ W~ + b~ equals x @ W + b, so every
     other activation site keeps its calibrated quantizer and only the
     rewritten weights are refitted: the fold reads no data, and `acts` is
-    ignored. The post-Softmax dequantizer is marked for the shift path.
+    ignored. Each fold record ships as its channel-wise source's tensors.
     """
     if calib_c.stage != "calibrated":
         raise PipelineError(f"fold stage expects a calibrated container, got {calib_c.stage!r}")
@@ -356,8 +356,8 @@ def reparameterize_model(calib_c, acts=None):
     _append_pass(out.meta, "softmax-base-change")
 
     _store_sites(out, sites)
-    _store_records(out, records)
-    out.meta["softmax_dequant"] = "base-changed-shift"
+    for key, rec in records.items():
+        out.tensors.update(channel_tensors(f"reparam_records.{key}", rec.source))
     return out
 
 
@@ -370,14 +370,15 @@ def quantize_model(rep_c):
     folded floats, which the quantized container no longer holds. The
     quantizer tensors of the weights and fold records carry over whole. The
     folded container must carry its quantize config, site table and a fold
-    record per LayerNorm site; PipelineError names whatever is missing.
+    record per LayerNorm site: PipelineError names a missing manifest entry,
+    and `load_sites` and `load_records` name a missing or malformed tensor.
     """
     if rep_c.stage != "reparameterized":
         raise PipelineError(f"quantize stage expects a folded container, got {rep_c.stage!r}")
     cfg, blocks = blocks_from_container(rep_c)
-    _require(rep_c, [("quantize_config",), ("sites",)]
-             + [("reparam_records", key) for key in _site_keys(cfg, LN_SITES)])
+    _require(rep_c, [("quantize_config",), ("sites",)])
     sites = load_sites(rep_c)
+    load_records(rep_c)
     out = container_from_model(cfg, blocks, stage="quantized")
     out.meta = {**rep_c.meta, **out.meta}
     out.tensors = {**rep_c.tensors, **out.tensors}
@@ -470,13 +471,13 @@ def evaluate(fp_c, q_c, acts):
     site replaced by its fold record's `source` (channel-wise) or by
     `ablation.ln_layer_wise` (layer-wise), and weight sites refitted from
     `fp_c` with calibration's weight fitter. A quantized container lacking
-    its `quantize_config`, an activation site's params, a LayerNorm site's
-    fold record, a weight site's `weight_mse` or `ablation.ln_layer_wise`
-    raises PipelineError naming what is missing, as does a malformed quantize
-    config, fold record or weight MSE, a LayerNorm site that is not its fold
-    record's target, or a table naming a site the model lacks; a missing or
-    malformed quantizer tensor raises ContainerError. All of this is checked
-    before any forward runs.
+    its `quantize_config`, an activation site's params, a weight site's
+    `weight_mse` or `ablation.ln_layer_wise` raises PipelineError naming what
+    is missing, as does a malformed quantize config or weight MSE, a fold
+    record whose target is not a valid quantizer, a LayerNorm site that is
+    not its fold record's target, or a table naming a site the model lacks; a
+    missing or malformed quantizer tensor, a fold record's source included,
+    raises ContainerError. All of this is checked before any forward runs.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -484,11 +485,9 @@ def evaluate(fp_c, q_c, acts):
     _require_floats(fp_c, "the float reference of evaluate")
     cfg, fp_blocks = blocks_from_container(fp_c)
     acts = _check_acts(cfg, acts)
-    ln_keys = _site_keys(cfg, LN_SITES)
     weight_keys = _site_keys(cfg, WEIGHT_SITES)
     _require(q_c, [("quantize_config",)]
              + [("sites", key) for key in _site_keys(cfg, ACTIVATION_SITES)]
-             + [("reparam_records", key) for key in ln_keys]
              + [("weight_mse", key) for key in weight_keys]
              + [("ablation", "ln_layer_wise")])
     qcfg = _quantize_config(q_c)

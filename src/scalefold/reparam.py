@@ -20,6 +20,7 @@ fitted before the fold is stale; callers must re-fit it afterwards.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,23 +30,27 @@ from .tensors import as_tensor
 
 @dataclass(frozen=True, eq=False)
 class ReparamRecord:
-    """Audit record of one fold: the channel-wise source and its layer-wise target.
+    """Audit record of one fold: the channel-wise source, from which all else derives.
 
-    The fold factors r1 and r2 are derived from the two, never stored.
+    The layer-wise target is the channel mean at the source's bit width:
+    s~ = mean(s) and z~ = round(mean(z)) (half to even). The fold factors
+    are r1 = s / s~ exactly as computed and r2 = z - z~ in exact integers.
     """
 
-    target_scale: float
-    target_zero: int
     source: QuantParams
 
     def __post_init__(self):
         if self.source.scheme is not Scheme.UNIFORM:
             raise ValueError("fold source must be uniform")
-        if not (self.target_scale > 0 and np.isfinite(self.target_scale)):
-            raise ValueError("target scale must be positive and finite")
-        if self.target_zero != int(self.target_zero):
-            raise ValueError("target zero point must be an integer")
-        object.__setattr__(self, "target_zero", int(self.target_zero))
+
+    @cached_property
+    def target_scale(self):
+        with np.errstate(over="ignore"):   # an overflow to inf fails `target_params`
+            return float(np.mean(self.source.scale))
+
+    @cached_property
+    def target_zero(self):
+        return int(np.rint(np.mean(self.source.zero_point)))
 
     @property
     def r1(self):
@@ -60,56 +65,12 @@ class ReparamRecord:
         return self.source.scale.size
 
     def target_params(self):
+        """The layer-wise target quantizer; ValueError if it is not a valid quantizer."""
         return QuantParams(
             Scheme.UNIFORM, self.source.bits,
             scale=np.array([self.target_scale]),
             zero_point=np.array([self.target_zero], dtype=np.int64),
         )
-
-    def to_json(self):
-        """The record's scalars; the source's vectors ship as container tensors."""
-        return {
-            "target_scale": float(self.target_scale),
-            "target_zero": int(self.target_zero),
-            "bits": int(self.source.bits),
-        }
-
-    @classmethod
-    def from_json(cls, d, scale, zero_point):
-        """Inverse of `to_json`, given the source's scale and zero-point vectors.
-
-        Nothing is converted: target_scale must be a JSON number, target_zero
-        and bits integers, booleans neither. Malformed input raises ValueError.
-        """
-        try:
-            target_scale, target_zero, bits = d["target_scale"], d["target_zero"], d["bits"]
-            if (any(isinstance(v, bool) for v in (target_scale, target_zero, bits))
-                    or not isinstance(target_scale, (int, float))
-                    or not isinstance(target_zero, int) or not isinstance(bits, int)):
-                raise TypeError("target_scale must be a number, target_zero and bits integers")
-            return cls(
-                target_scale=float(target_scale),
-                target_zero=target_zero,
-                source=QuantParams(Scheme.UNIFORM, bits, scale=scale, zero_point=zero_point),
-            )
-        except (KeyError, OverflowError, TypeError) as e:
-            raise ValueError(f"malformed fold record: {type(e).__name__}: {e}") from None
-
-
-def build_reparam_record(qp):
-    """Derive fold factors from channel-wise affine parameters `qp`.
-
-    The layer-wise target is the channel mean: s~ = mean(s) and
-    z~ = round(mean(z)) (half to even). The record derives r1 = s / s~
-    exactly as computed and r2 = z - z~ in exact integers.
-    """
-    if qp.scheme is not Scheme.UNIFORM:
-        raise ValueError("fold factors need uniform parameters")
-    return ReparamRecord(
-        target_scale=float(np.mean(qp.scale)),
-        target_zero=int(np.rint(np.mean(qp.zero_point))),
-        source=qp,
-    )
 
 
 def apply_affine_adjustment(gamma, beta, record):
@@ -165,9 +126,11 @@ def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
 
     Returns the adjusted affine parameters, the compensated consumer weights
     (which need a fresh quantizer fit), and the audit record, whose
-    `target_params()` is the layer-wise quantizer.
+    `target_params()` is the layer-wise quantizer. A source that is not
+    uniform, or whose target is not a valid quantizer, raises ValueError.
     """
-    record = build_reparam_record(channel_params)
+    record = ReparamRecord(channel_params)
+    record.target_params()   # a target that is no quantizer raises before the fold divides by it
     gamma_adj, beta_adj = apply_affine_adjustment(gamma, beta, record)
     weight_adj, bias_adj = apply_weight_compensation(weight, bias, record)
     return SiteReparam(

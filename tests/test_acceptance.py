@@ -25,8 +25,7 @@ from scalefold.quantizers import (QuantParams, Scheme,
                                   fake_quantize, log2_dequantize,
                                   log2_dequantize_shift, logsqrt2_dequantize,
                                   logsqrt2_dequantize_shift, uniform_quantize)
-from scalefold.reparam import (build_reparam_record,
-                               reparameterize_layernorm_site)
+from scalefold.reparam import ReparamRecord, reparameterize_layernorm_site
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 
 mp.mp.dps = 60
@@ -68,7 +67,7 @@ def test_criterion_1_code_equality_at_scale():
     t0 = time.perf_counter()
     rng = np.random.default_rng(110)
     qp = channel_params(rng, channels=64)
-    rec = build_reparam_record(qp)
+    rec = ReparamRecord(qp)
     x = draw_off_ties(rng, qp, rows=2000)
     assert x.size >= 10 ** 5
 

@@ -14,7 +14,8 @@ import numpy as np
 import scalefold.model
 from scalefold.cli import cli_main
 from scalefold.container import (ModelContainer, activations_from_container,
-                                 blocks_from_container, read_container, write_container)
+                                 blocks_from_container, payload_size, read_container,
+                                 write_container)
 from scalefold.model import WEIGHT_SITES, model_forward
 from scalefold.pipeline import hooks_from_sites, load_sites, run_pipeline
 
@@ -86,7 +87,8 @@ class TestChain:
         assert "stage: quantized" in out
         assert "block0.w_qkv.codes  shape=[64, 192]  dtype=u4  bytes=6144" in out
         assert "block0.b_qkv  shape=[192]  dtype=f32  bytes=768" in out
-        assert "fold records:" in out
+        assert ("\nfold records: block0.ln1_out, block0.ln2_out, block1.ln1_out, "
+                "block1.ln2_out\n") in out
         assert "emit-codes" in out
         # the label follows the scale count: one per output column, read from
         # the site's tensors, or one from the manifest
@@ -101,6 +103,15 @@ class TestChain:
         total, manifest = re.search(r"^bytes: (\d+)  manifest=(\d+)$", out, re.M).groups()
         tensor_bytes = sum(int(b) for b in re.findall(r"  bytes=(\d+)$", out, re.M))
         assert int(total) == path.stat().st_size == 16 + int(manifest) + tensor_bytes
+
+    @pytest.mark.parametrize("stage", ["calibrated", "folded", "quantized"])
+    def test_inspect_lists_the_fold_records_a_container_ships(self, workspace, capsys, stage):
+        """The `fold records:` line names each record whose source tensors the file holds."""
+        assert cli_main(["inspect", str(workspace[stage])]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("fold records:")]
+        assert lines == ([] if stage == "calibrated" else [
+            "fold records: block0.ln1_out, block0.ln2_out, block1.ln1_out, block1.ln2_out"])
 
     def test_reparam_reads_no_data(self, workspace, tmp_path, capsys):
         """`reparam --data` is optional and never opened: the folded bytes are the same without it."""
@@ -227,7 +238,13 @@ def test_float_forward_and_artifact_are_the_same_at_any_blas_thread_count(tmp_pa
 
 
 def _strip(c, path):
-    """A copy of container `c` without the metadata entry at key path `path`."""
+    """A copy of container `c` without the metadata entry at key path `path`.
+
+    The path ("reparam_records",) strips the fold records, which are tensors.
+    """
+    if path == ("reparam_records",):
+        return ModelContainer(meta=c.meta, tensors={
+            k: v for k, v in c.tensors.items() if not k.startswith("reparam_records.")})
     meta = json.loads(json.dumps(c.meta))
     node = meta
     for key in path[:-1]:
@@ -319,14 +336,16 @@ class TestExitCodes:
         assert rc == 1
         assert "dim" in capsys.readouterr().err
 
+    # ids kept from when a fold record's target_zero was a manifest entry (path1)
     @pytest.mark.parametrize("command, stage, path, named", [
         ("eval", "quantized", ("sites",), "sites"),
-        ("eval", "quantized", ("reparam_records", "block0.ln2_out", "target_zero"), "target_zero"),
         ("quantize", "folded", ("reparam_records",), "reparam_records"),
         ("eval", "quantized", ("weight_mse",), "weight_mse"),
         ("eval", "quantized", ("sites", "block0.gelu_out"), "sites.block0.gelu_out"),
         ("eval", "quantized", ("quantize_config",), "quantize_config"),
-    ])
+    ], ids=["eval-quantized-path0-sites", "quantize-folded-path2-reparam_records",
+            "eval-quantized-path3-weight_mse", "eval-quantized-path4-sites.block0.gelu_out",
+            "eval-quantized-path5-quantize_config"])
     def test_missing_metadata_is_data_error(self, workspace, tmp_path, capsys,
                                             command, stage, path, named):
         bad = tmp_path / "bad.rvq"
@@ -428,3 +447,60 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "block0.ln1_out" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("stage", ["folded", "quantized"])
+    def test_fold_source_whose_target_is_no_quantizer_is_data_error(self, workspace, tmp_path,
+                                                                     capsys, stage):
+        """Scales of 1.7e308 load, but their mean overflows: the next stage names the record."""
+        c = read_container(workspace[stage])
+        key = "reparam_records.block0.ln1_out"
+        bad = tmp_path / "bad.rvq"
+        write_container(ModelContainer(meta=c.meta, tensors={
+            **c.tensors, key + ".scale": np.full(64, 1.7e308)}), bad)
+        if stage == "folded":
+            argv = ["quantize", "--model", str(bad), "--out", str(tmp_path / "q.rvq")]
+        else:
+            argv = ["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                    "--data", str(workspace["eval_data"])]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: fold record {key}: target scales must be "
+                                       "positive and finite")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "q.rvq").exists()
+
+    def test_version_1_file_is_data_error(self, workspace, tmp_path, capsys):
+        """A file in the version-1 layout, with byte offsets and lengths, fails inspect and eval."""
+        raw = workspace["quantized"].read_bytes()
+        doc_len = int.from_bytes(raw[8:16], "little")
+        manifest = json.loads(raw[16:16 + doc_len])
+        tensors, offset = read_container(workspace["quantized"]).tensors, 0
+        for entry in manifest["tensors"]:
+            length = payload_size(entry["name"], tensors[entry["name"]])[1]
+            entry.update(offset=offset, length=length)
+            offset += length
+        doc = json.dumps({**manifest, "format_version": 1}).encode()
+        bad = tmp_path / "v1.rvq"
+        bad.write_bytes(raw[:8] + len(doc).to_bytes(8, "little") + doc + raw[16 + doc_len:])
+        for argv in (["inspect", str(bad)],
+                     ["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                      "--data", str(workspace["eval_data"])]):
+            assert cli_main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: unsupported format version 1\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("damage", ["trailing", "short"])
+    def test_blob_of_the_wrong_length_is_data_error(self, workspace, tmp_path, capsys, damage):
+        """One byte more or less than the tensors' payloads fails inspect and eval cleanly."""
+        raw = workspace["quantized"].read_bytes()
+        bad = tmp_path / "bad.rvq"
+        bad.write_bytes(raw + b"\x00" if damage == "trailing" else raw[:-1])
+        named = "blob is" if damage == "trailing" else "extends past the blob"
+        for argv in (["inspect", str(bad)],
+                     ["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                      "--data", str(workspace["eval_data"])]):
+            assert cli_main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and named in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""

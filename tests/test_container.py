@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scalefold.container import (
     FORMAT_VERSION,
@@ -41,6 +42,11 @@ def tiny_container():
 def _entries(raw):
     """The tensor table of container bytes `raw`."""
     return json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])["tensors"]
+
+
+def _blob(raw):
+    """The payload bytes of container bytes `raw`, after its manifest."""
+    return raw[16 + int.from_bytes(raw[8:16], "little"):]
 
 
 class TestRoundTrip:
@@ -87,8 +93,8 @@ class TestRoundTrip:
         codes = np.arange(256, dtype=np.int64).reshape(16, 16)[::-1]
         c = ModelContainer(meta={"kind": "model"}, tensors={"w.codes": codes})
         raw = to_bytes(c)
-        entry = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])["tensors"][0]
-        assert entry["dtype"] == "u8" and entry["length"] == 256
+        assert _entries(raw) == [{"name": "w.codes", "shape": [16, 16], "dtype": "u8"}]
+        assert len(_blob(raw)) == 256
         back = from_bytes(raw).tensors["w.codes"]
         assert back.dtype == np.uint8 and back.flags.writeable
         np.testing.assert_array_equal(back, codes)
@@ -98,10 +104,10 @@ class TestRoundTrip:
     def test_u4_codes_round_trip_two_per_byte(self, count):
         codes = np.arange(count, dtype=np.int64) * 7 % 16
         raw = to_bytes(ModelContainer(meta={"kind": "model"}, tensors={"w.codes": codes}))
-        entry = _entries(raw)[0]
-        assert entry["dtype"] == "u4" and entry["length"] == (count + 1) // 2
+        assert _entries(raw)[0]["dtype"] == "u4"
+        blob = _blob(raw)
+        assert len(blob) == (count + 1) // 2
         # element 2i in the low nibble of byte i, element 2i + 1 in the high one
-        blob = raw[len(raw) - entry["length"]:]
         padded = np.append(codes, [0] * (count % 2))
         assert list(blob) == list(padded[0::2] + 16 * padded[1::2])
         back = from_bytes(raw).tensors["w.codes"]
@@ -130,17 +136,18 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("length", [0, 1, 3])
     def test_u4_length_other_than_half_the_count_is_refused(self, length):
-        entry = {"name": "w", "shape": [4], "dtype": "u4", "offset": 0, "length": length}
-        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [entry]}, b"\x00" * 4)
-        with pytest.raises(ContainerError, match="'w'.*byte length"):
+        """Four u4 codes take two bytes; a blob of any other length is refused."""
+        entry = {"name": "w", "shape": [4], "dtype": "u4"}
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [entry]}, b"\x00" * length)
+        with pytest.raises(ContainerError, match="'w' extends past the blob|blob is 3 bytes"):
             from_bytes(raw)
 
     def test_scales_ship_as_exact_f64(self):
         """A tensor named `.scale` keeps every bit; any other float tensor rounds to f32."""
         values = np.array([0.1, 1.0 / 3.0, 2.0**-60, 1e30])
         raw = to_bytes(ModelContainer(meta={}, tensors={"w.scale": values, "w": values}))
-        assert {e["name"]: (e["dtype"], e["length"]) for e in _entries(raw)} == {
-            "w": ("f32", 16), "w.scale": ("f64", 32)}
+        assert {e["name"]: e["dtype"] for e in _entries(raw)} == {"w": "f32", "w.scale": "f64"}
+        assert len(_blob(raw)) == 16 + 32
         assert payload_size("w.scale", values) == ("f64", 32)
         back = from_bytes(raw).tensors
         assert back["w.scale"].dtype == np.float64 and back["w.scale"].flags.writeable
@@ -150,9 +157,11 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("length", [0, 8, 12, 24])
     def test_f64_length_other_than_eight_per_value_is_refused(self, length):
-        entry = {"name": "w.scale", "shape": [2], "dtype": "f64", "offset": 0, "length": length}
-        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [entry]}, b"\x00" * 24)
-        with pytest.raises(ContainerError, match="'w.scale'.*byte length"):
+        """Two f64 values take 16 bytes; a blob of any other length is refused."""
+        entry = {"name": "w.scale", "shape": [2], "dtype": "f64"}
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [entry]},
+                   np.ones(3).tobytes()[:length])
+        with pytest.raises(ContainerError, match="'w.scale' extends past the blob|blob is 24"):
             from_bytes(raw)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -170,6 +179,8 @@ class TestRoundTrip:
 
 
 class TestMalformed:
+    ENTRY = {"name": "x", "shape": [1], "dtype": "f32"}
+
     def test_bad_magic(self):
         with pytest.raises(ContainerError, match="magic"):
             from_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -194,46 +205,131 @@ class TestMalformed:
             from_bytes(MAGIC + len(doc).to_bytes(8, "little") + doc)
 
     def test_duplicate_tensor_names(self):
-        entry = {"name": "x", "shape": [1], "dtype": "f32", "offset": 0, "length": 4}
-        doc = json.dumps({"format_version": FORMAT_VERSION,
-                          "tensors": [entry, entry]}).encode()
-        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 4
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [self.ENTRY, self.ENTRY]},
+                   b"\x00" * 8)
         with pytest.raises(ContainerError, match="duplicate"):
             from_bytes(raw)
 
     def test_tensor_overruns_blob(self):
-        entry = {"name": "x", "shape": [4], "dtype": "f32", "offset": 0, "length": 16}
-        doc = json.dumps({"format_version": FORMAT_VERSION,
-                          "tensors": [entry]}).encode()
-        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 2
+        raw = _raw({"format_version": FORMAT_VERSION,
+                    "tensors": [{**self.ENTRY, "shape": [4]}]}, b"\x00" * 2)
         with pytest.raises(ContainerError, match="blob"):
             from_bytes(raw)
 
     def test_shape_length_mismatch(self):
-        entry = {"name": "x", "shape": [3], "dtype": "f32", "offset": 0, "length": 16}
-        doc = json.dumps({"format_version": FORMAT_VERSION,
-                          "tensors": [entry]}).encode()
-        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 16
-        with pytest.raises(ContainerError, match="shape"):
+        """A blob one f32 longer than the shapes take is refused, not read short."""
+        raw = _raw({"format_version": FORMAT_VERSION,
+                    "tensors": [{**self.ENTRY, "shape": [3]}]}, b"\x00" * 16)
+        with pytest.raises(ContainerError, match="blob is 16 bytes, but its tensors' shapes "
+                                                 "take 12"):
             from_bytes(raw)
 
     def test_unknown_dtype(self):
-        entry = {"name": "x", "shape": [1], "dtype": "f16", "offset": 0, "length": 2}
-        doc = json.dumps({"format_version": FORMAT_VERSION,
-                          "tensors": [entry]}).encode()
-        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + b"\x00" * 2
+        raw = _raw({"format_version": FORMAT_VERSION,
+                    "tensors": [{**self.ENTRY, "dtype": "f16"}]}, b"\x00" * 2)
         with pytest.raises(ContainerError, match="dtype"):
             from_bytes(raw)
 
     def test_nonfinite_payload_rejected(self):
-        payload = np.array([np.nan], dtype="<f4").tobytes()
-        entry = {"name": "x", "shape": [1], "dtype": "f32", "offset": 0,
-                 "length": len(payload)}
-        doc = json.dumps({"format_version": FORMAT_VERSION,
-                          "tensors": [entry]}).encode()
-        raw = MAGIC + len(doc).to_bytes(8, "little") + doc + payload
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": [self.ENTRY]},
+                   np.array([np.nan], dtype="<f4").tobytes())
         with pytest.raises(ContainerError, match="finite"):
             from_bytes(raw)
+
+
+class TestExactBlob:
+    """The blob is the table's payloads back to back, in table order, and nothing else."""
+
+    def test_blob_is_the_payloads_in_table_order(self, quantized_bytes):
+        q = from_bytes(quantized_bytes)
+        payloads = []
+        for entry in _entries(quantized_bytes):
+            arr = q.tensors[entry["name"]]
+            assert sorted(entry) == ["dtype", "name", "shape"]
+            assert payload_size(entry["name"], arr)[0] == entry["dtype"]
+            payloads.append(to_bytes(ModelContainer(meta={}, tensors={entry["name"]: arr})))
+        assert b"".join(_blob(p) for p in payloads) == _blob(quantized_bytes)
+
+    def test_one_trailing_byte_is_refused(self, quantized_bytes):
+        n = len(_blob(quantized_bytes))
+        with pytest.raises(ContainerError, match=f"blob is {n + 1} bytes, but its tensors' "
+                                                 f"shapes take {n}"):
+            from_bytes(quantized_bytes + b"\x00")
+
+    def test_one_byte_short_is_refused(self, quantized_bytes):
+        last = _entries(quantized_bytes)[-1]["name"]
+        with pytest.raises(ContainerError, match=f"tensor {last!r} extends past the blob"):
+            from_bytes(quantized_bytes[:-1])
+
+    def test_gapped_payloads_are_refused(self):
+        """A byte between two payloads shifts the second and leaves one byte over."""
+        first, second = np.array([16, 17, 18], dtype=np.uint8), np.array([20, 21], dtype=np.uint8)
+        entries = [{"name": "a", "shape": [3], "dtype": "u8"},
+                   {"name": "b", "shape": [2], "dtype": "u8"}]
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": entries},
+                   first.tobytes() + b"\x00" + second.tobytes())
+        with pytest.raises(ContainerError, match="blob is 6 bytes, but its tensors' shapes take 5"):
+            from_bytes(raw)
+
+    def test_aliased_payloads_are_refused(self):
+        """Two entries cannot share one payload: the second needs bytes of its own."""
+        entries = [{"name": "w", "shape": [4], "dtype": "u4"},
+                   {"name": "w2", "shape": [4], "dtype": "u4"}]
+        raw = _raw({"format_version": FORMAT_VERSION, "tensors": entries}, b"\x21\x43")
+        with pytest.raises(ContainerError, match="tensor 'w2' extends past the blob"):
+            from_bytes(raw)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_any_container_round_trips_and_fills_its_blob_exactly(self, data):
+        """Random tensors of every tag, empty ones included, read back equal from a blob
+        exactly as long as their payloads, and one byte more or less is refused."""
+        tensors = {}
+        for i, tag in enumerate(data.draw(st.lists(st.sampled_from(["f32", "f64", "u4", "u8"]),
+                                                   max_size=5))):
+            shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+            if tag in ("f32", "f64"):
+                elements = st.floats(width=32 if tag == "f32" else 64, allow_nan=False,
+                                     allow_infinity=False)
+                arr = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+            else:
+                top = 15 if tag == "u4" else 255
+                arr = data.draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, top)))
+            tensors[f"t{i}" + (".scale" if tag == "f64" else "")] = arr
+        raw = to_bytes(ModelContainer(meta={}, tensors=tensors))
+        back = from_bytes(raw).tensors
+        assert sorted(back) == sorted(tensors)
+        for name, arr in tensors.items():
+            np.testing.assert_array_equal(back[name], arr)
+        assert len(_blob(raw)) == sum(payload_size(k, v)[1] for k, v in tensors.items())
+        with pytest.raises(ContainerError, match="blob is"):
+            from_bytes(raw + b"\x00")
+        if _blob(raw):
+            with pytest.raises(ContainerError, match="extends past the blob"):
+                from_bytes(raw[:-1])
+
+    @pytest.mark.parametrize("extra", ["offset", "length"])
+    def test_version_1_layout_is_refused(self, quantized_bytes, extra):
+        """A version-1 file, whose entries carry their byte offset and length, does not load.
+
+        Nor does such an entry under the current version number: an entry has
+        exactly its name, shape and dtype.
+        """
+        tensors = from_bytes(quantized_bytes).tensors
+        table, offset = [], 0
+        for entry in _entries(quantized_bytes):
+            length = payload_size(entry["name"], tensors[entry["name"]])[1]
+            table.append({**entry, "offset": offset, "length": length})
+            offset += length
+        doc_len = int.from_bytes(quantized_bytes[8:16], "little")
+        manifest = {**json.loads(quantized_bytes[16:16 + doc_len]), "tensors": table}
+        blob = _blob(quantized_bytes)
+        with pytest.raises(ContainerError, match="unsupported format version 1$"):
+            from_bytes(_raw({**manifest, "format_version": 1}, blob))
+        manifest["tensors"] = [{k: e[k] for k in ("name", "shape", "dtype", extra)}
+                               for e in table]
+        with pytest.raises(ContainerError, match=f"malformed tensor entry .*'{extra}'"):
+            from_bytes(_raw(manifest, blob))
 
 
 def _raw(manifest, blob=b""):
@@ -242,7 +338,7 @@ def _raw(manifest, blob=b""):
 
 
 class TestMalformedManifest:
-    ENTRY = {"name": "x", "shape": [1], "dtype": "f32", "offset": 0, "length": 4}
+    ENTRY = {"name": "x", "shape": [1], "dtype": "f32"}
 
     @pytest.mark.parametrize("manifest", [
         [FORMAT_VERSION],
@@ -257,7 +353,7 @@ class TestMalformedManifest:
         {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "shape": [-1, -1]}]},
         {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "shape": [1.0]}]},
         {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "dtype": ["f32"]}]},
-        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "offset": "0"}]},
+        {"format_version": FORMAT_VERSION, "tensors": [{**ENTRY, "offset": 0}]},
     ])
     def test_rejected_with_container_error(self, manifest):
         with pytest.raises(ContainerError):

@@ -88,14 +88,20 @@ class TestStageGating:
         with pytest.raises(PipelineError, match=f"lacks {key}"):
             reparameterize_model(ModelContainer(meta=meta, tensors=calib_c.tensors), calib)
 
-    @pytest.mark.parametrize("records", [None, {}, {"block0.ln1_out": {}}])
-    def test_quantize_requires_fold_records(self, chain, records):
+    # ids kept from when the fold records were a manifest table
+    @pytest.mark.parametrize("drop, named", [
+        pytest.param((".scale", ".zero"), "reparam_records.block0.ln1_out.scale", id="None"),
+        pytest.param((".zero",), "reparam_records.block0.ln1_out.zero", id="records1"),
+        pytest.param(("block0.ln2_out.", "block1."), "reparam_records.block0.ln2_out.scale",
+                     id="records2"),
+    ])
+    def test_quantize_requires_fold_records(self, chain, drop, named):
+        """A folded container without a fold record's source tensors is refused, named."""
         rep_c = chain[4]
-        meta = {k: v for k, v in rep_c.meta.items() if k != "reparam_records"}
-        if records is not None:
-            meta["reparam_records"] = records
-        with pytest.raises(PipelineError, match="reparam_records.block0.ln2_out"):
-            quantize_model(ModelContainer(meta=meta, tensors=rep_c.tensors))
+        tensors = {k: v for k, v in rep_c.tensors.items()
+                   if not (k.startswith("reparam_records.") and any(d in k for d in drop))}
+        with pytest.raises(ContainerError, match=f"missing tensor '{re.escape(named)}'"):
+            quantize_model(ModelContainer(meta=rep_c.meta, tensors=tensors))
 
     def test_evaluate_requires_quantized(self, chain):
         model_c, held_out, rep_c = chain[0], chain[2], chain[4]
@@ -169,11 +175,15 @@ class TestCalibrateStage:
 
 class TestFoldStage:
     def test_stage_records_and_dequant_marker(self, chain):
+        """Each fold record ships as its source's two tensors, and the manifest holds neither
+        records nor a dequantizer marker, which nothing reads."""
         rep_c = chain[4]
         assert rep_c.stage == "reparameterized"
-        assert rep_c.meta["softmax_dequant"] == "base-changed-shift"
-        recs = rep_c.meta["reparam_records"]
-        assert set(recs) == {
+        assert not {"softmax_dequant", "reparam_records"} & set(rep_c.meta)
+        recs = {k for k in rep_c.tensors if k.startswith("reparam_records.")}
+        assert recs == {f"reparam_records.block{i}.{s}.{t}" for i in range(CFG.blocks)
+                        for s in ("ln1_out", "ln2_out") for t in ("scale", "zero")}
+        assert set(load_records(rep_c)) == {
             f"block{i}.{s}" for i in range(CFG.blocks) for s in ("ln1_out", "ln2_out")
         }
 
@@ -254,6 +264,29 @@ def test_carried_sites_match_a_refit_of_the_folded_model(shape, seed):
         if want.zero_point is not None:
             np.testing.assert_array_equal(got.zero_point, want.zero_point, err_msg=key)
         np.testing.assert_allclose(got.scale, want.scale, rtol=1e-12, atol=0, err_msg=key)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("shape", sorted(FOLD_SHAPES))
+def test_fold_records_read_back_their_targets_bit_exact(shape, seed):
+    """A record read from the file derives the very target the fold computed in memory.
+
+    The file ships only each record's source, as exact f64 scales and
+    integer zero points, so the target derived on load must equal the
+    layer-wise LayerNorm site the in-memory fold wrote, to the last bit.
+    """
+    cfg, bits, samples = FOLD_SHAPES[shape]
+    spec = SynthSpec(seed=seed)
+    model_c = container_from_model(cfg, gen_model(cfg, spec))
+    rep_c = reparameterize_model(calibrate_model(model_c, gen_activations(cfg, spec, samples),
+                                                 QuantizeConfig(bits_w=bits, bits_a=bits)))
+    records = load_records(from_bytes(to_bytes(rep_c)))
+    assert len(records) == 2 * cfg.blocks
+    for key, rec in records.items():
+        site = QuantParams.from_json(rep_c.meta["sites"][key])
+        assert rec.target_params().bits == site.bits == bits
+        assert rec.target_scale.hex() == float(site.scale[0]).hex(), key
+        assert rec.target_zero == site.zero_point[0], key
 
 
 class TestQuantizeStage:
@@ -458,16 +491,21 @@ class TestEvaluate:
         """
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
         monkeypatch.setattr("scalefold.pipeline.model_forward", None)
-        meta = {**q_c.meta}
-        if key is None:
+        meta, tensors, error = {**q_c.meta}, q_c.tensors, PipelineError
+        if top == "reparam_records":
+            # the fold records are their source tensors; a missing one is a container error
+            prefix = f"{top}.{key or ''}"
+            tensors = {k: v for k, v in tensors.items() if not k.startswith(prefix)}
+            named, error = f"missing tensor '{top}.{key or 'block0.ln1_out'}.scale'", ContainerError
+        elif key is None:
             del meta[top]
             # a table's first key names it; the quantize config is one entry
             named = top if top == "quantize_config" else f"{top}.block0.ln1_out"
         else:
             meta[top] = {k: v for k, v in meta[top].items() if k != key}
             named = f"{top}.{key}"
-        stripped = ModelContainer(meta=meta, tensors=q_c.tensors)
-        with pytest.raises(PipelineError, match=named):
+        stripped = ModelContainer(meta=meta, tensors=tensors)
+        with pytest.raises(error, match=named):
             evaluate(model_c, stripped, held_out)
 
     @pytest.mark.parametrize("value", [
@@ -479,25 +517,38 @@ class TestEvaluate:
         with pytest.raises(PipelineError, match="quantize_config"):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
-    @pytest.mark.parametrize("field", ["target_scale", "target_zero", "bits"])
-    def test_malformed_fold_record_is_named(self, chain, field):
-        model_c, held_out, q_c = chain[0], chain[2], chain[5]
-        records = {**q_c.meta["reparam_records"]}
-        records["block1.ln1_out"] = {k: v for k, v in records["block1.ln1_out"].items()
-                                     if k != field}
-        stripped = ModelContainer(meta={**q_c.meta, "reparam_records": records},
-                                  tensors=q_c.tensors)
-        with pytest.raises(PipelineError, match=f"block1.ln1_out.*{field}"):
-            evaluate(model_c, stripped, held_out)
-
     def test_fold_record_of_wrong_width_is_named(self, chain):
+        """A fold source one channel short fails the channel check that `load_sites` makes."""
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
         key = "reparam_records.block0.ln2_out"
         stripped = ModelContainer(meta=q_c.meta, tensors={
             **q_c.tensors, key + ".scale": q_c.tensors[key + ".scale"][:-1],
             key + ".zero": q_c.tensors[key + ".zero"][:-1]})
-        with pytest.raises(PipelineError, match="block0.ln2_out has 63 channels"):
+        with pytest.raises(ContainerError, match=rf"{key}\.scale and {key}\.zero hold 63 "
+                                                 "channels, the model 64"):
             evaluate(model_c, stripped, held_out)
+
+    @pytest.mark.parametrize("stage", ["reparameterized", "quantized"])
+    def test_fold_source_whose_target_is_no_quantizer_is_named(self, chain, monkeypatch, stage):
+        """64 scales of 1.7e308 are each valid, but their mean overflows to inf.
+
+        `load_records` derives the target and names the record before the
+        next stage runs anything.
+        """
+        model_c, held_out, rep_c, q_c = chain[0], chain[2], chain[4], chain[5]
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
+        c = {"reparameterized": rep_c, "quantized": q_c}[stage]
+        key = "reparam_records.block1.ln2_out"
+        damaged = ModelContainer(meta=c.meta, tensors={
+            **c.tensors, key + ".scale": np.full(CFG.dim, 1.7e308)})
+        named = f"fold record {re.escape(key)}: target scales must be positive and finite"
+        with pytest.raises(PipelineError, match=named):
+            load_records(damaged)
+        with pytest.raises(PipelineError, match=named):
+            if stage == "quantized":
+                evaluate(model_c, damaged, held_out)
+            else:
+                quantize_model(damaged)
 
     def test_missing_site_table_is_named(self, chain):
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
@@ -665,10 +716,10 @@ class TestQuantizerTensors:
         sites, records = load_sites(q_c), load_records(q_c)
         meta = json.loads(json.dumps(q_c.meta))
         meta["sites"] = {k: qp.to_json() for k, qp in sites.items()}
-        for key, rec in records.items():
-            meta["reparam_records"][key] = {"target_scale": rec.target_scale,
-                                            "target_zero": rec.target_zero,
-                                            "source": rec.source.to_json()}
+        meta["reparam_records"] = {key: {"target_scale": rec.target_scale,
+                                         "target_zero": rec.target_zero,
+                                         "source": rec.source.to_json()}
+                                   for key, rec in records.items()}
         old = from_bytes(to_bytes(ModelContainer(meta=meta, tensors={
             k: v for k, v in q_c.tensors.items() if not k.endswith((".scale", ".zero"))})))
         with pytest.raises(ContainerError, match="missing tensor 'block0.w_1.scale'"):
@@ -678,14 +729,16 @@ class TestQuantizerTensors:
 
 
 def test_default_quantized_container_fits_its_size_budget():
-    """The default 16x64 4/4 quantized container at seed 0 stays within 76,000 bytes.
+    """The default 16x64 4/4 quantized container at seed 0 stays within 74,000 bytes.
 
     It is the benchmark's small-lib artifact (64 calibration samples). Its
     per-channel vectors as decimal JSON made it 93.0 kB; as f64 and u4
-    tensors it is about 75.0 kB, so a re-inflated manifest fails here.
+    tensors it was about 75.0 kB, and without the stored byte offsets,
+    lengths and fold-record targets it is about 73.3 kB, so a re-inflated
+    manifest fails here.
     """
     spec = SynthSpec(seed=0)
     model_c = container_from_model(CFG, gen_model(CFG, spec), stage="fp",
                                    meta_extra={"synth_spec": spec.to_json()})
     q_c = run_pipeline(model_c, gen_activations(CFG, spec, 64))
-    assert len(to_bytes(q_c)) <= 76_000
+    assert len(to_bytes(q_c)) <= 74_000

@@ -28,7 +28,6 @@ from scalefold.reparam import (
     ReparamRecord,
     apply_affine_adjustment,
     apply_weight_compensation,
-    build_reparam_record,
     reparameterize_layernorm_site,
 )
 
@@ -52,126 +51,90 @@ def draw_off_ties(rng, qp, n_rows, margin=1e-6):
 class TestBuildRecord:
     def test_worked_example(self):
         qp = channel_params([1.0, 2.0, 3.0], [4, 6, 8])
-        rec = build_reparam_record(qp)
+        rec = ReparamRecord(qp)
         assert rec.target_scale == 2.0
         assert rec.target_zero == 6
         np.testing.assert_array_equal(rec.r1, [0.5, 1.0, 1.5])
         np.testing.assert_array_equal(rec.r2, [-2, 0, 2])
 
     def test_single_channel_identity(self):
-        rec = build_reparam_record(channel_params([2.0], [5]))
+        rec = ReparamRecord(channel_params([2.0], [5]))
         np.testing.assert_array_equal(rec.r1, [1.0])
         np.testing.assert_array_equal(rec.r2, [0])
 
     def test_identical_channels_no_variation(self):
-        rec = build_reparam_record(channel_params([0.7] * 5, [3] * 5))
+        rec = ReparamRecord(channel_params([0.7] * 5, [3] * 5))
         np.testing.assert_array_equal(rec.r1, np.ones(5))
         np.testing.assert_array_equal(rec.r2, np.zeros(5))
 
     def test_zero_mean_rounds_half_to_even(self):
-        rec = build_reparam_record(channel_params([1.0, 1.0], [2, 3]))
+        rec = ReparamRecord(channel_params([1.0, 1.0], [2, 3]))
         assert rec.target_zero == 2  # mean 2.5 rounds to even
+        # mean 3.5 rounds up to even, and a mean off the tie to nearest
+        assert ReparamRecord(channel_params([1.0, 1.0], [3, 4])).target_zero == 4
+        assert ReparamRecord(channel_params([1.0] * 4, [2, 3, 3, 3])).target_zero == 3
 
     def test_factor_definitions_exact(self):
         rng = np.random.default_rng(40)
         s = rng.uniform(0.01, 3.0, size=64)
         z = rng.integers(0, 16, size=64)
-        rec = build_reparam_record(channel_params(s, z))
+        rec = ReparamRecord(channel_params(s, z))
         np.testing.assert_array_equal(rec.r1, s / rec.target_scale)
         np.testing.assert_array_equal(rec.r2, z - rec.target_zero)
 
     def test_rejects_log_scheme(self):
         qp = QuantParams(Scheme.LOG2, 4, scale=np.array([1.0]))
-        with pytest.raises(ValueError):
-            build_reparam_record(qp)
+        with pytest.raises(ValueError, match="must be uniform"):
+            ReparamRecord(qp)
 
-    def test_json_round_trip(self):
-        rec = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8]))
-        back = ReparamRecord.from_json(rec.to_json(), rec.source.scale, rec.source.zero_point)
-        np.testing.assert_array_equal(back.r1, rec.r1)
-        np.testing.assert_array_equal(back.r2, rec.r2)
-        assert back.target_scale == rec.target_scale
-        assert back.target_zero == rec.target_zero
-        np.testing.assert_array_equal(back.source.scale, rec.source.scale)
-
-    def test_json_holds_no_fold_factors(self):
-        """r1 and r2 are derived from the source and target, so the record stores neither.
-
-        Nor does it hold the source's vectors, which ship as container tensors.
-        """
-        d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
-        assert d == {"target_scale": 2.0, "target_zero": 6, "bits": 4}
-
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d.pop("target_scale"), lambda d: d.pop("bits"),
-        lambda d: d.update(target_zero=None), lambda d: d.update(target_scale=[1.0]),
-        lambda d: d.update(target_zero=6.5), lambda d: d.update(bits=[]),
-        lambda d: d.update(bits=9), lambda d: d.update(target_zero="6"),
-        lambda d: d.update(bits=4.0),
-    ])
-    def test_malformed_json_is_value_error(self, mutate):
-        d = build_reparam_record(channel_params([1.0, 2.0, 3.0], [4, 6, 8])).to_json()
-        mutate(d)
-        with pytest.raises(ValueError):
-            ReparamRecord.from_json(d, np.array([1.0, 2.0, 3.0]), np.array([4, 6, 8]))
-
-    @pytest.mark.parametrize("change", [
-        {"target_scale": "2.5"}, {"target_scale": True}, {"target_zero": True},
-        {"target_zero": 2.5}, {"bits": True},
-    ])
-    def test_json_types_are_not_converted(self, change):
-        """A string is no scale and a boolean no integer: each is rejected, not converted."""
-        d = {**build_reparam_record(channel_params([1.0, 2.0], [4, 6])).to_json(), **change}
-        with pytest.raises(ValueError, match="malformed fold record"):
-            ReparamRecord.from_json(d, np.array([1.0, 2.0]), np.array([4, 6]))
-
-    @pytest.mark.parametrize("d", [None, [], "r1"])
-    def test_non_object_json_is_value_error(self, d):
-        with pytest.raises(ValueError, match="malformed fold record"):
-            ReparamRecord.from_json(d, np.array([1.0]), np.array([0]))
+    def test_target_takes_the_source_bit_width(self):
+        rec = ReparamRecord(channel_params([1.0, 2.0, 3.0], [40, 60, 80], bits=7))
+        target = rec.target_params()
+        assert target.bits == 7
+        np.testing.assert_array_equal(target.scale, [2.0])
+        np.testing.assert_array_equal(target.zero_point, [60])
 
 
 class TestAffineAdjustment:
     def test_worked_example(self):
-        # r1 = s / 1 = [2, 1], r2 = z - 1 = [3, -1], s * r2 = [6, -1]
-        rec = ReparamRecord(target_scale=1.0, target_zero=1,
-                            source=channel_params([2.0, 1.0], [4, 0]))
+        # s~ = 1 and z~ = round(4/3) = 1: r1 = [2, 0.5, 0.5], r2 = [3, -1, -1],
+        # s * r2 = [6, -0.5, -0.5]
+        rec = ReparamRecord(channel_params([2.0, 0.5, 0.5], [4, 0, 0]))
         gamma_adj, beta_adj = apply_affine_adjustment(
-            np.array([2.0, 4.0]), np.array([1.0, 0.0]), rec)
-        np.testing.assert_array_equal(gamma_adj, [1.0, 4.0])
-        np.testing.assert_array_equal(beta_adj, [3.5, -1.0])
+            np.array([2.0, 4.0, 1.0]), np.array([1.0, 0.0, 0.5]), rec)
+        np.testing.assert_array_equal(gamma_adj, [1.0, 8.0, 2.0])
+        np.testing.assert_array_equal(beta_adj, [3.5, -1.0, 0.0])
 
     def test_identity_record(self):
-        rec = build_reparam_record(channel_params([0.7, 0.7], [3, 3]))
+        rec = ReparamRecord(channel_params([0.7, 0.7], [3, 3]))
         gamma, beta = np.array([1.5, -2.0]), np.array([0.1, 0.2])
         gamma_adj, beta_adj = apply_affine_adjustment(gamma, beta, rec)
         np.testing.assert_array_equal(gamma_adj, gamma)
         np.testing.assert_array_equal(beta_adj, beta)
 
     def test_zero_gamma_annihilates(self):
-        rec = build_reparam_record(channel_params([1.0, 4.0], [2, 9]))
+        rec = ReparamRecord(channel_params([1.0, 4.0], [2, 9]))
         gamma_adj, _ = apply_affine_adjustment(np.zeros(2), np.ones(2), rec)
         np.testing.assert_array_equal(gamma_adj, np.zeros(2))
 
     def test_length_mismatch(self):
-        rec = build_reparam_record(channel_params([1.0, 2.0], [0, 1]))
+        rec = ReparamRecord(channel_params([1.0, 2.0], [0, 1]))
         with pytest.raises(ValueError):
             apply_affine_adjustment(np.ones(3), np.ones(3), rec)
 
 
 class TestWeightCompensation:
     def test_worked_example(self):
-        # r1 = s / 1 = [2, 0.5], r2 = z - 1 = [1, -1]
-        rec = ReparamRecord(target_scale=1.0, target_zero=1,
-                            source=channel_params([2.0, 0.5], [2, 0]))
-        w = np.array([[1.0], [1.0]])
+        # s~ = 1 and z~ = 1: r1 = [2, 0.5, 0.5], r2 = [1, -1, 0]
+        rec = ReparamRecord(channel_params([2.0, 0.5, 0.5], [2, 0, 1]))
+        w = np.array([[1.0], [1.0], [1.0]])
         w_adj, b_adj = apply_weight_compensation(w, np.zeros(1), rec)
-        np.testing.assert_array_equal(w_adj, [[2.0], [0.5]])
-        # b~ = 0 - (2*1*1 + 0.5*(-1)*1) = -1.5
+        np.testing.assert_array_equal(w_adj, [[2.0], [0.5], [0.5]])
+        # b~ = 0 - (2*1*1 + 0.5*(-1)*1 + 0.5*0*1) = -1.5
         np.testing.assert_array_equal(b_adj, [-1.5])
 
     def test_identity_record(self):
-        rec = build_reparam_record(channel_params([0.3] * 4, [7] * 4))
+        rec = ReparamRecord(channel_params([0.3] * 4, [7] * 4))
         rng = np.random.default_rng(41)
         w = rng.normal(size=(4, 6))
         b = rng.normal(size=6)
@@ -180,7 +143,7 @@ class TestWeightCompensation:
         np.testing.assert_array_equal(b_adj, b)
 
     def test_dimension_mismatch(self):
-        rec = build_reparam_record(channel_params([1.0, 2.0], [0, 1]))
+        rec = ReparamRecord(channel_params([1.0, 2.0], [0, 1]))
         with pytest.raises(ValueError):
             apply_weight_compensation(np.ones((3, 2)), np.ones(2), rec)
         with pytest.raises(ValueError):
@@ -192,7 +155,7 @@ class TestWeightCompensation:
         for d in (8, 64, 512):
             s = rng.uniform(0.02, 2.0, size=d)
             z = rng.integers(0, 256, size=d)
-            rec = build_reparam_record(channel_params(s, z, bits=8))
+            rec = ReparamRecord(channel_params(s, z, bits=8))
             w = rng.normal(size=(d, 3 * d)) / np.sqrt(d)
             b = rng.normal(size=3 * d)
             x = rng.normal(size=(16, d)) * s * 4
@@ -211,7 +174,7 @@ class TestCodeEquality:
         s = rng.uniform(0.01, 4.0, size=d)
         z = rng.integers(0, 16, size=d)
         qp = channel_params(s, z)
-        rec = build_reparam_record(qp)
+        rec = ReparamRecord(qp)
         x = draw_off_ties(rng, qp, 2000)
         codes_channel = uniform_quantize(x, qp)
         x_adj = (x + s * rec.r2) / rec.r1
@@ -222,7 +185,7 @@ class TestCodeEquality:
         """Both paths clip identically: the pre-clip integers are equal."""
         rng = np.random.default_rng(78)
         qp = channel_params([0.5, 1.5, 2.5], [1, 8, 15])
-        rec = build_reparam_record(qp)
+        rec = ReparamRecord(qp)
         # levels far outside [0, 15] on purpose
         frac = rng.uniform(-0.45, 0.45, size=(500, 3))
         level = rng.integers(-40, 60, size=(500, 3))
@@ -241,7 +204,7 @@ class TestCodeEquality:
         qmax = (1 << bits) - 1
         qp = channel_params(rng.uniform(1e-3, 10.0, size=d),
                             rng.integers(0, qmax + 1, size=d), bits=bits)
-        rec = build_reparam_record(qp)
+        rec = ReparamRecord(qp)
         x = draw_off_ties(rng, qp, 100)
         x_adj = (x + qp.scale * rec.r2) / rec.r1
         np.testing.assert_array_equal(
@@ -251,7 +214,7 @@ class TestCodeEquality:
 
 def fold_codes(x, qp):
     """(channel-wise codes of x, layer-wise codes of the folded activations)."""
-    rec = build_reparam_record(qp)
+    rec = ReparamRecord(qp)
     x_adj = (x + qp.scale * rec.r2) / rec.r1
     return uniform_quantize(x, qp), uniform_quantize(x_adj, rec.target_params())
 
@@ -330,7 +293,7 @@ class TestSiteReparam:
         gamma, beta = rng.normal(size=3), rng.normal(size=3)
         w, b = rng.normal(size=(3, 5)), rng.normal(size=5)
         site = reparameterize_layernorm_site(gamma, beta, w, b, qp)
-        rec = build_reparam_record(qp)
+        rec = ReparamRecord(qp)
         g2, b2 = apply_affine_adjustment(gamma, beta, rec)
         w2, bb2 = apply_weight_compensation(w, b, rec)
         np.testing.assert_array_equal(site.gamma, g2)
@@ -369,35 +332,34 @@ class TestBaseChangeScale:
 
 
 class TestRecordValidation:
-    """r1 = s / s~ and r2 = z - z~ are derived, so the record checks what they rest on."""
+    """A record is its source; r1 = s / s~ and r2 = z - z~ derive from it."""
 
     def test_r2_must_be_integer(self):
-        rec = ReparamRecord(target_scale=1.0, target_zero=6.0,
-                            source=channel_params([1.0, 2.0], [4, 9]))
+        """z~ is the channel mean rounded half to even, so r2 is exact integers."""
+        rec = ReparamRecord(channel_params([1.0, 2.0], [4, 9]))
+        assert rec.target_zero == 6 and isinstance(rec.target_zero, int)
         assert rec.r2.dtype == np.int64
         np.testing.assert_array_equal(rec.r2, [-2, 3])
-        with pytest.raises(ValueError, match="target zero point must be an integer"):
-            ReparamRecord(target_scale=1.0, target_zero=0.5,
-                          source=channel_params([1.0], [0]))
 
     def test_r1_must_be_positive(self):
-        for target_scale in (-1.0, 0.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="target scale"):
-                ReparamRecord(target_scale=target_scale, target_zero=0,
-                              source=channel_params([1.0], [0]))
+        """A target scale that overflows to inf is no quantizer, so no r1 of zeros is used."""
+        rec = ReparamRecord(channel_params([1.7e308] * 64, [0] * 64))
+        assert rec.target_scale == np.inf
+        with pytest.raises(ValueError, match="positive and finite"):
+            rec.target_params()
+        with pytest.raises(ValueError, match="positive and finite"):
+            reparameterize_layernorm_site(np.ones(64), np.zeros(64), np.ones((64, 2)),
+                                          np.zeros(2), rec.source)
 
     def test_source_must_be_channel_wise_uniform(self):
         """A uniform source is channel-wise over its scales, one channel included."""
         with pytest.raises(ValueError, match="must be uniform"):
-            ReparamRecord(target_scale=1.0, target_zero=0,
-                          source=QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0])))
-        one = ReparamRecord(target_scale=1.0, target_zero=0,
-                            source=QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]),
-                                               zero_point=np.array([0])))
+            ReparamRecord(QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0])))
+        one = ReparamRecord(QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]),
+                                        zero_point=np.array([0])))
         assert one.channels == 1
 
     def test_length_mismatch(self):
         """The width is the source's: scales and zero points of unequal length are rejected."""
-        d = build_reparam_record(channel_params([1.0, 2.0], [0, 1])).to_json()
         with pytest.raises(ValueError, match="zero_point length"):
-            ReparamRecord.from_json(d, np.array([1.0, 2.0]), np.array([0]))
+            ReparamRecord(channel_params([1.0, 2.0], [0]))
