@@ -32,14 +32,14 @@ from it (see `reparam.ReparamRecord`).
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .calibration import calibrate_tensor
 from .container import (ContainerError, blocks_from_container, channel_params,
                         channel_tensors, container_from_model)
-from .model import ACTIVATION_SITES, WEIGHT_SITES, JsonFields, model_forward
+from .model import ACTIVATION_SITES, WEIGHT_SITES, CodeBlock, JsonFields, model_forward
 from .quantizers import (QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
                          logsqrt2_dequantize_shift, logsqrt2_quantize,
@@ -443,6 +443,18 @@ def _mse(a, b):
     return float(np.mean((as_tensor(a) - as_tensor(b)) ** 2))
 
 
+def _quantized_weights(blocks, qcfg):
+    """`blocks` with each weight matrix as the `CodeBlock` of `_fit_weights`' quantizer."""
+    weights = _fit_weights(blocks, qcfg)
+
+    def codes(i, site, w):
+        qp = weights[f"block{i}.{site}"]
+        return CodeBlock.from_codes(uniform_quantize(w, qp), qp)
+
+    return [replace(bw, **{site: codes(i, site, getattr(bw, site)) for site in WEIGHT_SITES})
+            for i, bw in enumerate(blocks)]
+
+
 def _add_squared_error(acc, recon, x):
     """Add the sum of (recon - x)**2 and its element count to acc = [sum, count]."""
     err = recon - x
@@ -469,8 +481,9 @@ def evaluate(fp_c, q_c, acts):
     float one), so no capture outlives its site. The two LayerNorm ablation arms run
     the float model on the container's activation sites, with each LayerNorm
     site replaced by its fold record's `source` (channel-wise) or by
-    `ablation.ln_layer_wise` (layer-wise), and weight sites refitted from
-    `fp_c` with calibration's weight fitter. A quantized container lacking
+    `ablation.ln_layer_wise` (layer-wise), and with `fp_c`'s weights fitted by
+    calibration's weight fitter and quantized once, for both arms, into
+    `CodeBlock`s. A quantized container lacking
     its `quantize_config`, an activation site's params, a weight site's
     `weight_mse` or `ablation.ln_layer_wise` raises PipelineError naming what
     is missing, as does a malformed quantize config or weight MSE, a fold
@@ -504,8 +517,9 @@ def evaluate(fp_c, q_c, acts):
         if sites[key].to_json() != rec.target_params().to_json():
             raise PipelineError(f"site {key} is not the target of fold record "
                                 f"reparam_records.{key}")
-    chan_sites = {**sites, **{key: rec.source for key, rec in records.items()},
-                  **_fit_weights(fp_blocks, qcfg)}
+    # the arms' weights are CodeBlocks, which multiply with their own params
+    chan_sites = {**{key: qp for key, qp in sites.items() if key not in weight_keys},
+                  **{key: rec.source for key, rec in records.items()}}
     layer_sites = hooks_from_sites(cfg, {**chan_sites, **_layer_wise_from_json(
         q_c.meta["ablation"]["ln_layer_wise"], "ablation.ln_layer_wise")})
     _, q_blocks = blocks_from_container(q_c)
@@ -515,7 +529,11 @@ def evaluate(fp_c, q_c, acts):
     act_mse = {}
 
     def site_error(name, x):
-        act_mse[name] = _mse(fake_quantize(x, sites[name]), x)
+        # (fake_quantize(x) - x)**2 in fake_quantize's own buffer
+        err = fake_quantize(x, sites[name])
+        err -= x
+        np.square(err, out=err)
+        act_mse[name] = float(np.mean(err))
 
     # code equality at the folded sites, computed from the audit records at
     # full float64 precision on the float model's activations; the
@@ -541,6 +559,7 @@ def evaluate(fp_c, q_c, acts):
 
     fp_out = model_forward(acts, fp_blocks, cfg, capture=_SiteObserver(audit))
     q_out = model_forward(acts, q_blocks, cfg, hooks=sites, capture=_SiteObserver(site_error))
+    del q_blocks        # the arms' weights below take the place of its codes
 
     per_site_mse = dict(sorted({**act_mse, **weight_mse}.items()))
     output_mse = _mse(q_out, fp_out)
@@ -553,9 +572,9 @@ def evaluate(fp_c, q_c, acts):
 
     # ablation 1: LayerNorm-site granularity, end to end
     ln_ablation = {}
+    arm_blocks = _quantized_weights(fp_blocks, qcfg)
     for label, table in (("layer_wise", layer_sites), ("channel_wise", chan_sites)):
-        out = model_forward(acts, fp_blocks, cfg, hooks=table)
-        ln_ablation[label] = _mse(out, fp_out)
+        ln_ablation[label] = _mse(model_forward(acts, arm_blocks, cfg, hooks=table), fp_out)
     ln_ablation["reparam"] = output_mse
 
     softmax_ablation = {k: v[0] / v[1] for k, v in sq.items()}

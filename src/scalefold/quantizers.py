@@ -313,7 +313,11 @@ def logsqrt2_dequantize_shift(codes, s, bits):
 def fake_quantize(x, qp):
     """Quantize then dequantize, the simulated-quantization round trip."""
     if qp.scheme is Scheme.UNIFORM:
-        return uniform_dequantize(uniform_quantize(x, qp), qp)
+        # s * (c - z) in the one buffer of the centred codes: the bits of
+        # dequantizing `uniform_quantize`'s codes, without their copies
+        out = uniform_centred(x, qp)
+        out *= param_view(qp.scale, out)
+        return out
     s = qp.scale[0]
     if qp.scheme is Scheme.LOG2:
         return log2_dequantize(log2_quantize(x, s, qp.bits), s, qp.bits)

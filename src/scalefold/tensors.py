@@ -11,9 +11,21 @@ factor out of the inner sum. The other hooked products, A @ V under the
 log-sqrt2 quantizer included, run as exact integer GEMMs on the codes instead
 (see `model`). 32-bit floats appear only in the file container, never in
 compute.
+
+`single_threaded_blas` holds numpy's OpenBLAS at one thread for a region, so
+that threads of our own can each run whole kernels on one core (the sharded
+stacks of `model.model_forward`). The handle is the scipy-openblas64 of
+numpy's wheels, found on first use among the libraries mapped into the
+process and driven through `ctypes` by its exported thread-count functions;
+a process with any other BLAS, or not on Linux, never holds anything, and
+its regions run as they always did.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 
 import numpy as np
 from scipy.special import ndtr
@@ -173,6 +185,62 @@ def matmul(a, b):
                  beta, acc, tmp[:hi - lo])
         np.ldexp(acc, e_out[lo:hi] + (e_b[lo:hi] if batched else e_b), out=acc)
     return out.reshape(shape)
+
+
+# The thread-count functions of the scipy-openblas64 that numpy's wheels
+# load. The 32-bit scipy-openblas that scipy loads beside it exports them
+# without the 64_ suffix, so it is never taken for numpy's; any other BLAS
+# (MKL, Accelerate, a system OpenBLAS) is not driven, and stacks run serially.
+_OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
+_OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
+
+# the thread count is process-wide, so one region holds it at a time
+_BLAS_LOCK = threading.Lock()
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of numpy's scipy-openblas64 thread count, or None where it is not loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            # only a mapping's path, the last of its six fields, can name it
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, _OPENBLAS_GET) and hasattr(lib, _OPENBLAS_SET):
+            get, put = getattr(lib, _OPENBLAS_GET), getattr(lib, _OPENBLAS_SET)
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Hold numpy's OpenBLAS at one thread for the body; yields whether it does.
+
+    The previous count comes back on exit, also when the body raises. Where
+    no OpenBLAS with a settable count is loaded, or another thread's region
+    holds the count, the body runs with nothing changed and gets False.
+    """
+    handle = _openblas()
+    if handle is None or not _BLAS_LOCK.acquire(blocking=False):
+        yield False
+        return
+    get, put = handle
+    before = get()
+    try:
+        put(1)
+        yield True
+    finally:
+        put(before)
+        _BLAS_LOCK.release()
 
 
 def rowwise_softmax(x):

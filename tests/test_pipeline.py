@@ -410,23 +410,31 @@ class TestEvaluate:
         """Both LayerNorm ablation arms quantize the float model with calibration's sites.
 
         The container holds no pre-fold weight site, so evaluate refits them
-        from the float model; the refit equals the calibrated table. The
-        channel-wise arm takes its LayerNorm sites from the fold records'
-        sources, the layer-wise arm from the naive fits, and both take every
-        other activation site from the carried site table.
+        from the float model and quantizes each float weight once, into one
+        `CodeBlock` that both arms multiply; the refit equals the calibrated
+        table. The channel-wise arm takes its LayerNorm sites from the fold
+        records' sources, the layer-wise arm from the naive fits, and both
+        take every other activation site from the carried site table.
         """
         model_c, held_out, calib_c, q_c = chain[0], chain[2], chain[3], chain[5]
-        tables = []
+        runs = []
 
         def spy(x, blocks, cfg, hooks=None, capture=None):
-            if hooks is not None and not hasattr(blocks[0].w_qkv, "centred"):
-                tables.append(hooks)
+            if hooks is not None:
+                runs.append((blocks, hooks))
             return model_forward(x, blocks, cfg, hooks=hooks, capture=capture)
 
         monkeypatch.setattr("scalefold.pipeline.model_forward", spy)
         evaluate(model_c, q_c, held_out)
-        layer_wise, channel_wise = tables
+        _, (layer_blocks, layer_wise), (chan_blocks, channel_wise) = runs
+        assert layer_blocks is chan_blocks
         calibrated = {k: v.to_json() for k, v in load_sites(calib_c).items()}
+        for i, (arm, fp) in enumerate(zip(chan_blocks, blocks_from_container(model_c)[1])):
+            for site in WEIGHT_SITES:
+                block = getattr(arm, site)
+                assert block.params.to_json() == calibrated.pop(f"block{i}.{site}")
+                np.testing.assert_array_equal(block.dequantize(),
+                                              fake_quantize(getattr(fp, site), block.params))
         naive = calib_c.meta["ablation"]["ln_layer_wise"]
         assert {k: v.to_json() for k, v in channel_wise.items()} == calibrated
         assert {k: v.to_json() for k, v in layer_wise.items()} == {**calibrated, **naive}
