@@ -96,6 +96,28 @@ def percentile_bounds(x, p):
     return float(_lerp(a_lo, b_lo, t_lo)), float(_lerp(a_hi, b_hi, t_hi))
 
 
+def _channel_bounds(x, p):
+    """np.percentile(x, [100 - p, p], axis=0) of an (n, C) sample.
+
+    p = 100 takes each channel's min and max. Below it, the channels are
+    sorted once, as the rows of a (C, n) copy, and the ranks of `_rank` are
+    read and interpolated with `_lerp`, the rule np.percentile applies: the
+    same bits up to the sign of a zero bound, since a sort and numpy's
+    partition may rank tied -0.0 and 0.0 differently (a fit never reads
+    that sign). NaN or an infinity raises ValueError.
+    """
+    if p == 100.0:
+        return _extremes(x, axis=0)
+    rows = np.ascontiguousarray(x.T)
+    rows.sort(axis=-1)
+    _extremes(rows[:, [0, -1]])         # infinities sort to the ends, NaN last
+    bounds = []
+    for q in ((100.0 - p) / 100, p / 100):
+        i, j, t = _rank(rows.shape[1], q)
+        bounds.append(_lerp(rows[:, i], rows[:, j], t))
+    return bounds
+
+
 def compute_affine_params(lo, hi, bits):
     """Fit scale and zero point to a clip range: s = (hi-lo)/(2**bits - 1).
 
@@ -129,9 +151,10 @@ def calibrate_tensor(x, bits, percentile=100.0, scheme=Scheme.UNIFORM, per_chann
     per layer and use the upper bound as the scale, since their grid covers
     (0, s]. Multi-batch calibration is concatenation: pass the stacked
     capture. Bounds are np.percentile's: a per-layer fit selects them from
-    the sample's tails (see `percentile_bounds`), a p = 100 fit takes
-    min/max, and only a per-channel fit below 100 runs np.percentile. A bad
-    bit width or percentile, or NaN or an infinity in x, raises ValueError.
+    the sample's tails (see `percentile_bounds`), a per-channel one sorts
+    each channel once (see `_channel_bounds`), and a p = 100 fit takes
+    min/max. A bad bit width or percentile, or NaN or an infinity in x,
+    raises ValueError.
     """
     x = as_tensor(x)
     if x.size == 0:
@@ -148,10 +171,7 @@ def calibrate_tensor(x, bits, percentile=100.0, scheme=Scheme.UNIFORM, per_chann
             raise ValueError("log schemes require nonnegative calibration data")
         return QuantParams(scheme, bits, scale=np.array([_log_scale(hi)]))
     if per_channel:
-        x = x.reshape(-1, x.shape[-1])
-        lows, highs = _extremes(x, axis=0)
-        if p < 100.0:
-            lows, highs = np.percentile(x, [100.0 - p, p], axis=0)
+        lows, highs = _channel_bounds(x.reshape(-1, x.shape[-1]), p)
     else:
         lows, highs = percentile_bounds(x, p)
     s, z = compute_affine_params(lows, highs, bits)

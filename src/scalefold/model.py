@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .quantizers import (SQRT2, QuantParams, Scheme, centre_codes, fake_quantize,
-                         logsqrt2_quantize, param_view, parity_indicator, uniform_centred)
+                         logsqrt2_quantize, param_view, uniform_centred)
 from .tensors import (ShapeError, as_tensor, gelu, matmul, rowwise_softmax,
                       single_threaded_blas)
 
@@ -199,6 +199,20 @@ def _same(t):
     return t
 
 
+def _bands(e, odd, width):
+    """(band, even mask, odd mask) of each band that holds a code, in band order."""
+    if e.max(initial=0) < width:
+        # every code is in band 0, where the parity masks are the band's masks
+        yield 0, ~odd, odd
+        return
+    band = e // width
+    even = ~odd
+    for b in range(int(band.max()) + 1):
+        inband = band == b
+        if inband.any():
+            yield b, inband & even, inband & odd
+
+
 def _log_sqrt2_bands(a, qa, vc, v_qmax):
     """Half-power codes of `a` times the centred integer codes `vc`, unscaled.
 
@@ -207,31 +221,34 @@ def _log_sqrt2_bands(a, qa, vc, v_qmax):
     odd power-of-two matrix. Exponents run in fixed bands of `width`, set by
     the inner size k and V's bit width only, so that in band [lo, hi] the
     entries 2**(hi - e) keep every partial sum an integer below
-    k * v_qmax * 2**(width - 1) <= 2**51: each band is one exact GEMM of the
-    even rows stacked over the odd rows, combined as
+    k * v_qmax * 2**(width - 1) <= 2**51: in each band the even and the odd
+    matrix are exact GEMMs, one stack of two, combined as
     ldexp(R_even + sqrt(2) * R_odd, -hi) band by band in order. A band that
     no code falls in adds exactly zero, so it is skipped; a stack therefore
-    sums the same bands as each of its samples alone, bit for bit.
+    sums the same bands as each of its samples alone, bit for bit. When every
+    exponent is below `width` (always at 4 bits, and at 8 bits for attention
+    with no entry below about 2**-width of the scale), band 0 is the only band
+    and its masks are the parity's own.
     """
     codes = logsqrt2_quantize(a, qa.scale[0], qa.bits)
-    e = (codes + 1) >> 1
-    odd = parity_indicator(codes).astype(bool)
-    even = ~odd
-    rows, k = a.shape[-2:]
+    odd = (codes & 1).astype(bool)
+    e = codes           # (c + 1) >> 1, in the codes' own buffer
+    e += 1
+    e >>= 1
+    k = a.shape[-1]
     width = 52 - (k * v_qmax - 1).bit_length()      # 52 - ceil(log2(k * v_qmax))
-    band = e // width
     acc = np.zeros(a.shape[:-1] + vc.shape[-1:])
-    split = np.empty(a.shape[:-2] + (2 * rows, k))
-    for b in range(int(band.max(initial=0)) + 1):
-        inband = band == b
-        if not inband.any():
-            continue
+    split = np.empty((2,) + a.shape)                 # the even half, then the odd one
+    for b, even_in, odd_in in _bands(e, odd, width):
         hi = (b + 1) * width - 1
         # 2**(hi - e) where the code is in the band and of the half's parity, else 0
-        np.ldexp(inband & even, hi - e, out=split[..., :rows, :], dtype=np.float64)
-        np.ldexp(inband & odd, hi - e, out=split[..., rows:, :], dtype=np.float64)
-        r = split @ vc
-        acc += np.ldexp(r[..., :rows, :] + SQRT2 * r[..., rows:, :], -hi)
+        shift = hi - e
+        np.ldexp(even_in, shift, out=split[0], dtype=np.float64)
+        np.ldexp(odd_in, shift, out=split[1], dtype=np.float64)
+        r_even, r_odd = split @ vc
+        r_odd *= SQRT2
+        r_odd += r_even
+        acc += np.ldexp(r_odd, -hi, out=r_odd)
     return acc
 
 
@@ -297,7 +314,8 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
         prod = _log_sqrt2_matmul(x, qx, rhs(_centred(w, qw)), qw.qmax)
     else:
         return matmul(lhs(_apply(x, qx)), rhs(_apply(w, qw)))
-    return prod * (qx.scale * qw.scale)
+    prod *= qx.scale * qw.scale
+    return prod
 
 
 def _cap(capture, prefix, site, value):
@@ -312,12 +330,24 @@ def _hook_at(hooks, prefix):
 
 
 def layernorm_forward(x, gamma, beta, eps=1e-5):
-    """Row-wise normalization with population variance, then affine."""
+    """Row-wise normalization with population variance, then affine.
+
+    The row statistics are `x.mean` and `x.var` bit for bit, from the same
+    numpy reductions in the same order, but the output is the only full-size
+    buffer: x is centred into it, squared there and summed for the variance,
+    then centred into it again and normalized in place.
+    """
     x = as_tensor(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    y = x - mu
-    y /= np.sqrt(var + eps)
+    n = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True)
+    mu /= n
+    y = np.subtract(x, mu)
+    np.square(y, out=y)
+    var = np.add.reduce(y, -1, keepdims=True)
+    var /= n
+    np.subtract(x, mu, out=y)
+    var += eps
+    y /= np.sqrt(var, out=var)
     y *= as_tensor(gamma)
     y += as_tensor(beta)
     return y
@@ -342,7 +372,8 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     x_ln = _tokens(x_ln, cfg)
     d = cfg.dim
 
-    qkv = _qmatmul(x_ln, hook("ln1_out"), w.w_qkv, hook("w_qkv")) + w.b_qkv
+    qkv = _qmatmul(x_ln, hook("ln1_out"), w.w_qkv, hook("w_qkv"))
+    qkv += w.b_qkv
     q, k, v = qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]
     _cap(capture, prefix, "attn_q", q)
     _cap(capture, prefix, "attn_k", k)
@@ -355,7 +386,8 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
         return _split_heads(t, cfg).swapaxes(-1, -2)
 
     scores = _qmatmul(q, hook("attn_q"), k, hook("attn_k"), heads_of, keys_of)
-    attn = rowwise_softmax(scores / np.sqrt(float(cfg.head_dim)))
+    scores /= np.sqrt(float(cfg.head_dim))
+    attn = rowwise_softmax(scores)
     _cap(capture, prefix, "attn_a", attn)
     heads = _qmatmul(attn, hook("attn_a"), v, hook("attn_v"), rhs=heads_of)
 
@@ -363,16 +395,22 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     merged = heads.swapaxes(-3, -2).reshape(x_ln.shape)
     _cap(capture, prefix, "msa_proj_in", merged)
     out = _qmatmul(merged, hook("msa_proj_in"), w.w_o, hook("w_o"))
-    return out + w.b_o
+    out += w.b_o
+    return out
 
 
 def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
     """Two-layer MLP with exact-CDF GELU on already-normalized tokens."""
     hook = _hook_at(hooks, prefix)
     y_ln = _tokens(y_ln, cfg)
-    hidden = gelu(_qmatmul(y_ln, hook("ln2_out"), w.w_1, hook("w_1")) + w.b_1)
+    h = _qmatmul(y_ln, hook("ln2_out"), w.w_1, hook("w_1"))
+    h += w.b_1
+    hidden = gelu(h)
+    del h               # the pre-GELU buffer must not live through the capture
     _cap(capture, prefix, "gelu_out", hidden)
-    return _qmatmul(hidden, hook("gelu_out"), w.w_2, hook("w_2")) + w.b_2
+    out = _qmatmul(hidden, hook("gelu_out"), w.w_2, hook("w_2"))
+    out += w.b_2
+    return out
 
 
 def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
@@ -383,10 +421,13 @@ def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
     x = _tokens(x, cfg)
     x1 = layernorm_forward(x, w.gamma1, w.beta1, cfg.eps)
     _cap(capture, prefix, "ln1_out", x1)
-    y = msa_forward(x1, w, cfg, hooks, capture, prefix) + x
+    y = msa_forward(x1, w, cfg, hooks, capture, prefix)
+    y += x
     y1 = layernorm_forward(y, w.gamma2, w.beta2, cfg.eps)
     _cap(capture, prefix, "ln2_out", y1)
-    return mlp_forward(y1, w, cfg, hooks, capture, prefix) + y
+    out = mlp_forward(y1, w, cfg, hooks, capture, prefix)
+    out += y
+    return out
 
 
 def _forward(x, blocks, cfg, hooks, capture):

@@ -462,9 +462,41 @@ def _add_squared_error(acc, recon, x):
     acc[1] += err.size
 
 
+# Products per pass of `_dot`'s bin sums: each adds a mantissa half below
+# 2**32 to a float64 bin, so the bins of 2**20 of them stay exact integers.
+_DOT_CHUNK = 1 << 20
+
+
 def _dot(a, b):
-    """The correctly rounded sum of a * b, so no BLAS reduction order shows in it."""
-    return math.fsum((a * b).tolist())
+    """The correctly rounded sum of a * b, so no BLAS reduction order shows in it.
+
+    Each product is m * 2**(e - 53) with an integer |m| < 2**53 (`np.frexp`).
+    Per exponent e, `np.bincount` sums the high and low 32-bit halves of the
+    m as exact float64 integers, `_DOT_CHUNK` products at a time; the sums
+    make one Python integer, which one true division rounds. That is
+    `math.fsum`'s result, and `math.fsum` still takes a non-finite product,
+    or an exact total of zero, whose sign it decides.
+    """
+    p = (a * b).ravel()
+    if not np.isfinite(p).all():
+        return math.fsum(p.tolist())
+    mant, exp = np.frexp(p)
+    m = np.ldexp(mant, 53).astype(np.int64)
+    base = int(exp.min(initial=0))
+    exp -= base
+    total = 0
+    for lo in range(0, p.size, _DOT_CHUNK):
+        e, mc = exp[lo:lo + _DOT_CHUNK], m[lo:lo + _DOT_CHUNK]
+        high = np.bincount(e, weights=mc >> 32).astype(np.int64).tolist()
+        low = np.bincount(e, weights=mc & 0xFFFFFFFF).astype(np.int64).tolist()
+        part = 0
+        for h, l in zip(reversed(high), reversed(low)):
+            part = (part << 1) + (h << 32) + l
+        total += part
+    if total == 0:
+        return math.fsum(p.tolist())
+    shift = base - 53
+    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def evaluate(fp_c, q_c, acts):

@@ -139,11 +139,13 @@ def uniform_centred(x, qp):
     """Affine codes minus their zero points: clip(round(x/s), -z, 2**b - 1 - z).
 
     Rounding is round-half-to-even. Returns float64 integer values of x's
-    shape, ready to be multiplied as they are; `uniform_quantize` adds z back.
+    shape in a new C-ordered array, ready to be multiplied as they are;
+    `uniform_quantize` adds z back. A strided x, such as the q, k and v
+    column blocks of the QKV product, is read where it lies, not copied.
     """
     if qp.scheme is not Scheme.UNIFORM:
         raise ValueError(f"uniform quantizer got {qp.scheme.value} params")
-    x = as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     s = param_view(qp.scale, x)
     z = param_view(qp.zero_point, x)
     out = np.divide(x, s, out=np.empty(x.shape))
@@ -191,7 +193,7 @@ def _log_ratio(x, s, bits, label):
     if not 2 <= int(bits) <= 8:
         raise ValueError(f"bit width {bits} outside [2, 8]")
     x = as_tensor(x)
-    if np.any(x < 0):
+    if x.min(initial=0.0) < 0:
         raise ValueError(f"{label} requires nonnegative inputs")
     return x, s
 
@@ -232,8 +234,10 @@ def logsqrt2_quantize(x, s, bits):
     lossless). Zero maps to the maximum code, negatives are rejected.
     """
     x, s = _log_ratio(x, s, bits, "logsqrt2_quantize")
+    raw = np.divide(x, s)
     with np.errstate(divide="ignore"):
-        raw = -2.0 * np.log2(x / s)
+        np.log2(raw, out=raw)
+    raw *= -2.0
     return _clip_codes(raw, bits)
 
 

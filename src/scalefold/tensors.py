@@ -250,9 +250,9 @@ def rowwise_softmax(x):
     finite input, including rows with large magnitudes.
     """
     x = as_tensor(x)
-    e = x - x.max(axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, -1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, -1, keepdims=True)
     return e
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from scalefold.calibration import (
     DEGENERATE_SCALE,
+    _channel_bounds,
     calibrate_tensor,
     compute_affine_params,
     percentile_bounds,
@@ -35,6 +36,24 @@ def samples(draw):
 
 percentiles = (st.sampled_from([50.001, 99.0, 99.9, 99.99, 99.999, 100.0])
                | st.floats(50.0, 100.0, exclude_min=True))
+
+
+@st.composite
+def channel_samples(draw):
+    """(n, C) samples, one row or one channel included: each channel Gaussian, tied,
+    signed zeros or constant."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 600))
+    c = draw(st.sampled_from([1]) | st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["normal", "ties", "zeros", "constant"]),
+                          min_size=c, max_size=c))
+    columns = {
+        "normal": lambda: rng.normal(size=n) * 10.0 ** rng.integers(-5, 5),
+        "ties": lambda: rng.integers(-3, 4, size=n).astype(np.float64),
+        "zeros": lambda: rng.choice([-0.0, 0.0, -2.5, 2.5], size=n),
+        "constant": lambda: np.full(n, rng.choice([-0.0, 0.0, 3.25, -7.0])),
+    }
+    return np.stack([columns[kind]() for kind in kinds], axis=1)
 
 
 class TestPercentileBounds:
@@ -280,6 +299,24 @@ class TestCalibrateTensor:
         qp = calibrate_tensor(w, bits, per_channel=True)
         lows, highs = np.percentile(w.T, [0.0, 100.0], axis=1)
         s, z = compute_affine_params(lows, highs, bits)
+        assert qp.scale.tobytes() == s.tobytes()
+        np.testing.assert_array_equal(qp.zero_point, z)
+
+    @settings(deadline=None, max_examples=300)
+    @given(channel_samples(), percentiles, st.integers(2, 8))
+    def test_per_channel_fit_is_the_numpy_percentile_fit(self, x, p, bits):
+        """Each channel's bounds are np.percentile's, up to the sign of a zero, and so is the fit.
+
+        A sort and np.percentile's partition may put different ones of tied
+        -0.0 and 0.0 at a rank; the fit never reads that sign, so its scales
+        and zero points are the same bits.
+        """
+        want = np.percentile(x, [100.0 - p, p], axis=0)
+        for got, expected in zip(_channel_bounds(x, p), want):
+            assert got.shape == expected.shape
+            assert (got == expected).all()
+        s, z = compute_affine_params(*want, bits)
+        qp = calibrate_tensor(x.reshape(1, *x.shape), bits, p, per_channel=True)
         assert qp.scale.tobytes() == s.tobytes()
         np.testing.assert_array_equal(qp.zero_point, z)
 

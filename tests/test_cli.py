@@ -220,7 +220,7 @@ def test_float_forward_and_artifact_are_the_same_at_any_blas_thread_count(tmp_pa
     """The unhooked forward, q.rvq and report.json are byte-equal at 1 and 2 BLAS threads.
 
     Every float product runs as exact slice GEMMs and every hooked one as
-    exact integer GEMMs, and the report's cosine sums with `math.fsum`, so
+    exact integer GEMMs, and the report's cosine sums correctly rounded, so
     BLAS blocking and threading change no bit anywhere in the chain.
     """
     config = tmp_path / "config.json"

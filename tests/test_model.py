@@ -5,6 +5,7 @@ formulas with einsum and numpy reductions, deliberately not sharing any code
 with the library, so agreement is meaningful.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,8 @@ from scalefold.model import (
     BlockWeights,
     CodeBlock,
     ModelConfig,
+    _log_sqrt2_bands,
+    _log_sqrt2_matmul,
     _qmatmul,
     block_forward,
     layernorm_forward,
@@ -30,8 +33,8 @@ from scalefold.model import (
     model_forward,
     msa_forward,
 )
-from scalefold.quantizers import (QuantParams, Scheme, fake_quantize, logsqrt2_quantize,
-                                  uniform_dequantize, uniform_quantize)
+from scalefold.quantizers import (SQRT2, QuantParams, Scheme, fake_quantize,
+                                  logsqrt2_quantize, uniform_dequantize, uniform_quantize)
 from scalefold.reparam import reparameterize_layernorm_site
 from scalefold.calibration import calibrate_tensor
 from scalefold.container import ModelContainer, blocks_from_container, container_from_model
@@ -606,6 +609,65 @@ class TestModelForward:
             for col, value in zip(c_v.T, out):
                 exact = sum(Fraction(int(c) - 128, 2 ** int(x)) for x, c in zip(row, col))
                 assert value == float(exact)
+
+    @staticmethod
+    def band_reference(codes, vc, v_qmax):
+        """`_log_sqrt2_bands` as its docstring states it, one output at a time.
+
+        In each band [hi - width + 1, hi] that holds a code of the row, in
+        band order, the even and the odd codes' terms 2**(hi - e) * vc are
+        summed as exact Python ints, and ldexp(R_even + sqrt(2) * R_odd, -hi)
+        is added to the output, which starts at 0.0.
+        """
+        rows, k = codes.shape[-2:]
+        m = vc.shape[-1]
+        width = 52 - (k * v_qmax - 1).bit_length()
+        vc = np.broadcast_to(vc, codes.shape[:-2] + (k, m))
+        out = np.zeros(codes.shape[:-1] + (m,))
+        for idx in np.ndindex(codes.shape[:-2]):
+            for i in range(rows):
+                c = [int(v) for v in codes[idx][i]]
+                e = [(v + 1) >> 1 for v in c]
+                for j in range(m):
+                    col = [int(v) for v in vc[idx][:, j]]
+                    acc = 0.0
+                    for band in sorted({x // width for x in e}):
+                        hi = (band + 1) * width - 1
+                        sums = [0, 0]
+                        for cl, el, vl in zip(c, e, col):
+                            if el // width == band:
+                                sums[cl & 1] += (vl << (hi - el))
+                        acc += math.ldexp(float(sums[0]) + SQRT2 * float(sums[1]), -hi)
+                    out[idx + (i, j)] = acc
+        return out
+
+    @pytest.mark.parametrize("top", [78, 80, 255])
+    def test_bands_equal_their_exact_int_reference(self, monkeypatch, top):
+        """8-bit attention in one exponent band, in two or in four, chunked or not.
+
+        k = 16 and an 8-bit V give bands of 52 - ceil(log2(16 * 255)) = 40
+        exponents: codes up to 78 (e <= 39) stay in band 0, the only band of
+        the single-band path, code 80 (e = 40) is the first of band 1, and
+        codes up to 255 (e <= 128) reach band 3.
+        V holds centred codes across [-255, 255], per (sample, head) and shared.
+        """
+        k, s = 16, 0.75
+        rng = np.random.default_rng(53)
+        codes = rng.integers(0, top + 1, size=(3, 2, 5, k))
+        codes[..., 0] = top
+        qa = QuantParams(Scheme.LOG_SQRT2, 8, scale=np.array([s]))
+        a = np.where(codes == 255, 0.0, fake_quantize(s * 2.0 ** (-codes / 2), qa))
+        assert np.array_equal(logsqrt2_quantize(a, s, 8), codes)
+        bands = set((((codes + 1) >> 1) // 40).ravel().tolist())
+        assert bands == {78: {0}, 80: {0, 1}, 255: {0, 1, 2, 3}}[top]
+        for vc in (rng.integers(-255, 256, size=(3, 2, k, 4)).astype(np.float64),
+                   rng.integers(-255, 256, size=(k, 4)).astype(np.float64)):
+            want = self.band_reference(codes, vc, 255)
+            got = _log_sqrt2_bands(a, qa, vc, 255)
+            assert got.tobytes() == want.tobytes()
+            for chunk in (1, 200, 1 << 20):     # 1, 2 and all 6 matrices per chunk
+                monkeypatch.setattr("scalefold.model._LOG_CHUNK", chunk)
+                assert _log_sqrt2_matmul(a, qa, vc, 255).tobytes() == want.tobytes()
 
     def test_parity_split_does_not_depend_on_chunking(self, monkeypatch):
         """A @ V runs in chunks of (sample, head) matrices; any chunk size gives the same bits."""

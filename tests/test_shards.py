@@ -109,6 +109,35 @@ def test_sharded_stack_equals_its_per_sample_loop(chain, shards, shard_log, n, n
             np.testing.assert_array_equal(caps[key], value, err_msg=f"{label} {key}")
 
 
+class _Keeper:
+    """Each site's tensor as handed over, beside a copy taken at the time."""
+
+    def __init__(self):
+        self.kept = []
+
+    def __setitem__(self, name, tensor):
+        self.kept.append((name, tensor, tensor.copy()))
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_no_capture_changes_after_the_sink_gets_it(chain, shards, n_shards):
+    """The forward edits its buffers in place, but never one it has handed to the sink.
+
+    Single samples and stacks, serial and sharded, under no hooks, the
+    channel-wise sites and the quantized model: once the forward returns,
+    every tensor the sink was given still holds its bits at delivery.
+    """
+    xs = gen_activations(CFG, chain[0], 3, stream=1)
+    shards(n_shards)
+    for label, blocks, hooks in _models(chain):
+        for x in (xs, xs[0]):
+            sink = _Keeper()
+            model_forward(x, blocks, CFG, hooks=hooks, capture=sink)
+            assert len(sink.kept) == CFG.blocks * len(ACTIVATION_SITES), label
+            for name, tensor, at_delivery in sink.kept:
+                assert tensor.tobytes() == at_delivery.tobytes(), f"{label} {name} {x.shape}"
+
+
 class _Recorder:
     """Each site's (name, copy); fails if two threads are ever inside at once."""
 
