@@ -71,12 +71,13 @@ def build_parser():
     return parser
 
 
-# top-level keys of a `gen --config` file
+# top-level keys of a `gen --config` file; calib_batches and eval_batches,
+# the samples of calib.rvq and eval.rvq, are 32 each unless it sets them
 _GEN_KEYS = ("model", "synth", "calib_batches", "eval_batches")
 
 
-def _batch_count(overrides, key, default):
-    n = overrides.get(key, default)
+def _batch_count(overrides, key):
+    n = overrides.get(key, 32)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"--config {key} must be a positive integer, got {n!r}")
     return n
@@ -93,8 +94,7 @@ def _cmd_gen(args):
     if args.seed is not None:
         spec_d["seed"] = args.seed
     spec = SynthSpec.from_json(spec_d)
-    n_calib, n_eval = (_batch_count(overrides, key, spec.batch)
-                       for key in ("calib_batches", "eval_batches"))
+    n_calib, n_eval = (_batch_count(overrides, key) for key in ("calib_batches", "eval_batches"))
 
     os.makedirs(args.out, exist_ok=True)
     blocks = gen_model(cfg, spec)

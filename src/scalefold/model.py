@@ -11,10 +11,11 @@ A product whose two hooks are uniform affine with scales that factor out of
 the inner sum (a layer-wise activation times a layer-wise or per-output-
 channel weight) runs on the integer codes as an exact BLAS GEMM, and so does
 A @ V with a log-sqrt2 A, through the parity split of A's codes into
-power-of-two matrices. Any other product (a per-channel activation hook)
-fake-quantizes its operands and sums them with the float `tensors.matmul`,
-exact slice GEMMs combined in a fixed order, which also runs every product of
-the unhooked float forward.
+power-of-two matrices. The four attention sites act on the heads after
+their split, so each takes a one-scale hook only. Any other product (a
+per-channel activation hook) fake-quantizes its operands and sums them with
+the float `tensors.matmul`, exact slice GEMMs combined in a fixed order,
+which also runs every product of the unhooked float forward.
 A block loaded from a quantized container holds its weight matrices as
 `CodeBlock`s, the shipped codes centred once at load, and each weight
 product multiplies those codes with the block's own params, not the table's
@@ -195,10 +196,6 @@ def _centred(w, qp):
 _LOG_CHUNK = 1 << 15
 
 
-def _same(t):
-    return t
-
-
 def _bands(e, odd, width):
     """(band, even mask, odd mask) of each band that holds a code, in band order."""
     if e.max(initial=0) < width:
@@ -274,13 +271,11 @@ def _log_sqrt2_matmul(a, qa, vc, v_qmax):
     return out.reshape(batch + (rows, m))
 
 
-def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
-    """`x @ w` with x through hook `qx` and w through `qw`.
+def _qmatmul(x, qx, w, qw):
+    """`x @ w` with x through hook `qx` and w through `qw`, or a `CodeBlock` w through its own.
 
-    `lhs` and `rhs` rearrange the hooked operands (the attention head split);
-    hooks act on x and w as given. When both hooks are uniform affine, `qx`
-    has one scale and `qw`'s scale is one value or, with no `rhs`, one per
-    output column, both scales leave the inner sum:
+    When both hooks are uniform affine, `qx` has one scale and `qw`'s scale
+    is one value or one per output column, both scales leave the inner sum:
 
         x^ @ w^ = ((c_x - z_x) @ (c_w - z_w)) * (s_x * s_w)
 
@@ -289,31 +284,26 @@ def _qmatmul(x, qx, w, qw, lhs=_same, rhs=_same):
     below k * 255**2, far under 2**53 for any inner size k that fits in
     memory: the GEMM is exact, and bit-identical at any blocking or thread
     count. A stack times one weight matrix runs as one (rows, k) GEMM. When
-    `qx` is log-sqrt2 instead (A of A @ V) and `x` is not rearranged, the
-    product runs on the parity split of A's codes, again as exact integer
-    GEMMs (`_log_sqrt2_matmul`). Every other product (no hook, a per-channel
-    activation) fake-quantizes both operands and runs the float
-    `tensors.matmul`, which is also bit-identical at any thread count.
-
-    `w` may be a `CodeBlock`, the shipped codes of a quantized container: it
-    multiplies with its own params and `qw` is not read; its centred codes
-    enter the integer GEMMs directly and the float route dequantizes them,
-    so no weight is quantized here.
+    `qx` is log-sqrt2 instead (A of A @ V), the product runs on the parity
+    split of A's codes, again as exact integer GEMMs (`_log_sqrt2_matmul`).
+    Every other product (no hook, a per-channel activation) fake-quantizes
+    both operands and runs the float `tensors.matmul`, which is also
+    bit-identical at any thread count.
     """
     if isinstance(w, CodeBlock):
         qw = w.params
-    w_int = qw is not None and qw.scheme is Scheme.UNIFORM and (qw.scale.size == 1 or rhs is _same)
+    w_int = qw is not None and qw.scheme is Scheme.UNIFORM
     x_scheme = None if qx is None else qx.scheme
     if w_int and x_scheme is Scheme.UNIFORM and qx.scale.size == 1:
-        xc, wc = lhs(uniform_centred(x, qx)), rhs(_centred(w, qw))
+        xc, wc = uniform_centred(x, qx), _centred(w, qw)
         if wc.ndim == 2:
             prod = (xc.reshape(-1, xc.shape[-1]) @ wc).reshape(xc.shape[:-1] + wc.shape[-1:])
         else:
             prod = xc @ wc
-    elif w_int and x_scheme is Scheme.LOG_SQRT2 and lhs is _same:
-        prod = _log_sqrt2_matmul(x, qx, rhs(_centred(w, qw)), qw.qmax)
+    elif w_int and x_scheme is Scheme.LOG_SQRT2:
+        prod = _log_sqrt2_matmul(x, qx, _centred(w, qw), qw.qmax)
     else:
-        return matmul(lhs(_apply(x, qx)), rhs(_apply(w, qw)))
+        return matmul(_apply(x, qx), _apply(w, qw))
     prod *= qx.scale * qw.scale
     return prod
 
@@ -369,6 +359,12 @@ def _split_heads(t, cfg):
 def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     """Multi-head self-attention on already-normalized tokens, all heads at once."""
     hook = _hook_at(hooks, prefix)
+    # these hooks act on the split heads, where a scale per channel of dim has no axis
+    for site in ("attn_q", "attn_k", "attn_a", "attn_v"):
+        qp = hook(site)
+        if qp is not None and qp.scale.size != 1:
+            raise ValueError(f"{prefix}{site} holds {qp.scale.size} scales; an attention "
+                             "site is layer-wise")
     x_ln = _tokens(x_ln, cfg)
     d = cfg.dim
 
@@ -379,17 +375,12 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     _cap(capture, prefix, "attn_k", k)
     _cap(capture, prefix, "attn_v", v)
 
-    def heads_of(t):
-        return _split_heads(t, cfg)
-
-    def keys_of(t):
-        return _split_heads(t, cfg).swapaxes(-1, -2)
-
-    scores = _qmatmul(q, hook("attn_q"), k, hook("attn_k"), heads_of, keys_of)
+    scores = _qmatmul(_split_heads(q, cfg), hook("attn_q"),
+                      _split_heads(k, cfg).swapaxes(-1, -2), hook("attn_k"))
     scores /= np.sqrt(float(cfg.head_dim))
     attn = rowwise_softmax(scores)
     _cap(capture, prefix, "attn_a", attn)
-    heads = _qmatmul(attn, hook("attn_a"), v, hook("attn_v"), rhs=heads_of)
+    heads = _qmatmul(attn, hook("attn_a"), _split_heads(v, cfg), hook("attn_v"))
 
     # merge back: head i owns columns i*head_dim:(i+1)*head_dim again
     merged = heads.swapaxes(-3, -2).reshape(x_ln.shape)

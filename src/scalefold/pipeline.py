@@ -1,18 +1,19 @@
 """Calibrate -> fold -> quantize, as staged container transforms.
 
 The flow has no optimization loop. One capture pass, a single forward over
-the whole calibration stack, fits every quantizer from data (channel-wise
-affine on the post-LayerNorm sites, a sqrt(2)-base log quantizer on
-post-Softmax, layer-wise affine elsewhere, channel-wise min/max on weights).
+the whole calibration stack, fits every activation quantizer from data
+(channel-wise affine on the post-LayerNorm sites, a sqrt(2)-base log
+quantizer on post-Softmax, layer-wise affine elsewhere).
 Each activation site is fitted the moment the forward reaches it: the pass
 hands its sites to an observer (the `capture` sink of `model_forward`),
 which reduces each stack and keeps none, and evaluation measures its
 forwards the same way. No stage holds the captures of a whole stack.
 The fold stage then rewrites each LayerNorm site's affine parameters and
 consumer weights so a single layer-wise quantizer reproduces the
-channel-wise codes, refits only the rewritten weights, and swaps the
-post-Softmax dequantizer onto the power-of-two shift path; it reads no data,
-since the rewrite changes no other activation. The quantize stage ships each
+channel-wise codes, fits all four weight sites of every block by
+channel-wise min/max on the folded weights, and swaps the post-Softmax
+dequantizer onto the power-of-two shift path; it reads no data, since the
+rewrite changes no other activation. The quantize stage ships each
 weight matrix as its integer codes in place of its floats, which is what the
 forward of the loaded container multiplies, and records each weight site's
 quantization MSE, taken from the folded floats, for evaluation. The fold and
@@ -22,10 +23,10 @@ containers.
 
 Every stage writes its per-layer sites to the manifest's `sites` table and
 its per-channel quantizers as tensors (see `container.channel_tensors`):
-each weight site `block{i}.{w}`, the LayerNorm sites `block{i}.ln{1,2}_out`
-of a calibrated container, and each fold record's channel-wise source
-`reparam_records.block{i}.ln{1,2}_out`. `load_sites` and `load_records`
-read them back. A fold record is its source and nothing else: the source's
+the LayerNorm sites `block{i}.ln{1,2}_out` of a calibrated container, from
+the fold on each weight site `block{i}.{w}`, and each fold record's
+channel-wise source `reparam_records.block{i}.ln{1,2}_out`. `load_sites`
+and `load_records` read them back. A fold record is its source and nothing else: the source's
 bit width is `quantize_config.bits_a`, and the layer-wise target is derived
 from it (see `reparam.ReparamRecord`).
 """
@@ -132,15 +133,12 @@ def _fit_weights(blocks, qcfg):
             for i, bw in enumerate(blocks) for site in WEIGHT_SITES}
 
 
-def _fit_sites(blocks, caps, qcfg):
-    """Fit every site of every block from the whole-stack capture dict `caps`.
+def _fit_sites(caps, qcfg):
+    """Fit every activation site from the whole-stack capture dict `caps`.
 
-    Each capture goes through `_fit_site` and the weights through
-    `_fit_weights`, which is what `calibrate_model` does site by site as its
-    forward streams.
+    This is what `calibrate_model` does site by site as its forward streams.
     """
-    return {**{key: _fit_site(key, x, qcfg) for key, x in caps.items()},
-            **_fit_weights(blocks, qcfg)}
+    return {key: _fit_site(key, x, qcfg) for key, x in caps.items()}
 
 
 def _layer_wise_from_json(d, where):
@@ -175,14 +173,14 @@ def _quantize_config(container):
 def _channel_bits(container):
     """Bit width of each site whose quantizer ships as tensors, by key.
 
-    These are the per-channel sites: every weight, and before the fold the
-    LayerNorm sites, whose channel-wise quantizers the fold makes layer-wise.
+    These are the per-channel sites: before the fold the LayerNorm sites,
+    whose channel-wise quantizers the fold makes layer-wise, and from the
+    fold on every weight, which the fold is the first to fit.
     """
     cfg, qcfg = container.config(), _quantize_config(container)
-    bits = dict.fromkeys(_site_keys(cfg, WEIGHT_SITES), qcfg.bits_w)
     if container.stage == "calibrated":
-        bits.update(dict.fromkeys(_site_keys(cfg, LN_SITES), qcfg.bits_a))
-    return bits
+        return dict.fromkeys(_site_keys(cfg, LN_SITES), qcfg.bits_a)
+    return dict.fromkeys(_site_keys(cfg, WEIGHT_SITES), qcfg.bits_w)
 
 
 def _store_sites(container, sites):
@@ -279,7 +277,7 @@ def _append_pass(meta, name):
 
 
 def calibrate_model(model_c, acts, qcfg=None):
-    """Stage 1: fit all quantizers from calibration data.
+    """Stage 1: fit every activation quantizer from calibration data.
 
     One forward over the calibration stack hands each activation site to
     `_fit_site` as it reaches it, so no site's stack outlives its fit. Also
@@ -290,7 +288,7 @@ def calibrate_model(model_c, acts, qcfg=None):
     _require_floats(model_c, "calibration")
     cfg, blocks = blocks_from_container(model_c)
     acts = _check_acts(cfg, acts)
-    sites, naive = _fit_weights(blocks, qcfg), {}
+    sites, naive = {}, {}
 
     def fit(key, x):
         sites[key] = _fit_site(key, x, qcfg)
@@ -314,9 +312,10 @@ def reparameterize_model(calib_c, acts=None):
     Each LayerNorm site independently gets its variation factors folded into
     the affine parameters and the consuming projection, and its site becomes
     the fold's layer-wise target. x~ @ W~ + b~ equals x @ W + b, so every
-    other activation site keeps its calibrated quantizer and only the
-    rewritten weights are refitted: the fold reads no data, and `acts` is
-    ignored. Each fold record ships as its channel-wise source's tensors.
+    other activation site keeps its calibrated quantizer. All four weight
+    sites of every block are fitted here, on the folded weights (calibration
+    fits none): the fold reads no data, and `acts` is ignored. Each fold
+    record ships as its channel-wise source's tensors.
     """
     if calib_c.stage != "calibrated":
         raise PipelineError(f"fold stage expects a calibrated container, got {calib_c.stage!r}")
@@ -350,7 +349,8 @@ def reparameterize_model(calib_c, acts=None):
     _append_pass(out.meta, "affine-adjust")
     _append_pass(out.meta, "weight-compensate")
 
-    # the fold rescaled the weight rows; the activations it left unchanged
+    # the weights' first fit, on the rows the fold rescaled; the activations
+    # it left unchanged keep their calibrated sites
     sites.update(_fit_weights(blocks, qcfg))
     _append_pass(out.meta, "weight-recalibrate")
     _append_pass(out.meta, "softmax-base-change")
@@ -513,9 +513,9 @@ def evaluate(fp_c, q_c, acts):
     float one), so no capture outlives its site. The two LayerNorm ablation arms run
     the float model on the container's activation sites, with each LayerNorm
     site replaced by its fold record's `source` (channel-wise) or by
-    `ablation.ln_layer_wise` (layer-wise), and with `fp_c`'s weights fitted by
-    calibration's weight fitter and quantized once, for both arms, into
-    `CodeBlock`s. A quantized container lacking
+    `ablation.ln_layer_wise` (layer-wise), and with `fp_c`'s unfolded weights
+    fitted by the fold's channel-wise min/max and quantized once, for both
+    arms, into `CodeBlock`s. A quantized container lacking
     its `quantize_config`, an activation site's params, a weight site's
     `weight_mse` or `ablation.ln_layer_wise` raises PipelineError naming what
     is missing, as does a malformed quantize config or weight MSE, a fold

@@ -93,14 +93,17 @@ class QuantParams:
 
     @classmethod
     def from_json(cls, d):
-        """Inverse of `to_json`; malformed input raises ValueError.
+        """Inverse of `to_json`; wrong keys or malformed values raise ValueError.
 
-        Nothing is rounded or parsed: each value must have the JSON type
-        `to_json` writes. Unknown keys are ignored, such as the `granularity`
-        and `channel_axis` of older containers.
+        `d` must hold exactly the keys `to_json` writes. Nothing is rounded
+        or parsed: each value must have the JSON type `to_json` writes.
         """
+        expected = ["bits", "scale", "scheme", "zero_point"]
+        got = sorted(d) if isinstance(d, dict) else type(d).__name__
+        if got != expected:
+            raise ValueError(f"QuantParams expects keys {expected}, got {got}")
         try:
-            bits, scale, zp = d["bits"], d["scale"], d.get("zero_point")
+            bits, scale, zp = d["bits"], d["scale"], d["zero_point"]
             if not (_json_list([bits], int) and _json_list(scale, (int, float))
                     and (zp is None or _json_list(zp, int))):
                 raise TypeError("bits must be an integer, scale a list of numbers and "
@@ -111,7 +114,7 @@ class QuantParams:
                 scale=np.asarray(scale, dtype=np.float64),
                 zero_point=None if zp is None else np.asarray(zp, dtype=np.int64),
             )
-        except (AttributeError, KeyError, OverflowError, TypeError) as e:
+        except (OverflowError, TypeError) as e:
             raise ValueError(f"malformed quantizer params: {type(e).__name__}: {e}") from None
 
 

@@ -51,15 +51,12 @@ class SynthSpec(JsonFields):
     channel_range_mean: float = 7.11
     channel_range_max: float = 22.2
     attention_sharpness: float = 1.0
-    batch: int = 32
 
     def __post_init__(self):
         if not 0.0 < self.channel_range_min <= self.channel_range_mean <= self.channel_range_max:
             raise ValueError("channel range targets must satisfy 0 < min <= mean <= max")
         if not self.attention_sharpness > 0:
             raise ValueError("attention_sharpness must be positive")
-        if int(self.batch) < 1:
-            raise ValueError("batch must be positive")
 
 
 def _span_targets(n, lo, mid, hi, rng):

@@ -188,9 +188,8 @@ def matmul(a, b):
 
 
 # The thread-count functions of the scipy-openblas64 that numpy's wheels
-# load. The 32-bit scipy-openblas that scipy loads beside it exports them
-# without the 64_ suffix, so it is never taken for numpy's; any other BLAS
-# (MKL, Accelerate, a system OpenBLAS) is not driven, and stacks run serially.
+# link; any other BLAS (MKL, Accelerate, a system OpenBLAS) is not driven,
+# and stacks run serially.
 _OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
 _OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
 
@@ -200,25 +199,20 @@ _BLAS_LOCK = threading.Lock()
 
 @functools.cache
 def _openblas():
-    """(get, set) of numpy's scipy-openblas64 thread count, or None where it is not loaded."""
+    """(get, set) of numpy's scipy-openblas64 thread count, or None where numpy has none.
+
+    The symbols are looked up on numpy's own extension module, whose handle
+    searches the libraries it links.
+    """
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            # only a mapping's path, the last of its six fields, can name it
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = getattr(lib, _OPENBLAS_GET), getattr(lib, _OPENBLAS_SET)
+    except (ImportError, OSError, AttributeError):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        if hasattr(lib, _OPENBLAS_GET) and hasattr(lib, _OPENBLAS_SET):
-            get, put = getattr(lib, _OPENBLAS_GET), getattr(lib, _OPENBLAS_SET)
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 @contextlib.contextmanager

@@ -95,9 +95,10 @@ def reference_block(x, w, cfg):
 def fake_quant_forward(x, blocks, cfg, hooks):
     """The hooked encoder with every operand fake-quantized, summed by `tensors.matmul`.
 
-    Each hook acts on its operand before the head split, as in the model; the
-    LayerNorm, Softmax and GELU kernels are the library's, so the matmul route
-    is the only difference.
+    Each hook acts on its operand before the head split; the model's
+    attention hooks have one scale and act after it, which gives the same
+    codes. The LayerNorm, Softmax and GELU kernels are the library's, so the
+    matmul route is the only difference.
     """
     def fq(t, qp):
         return t if qp is None else fake_quantize(t, qp)
@@ -372,23 +373,26 @@ class TestHooks:
         out = block_forward(x, w, cfg, hooks=hooks)
         assert out.shape == (cfg.patches, cfg.dim)
 
-    def test_per_channel_attention_operands_keep_their_channels(self):
-        """Per-channel hooks on q, k and v quantize along dim, before the head split.
+    @pytest.mark.parametrize("patches", [8, 6])
+    @pytest.mark.parametrize("site", ["attn_q", "attn_k", "attn_a", "attn_v"])
+    def test_multi_scale_attention_hook_is_named(self, site, patches):
+        """An attention site takes one scale; a hook with more raises ValueError naming it.
 
-        Their scales do not factor out of the head products, so the forward
-        must equal fake quantization on the float `tensors.matmul` exactly. patches ==
-        dim, so a dim-long scale vector would also broadcast over the wrong axis.
+        The attention hooks act on the split heads, where a scale per channel
+        has no axis to run along. With patches == dim a dim-long vector would
+        broadcast over the wrong axis instead of failing. One sample and a
+        sharded stack raise alike, and the same site with one scale runs.
         """
-        cfg = ModelConfig(patches=8, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=1)
-        blocks = [random_block(cfg, 28)]
+        cfg = ModelConfig(patches=patches, dim=8, heads=2, head_dim=4, mlp_dim=16, blocks=2)
+        blocks = [random_block(cfg, 28 + i) for i in range(2)]
         x = np.random.default_rng(29).normal(size=(2, cfg.patches, cfg.dim))
-        chan = QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.05, 0.4, cfg.dim),
-                           zero_point=np.full(cfg.dim, 8, dtype=np.int64))
-        hooks = model_hooks({"attn_q": chan, "attn_k": chan, "attn_v": chan,
-                             "attn_a": layer_params(1 / 15, 0),
-                             **{s: column_params(getattr(blocks[0], s)) for s in WEIGHT_SITES}})
-        np.testing.assert_array_equal(model_forward(x, blocks, cfg, hooks=hooks),
-                                      fake_quant_forward(x, blocks, cfg, hooks))
+        channels = cfg.patches if site == "attn_a" else cfg.dim
+        chan = QuantParams(Scheme.UNIFORM, 4, scale=np.linspace(0.05, 0.4, channels),
+                           zero_point=np.full(channels, 8, dtype=np.int64))
+        model_forward(x, blocks, cfg, hooks=model_hooks({}, {site: layer_params(0.1, 8)}))
+        for stack in (x, x[0]):
+            with pytest.raises(ValueError, match=f"block1.{site} holds {channels} scales"):
+                model_forward(stack, blocks, cfg, hooks=model_hooks({}, {site: chan}))
 
 
 class TestModelForward:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalefold.calibration import calibrate_tensor
 from scalefold.container import (ContainerError, ModelContainer, blocks_from_container,
                                  container_from_model, from_bytes, to_bytes)
 from scalefold.model import ACTIVATION_SITES, ModelConfig, WEIGHT_SITES, model_forward
@@ -133,12 +134,22 @@ class TestStageGating:
 
 class TestCalibrateStage:
     def test_stage_and_site_table(self, chain):
-        """The manifest holds the per-layer sites, the tensors the LayerNorm and weight ones."""
+        """The manifest holds the per-layer sites, the tensors the LayerNorm ones.
+
+        Calibration fits no weight site: the fold is the first to fit them,
+        so a calibrated container ships no weight quantizer tensor.
+        """
         calib_c = chain[3]
         assert calib_c.stage == "calibrated"
         sites = load_sites(calib_c)
-        assert len(sites) == 12 * CFG.blocks
+        assert sorted(sites) == sorted(f"block{i}.{s}" for i in range(CFG.blocks)
+                                       for s in ACTIVATION_SITES)
+        assert len(sites) == 8 * CFG.blocks
         assert len(calib_c.meta["sites"]) == 6 * CFG.blocks
+        for i in range(CFG.blocks):
+            for site in WEIGHT_SITES:
+                assert f"block{i}.{site}.scale" not in calib_c.tensors
+                assert f"block{i}.{site}.zero" not in calib_c.tensors
         ln = sites["block0.ln1_out"]
         assert ln.scale.shape == (CFG.dim,)
         assert ln.scheme == Scheme.UNIFORM
@@ -147,8 +158,6 @@ class TestCalibrateStage:
         assert att.scheme == Scheme.LOG_SQRT2
         plain = sites["block0.gelu_out"]
         assert plain.scale.shape == (1,)
-        w = sites["block0.w_1"]
-        assert w.scale.shape == (CFG.mlp_dim,)
 
     def test_ablation_snapshot(self, chain):
         calib_c = chain[3]
@@ -256,7 +265,7 @@ def test_carried_sites_match_a_refit_of_the_folded_model(shape, seed):
     calib = gen_activations(cfg, spec, samples)
     rep_c = reparameterize_model(calibrate_model(model_c, calib, qcfg))
     _, folded = blocks_from_container(rep_c)
-    refit = _fit_sites(folded, capture_activations(folded, cfg, calib), qcfg)
+    refit = _fit_sites(capture_activations(folded, cfg, calib), qcfg)
     carried = [f"block{i}.{s}" for i in range(cfg.blocks)
                for s in ACTIVATION_SITES if s not in LN_SITES]
     for key in carried:
@@ -484,14 +493,16 @@ class TestEvaluate:
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
     def test_ablation_arms_refit_the_pre_fold_weight_sites(self, chain, monkeypatch):
-        """Both LayerNorm ablation arms quantize the float model with calibration's sites.
+        """Both LayerNorm ablation arms quantize the unfolded float weights, fitted as the fold fits.
 
-        The container holds no pre-fold weight site, so evaluate refits them
-        from the float model and quantizes each float weight once, into one
-        `CodeBlock` that both arms multiply; the refit equals the calibrated
-        table. The channel-wise arm takes its LayerNorm sites from the fold
-        records' sources, the layer-wise arm from the naive fits, and both
-        take every other activation site from the carried site table.
+        No container holds a pre-fold weight site, so evaluate fits them by
+        channel-wise min/max on the float model and quantizes each float
+        weight once, into one `CodeBlock` that both arms multiply. The fold
+        leaves w_o and w_2 as they are, so their fits are the quantized
+        container's sites; w_qkv and w_1 are fitted afresh. The channel-wise
+        arm takes its LayerNorm sites from the fold records' sources, the
+        layer-wise arm from the naive fits, and both take every other
+        activation site from the carried site table.
         """
         model_c, held_out, calib_c, q_c = chain[0], chain[2], chain[3], chain[5]
         runs = []
@@ -505,13 +516,16 @@ class TestEvaluate:
         evaluate(model_c, q_c, held_out)
         _, (layer_blocks, layer_wise), (chan_blocks, channel_wise) = runs
         assert layer_blocks is chan_blocks
-        calibrated = {k: v.to_json() for k, v in load_sites(calib_c).items()}
+        shipped = {k: v.to_json() for k, v in load_sites(q_c).items()}
+        bits_w = q_c.meta["quantize_config"]["bits_w"]
         for i, (arm, fp) in enumerate(zip(chan_blocks, blocks_from_container(model_c)[1])):
             for site in WEIGHT_SITES:
-                block = getattr(arm, site)
-                assert block.params.to_json() == calibrated.pop(f"block{i}.{site}")
-                np.testing.assert_array_equal(block.dequantize(),
-                                              fake_quantize(getattr(fp, site), block.params))
+                block, w = getattr(arm, site), getattr(fp, site)
+                want = (shipped[f"block{i}.{site}"] if site in ("w_o", "w_2")
+                        else calibrate_tensor(w, bits_w, per_channel=True).to_json())
+                assert block.params.to_json() == want, (i, site)
+                np.testing.assert_array_equal(block.dequantize(), fake_quantize(w, block.params))
+        calibrated = {k: v.to_json() for k, v in load_sites(calib_c).items()}
         naive = calib_c.meta["ablation"]["ln_layer_wise"]
         assert {k: v.to_json() for k, v in channel_wise.items()} == calibrated
         assert {k: v.to_json() for k, v in layer_wise.items()} == {**calibrated, **naive}
@@ -536,26 +550,23 @@ class TestEvaluate:
         with pytest.raises(error, match=named):
             evaluate(model_c, ModelContainer(meta=meta, tensors=q_c.tensors), held_out)
 
-    def test_older_layout_keys_give_the_same_report(self, chain):
-        """A q container carrying `granularity` and `channel_axis` evaluates byte for byte the same.
+    @pytest.mark.parametrize("table", ["sites", "ablation.ln_layer_wise"])
+    def test_extra_site_keys_are_named(self, chain, table, monkeypatch):
+        """A site entry with a key `QuantParams.to_json` does not write is a ContainerError.
 
-        Containers written before those keys were dropped carry them in every
-        manifest site and `ablation.ln_layer_wise` entry, all of them per
-        layer now: "per_layer" with no axis.
+        The `granularity` and `channel_axis` keys of earlier writers are such
+        keys: no writer emits them, and the format version that carried them
+        is refused on read.
         """
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
         meta = json.loads(json.dumps(q_c.meta))
-        for entry in [*meta["sites"].values(), *meta["ablation"]["ln_layer_wise"].values()]:
-            entry.update(granularity="per_layer", channel_axis=None)
-        new_raw = to_bytes(q_c)
-        old_raw = to_bytes(ModelContainer(meta=meta, tensors=q_c.tensors))
-        assert len(old_raw) > len(new_raw)
-
-        def report_json(raw):
-            r = evaluate(model_c, from_bytes(raw), held_out)
-            return json.dumps(r.to_json(), indent=2, sort_keys=True)
-
-        assert report_json(old_raw) == report_json(new_raw)
+        entries = meta["sites"] if table == "sites" else meta["ablation"]["ln_layer_wise"]
+        entries["block1.ln2_out"].update(granularity="per_layer", channel_axis=None)
+        with pytest.raises(ContainerError, match=f"{re.escape(table)}.block1.ln2_out: "
+                                                 "QuantParams expects keys"):
+            evaluate(model_c, from_bytes(to_bytes(ModelContainer(meta=meta, tensors=q_c.tensors))),
+                     held_out)
 
     def test_report_round_trips_to_json(self, report):
         d = report.to_json()

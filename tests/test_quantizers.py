@@ -98,15 +98,19 @@ class TestQuantParams:
         np.testing.assert_array_equal(back.zero_point, qp.zero_point)
         assert back.to_json() == d
 
-    def test_json_keys_of_older_writers_are_ignored(self):
-        """Entries written with `granularity` and `channel_axis` load as the same params."""
+    def test_json_takes_exactly_the_written_keys(self):
+        """An extra key, such as an earlier writer's `granularity`, or a missing one is refused."""
         for qp, extra in (
             (uparams([1.0, 2.0], [3, 4], 6), {"granularity": "per_channel", "channel_axis": -1}),
             (uparams(0.5, 7, 4), {"granularity": "per_layer", "channel_axis": None}),
-            (QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([0.9])),
-             {"granularity": "per_layer", "channel_axis": None}),
+            (QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([0.9])), {"channel_axis": None}),
         ):
-            assert QuantParams.from_json({**qp.to_json(), **extra}).to_json() == qp.to_json()
+            with pytest.raises(ValueError, match="QuantParams expects keys"):
+                QuantParams.from_json({**qp.to_json(), **extra})
+            short = qp.to_json()
+            del short["zero_point"]
+            with pytest.raises(ValueError, match="QuantParams expects keys"):
+                QuantParams.from_json(short)
 
     @pytest.mark.parametrize("change", [
         {"bits": None}, {"scale": {"a": 1.0}}, {"zero_point": {"a": 1}}, {"bits": 4.7},

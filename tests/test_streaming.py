@@ -76,7 +76,7 @@ def test_streamed_calibration_equals_a_whole_capture_fit(staged):
     qcfg, model_c, calib, calib_c = staged[1], staged[2], staged[3], staged[5]
     cfg, blocks = blocks_from_container(model_c)
     caps = capture_activations(blocks, cfg, calib)
-    want = _fit_sites(blocks, caps, qcfg)
+    want = _fit_sites(caps, qcfg)
     got = load_sites(calib_c)
     assert sorted(got) == sorted(want)
     for key, qp in want.items():

@@ -145,12 +145,10 @@ class TestSynthSpec:
             SynthSpec(channel_range_min=5.0, channel_range_mean=4.0)
         with pytest.raises(ValueError):
             SynthSpec(attention_sharpness=0.0)
-        with pytest.raises(ValueError):
-            SynthSpec(batch=0)
 
     def test_json_round_trip(self):
         spec = SynthSpec(seed=4, channel_range_min=1.0, channel_range_mean=2.0,
-                         channel_range_max=3.0, attention_sharpness=0.7, batch=8)
+                         channel_range_max=3.0, attention_sharpness=0.7)
         assert SynthSpec.from_json(spec.to_json()) == spec
 
     def test_json_rejects_unknown_key(self):
