@@ -127,10 +127,9 @@ def _fit_site(key, x, qcfg):
     return calibrate_tensor(x, qcfg.bits_a, qcfg.percentile, per_channel=site in LN_SITES)
 
 
-def _fit_weights(blocks, qcfg):
-    """Fit every block's weight sites by channel-wise min/max over their output columns."""
-    return {f"block{i}.{site}": calibrate_tensor(getattr(bw, site), qcfg.bits_w, per_channel=True)
-            for i, bw in enumerate(blocks) for site in WEIGHT_SITES}
+def _fit_weight(w, qcfg):
+    """A weight site's quantizer: channel-wise min/max over its output columns."""
+    return calibrate_tensor(w, qcfg.bits_w, per_channel=True)
 
 
 def _fit_sites(caps, qcfg):
@@ -144,9 +143,11 @@ def _fit_sites(caps, qcfg):
 def _layer_wise_from_json(d, where):
     """Per-layer sites from the manifest table at key path `where`.
 
-    A malformed entry, or one holding more than one scale, raises
-    ContainerError naming `where`.key.
+    A table that is not an object raises ContainerError naming `where`; a
+    malformed entry, or one holding more than one scale, names `where`.key.
     """
+    if not isinstance(d, dict):
+        raise ContainerError(f"{where} is a {type(d).__name__}, not a table of sites")
     sites = {}
     for key, value in d.items():
         try:
@@ -269,8 +270,22 @@ def _require_floats(container, role):
         raise PipelineError(f"{role} needs float weights, got a quantized container")
 
 
+def pass_log(meta):
+    """The pass log `meta["passes"]`, empty when absent.
+
+    Anything but a list of {"step": int, "name": str} objects raises
+    ContainerError naming `passes`.
+    """
+    log = meta.get("passes", [])
+    if not isinstance(log, list) or not all(
+            isinstance(p, dict) and sorted(p) == ["name", "step"]
+            and type(p["step"]) is int and isinstance(p["name"], str) for p in log):
+        raise ContainerError(f"passes must be a list of step/name objects, got {log!r:.80}")
+    return log
+
+
 def _append_pass(meta, name):
-    log = list(meta.get("passes", []))
+    log = list(pass_log(meta))
     log.append({"step": len(log) + 1, "name": name})
     meta["passes"] = log
     return meta
@@ -351,7 +366,8 @@ def reparameterize_model(calib_c, acts=None):
 
     # the weights' first fit, on the rows the fold rescaled; the activations
     # it left unchanged keep their calibrated sites
-    sites.update(_fit_weights(blocks, qcfg))
+    sites.update({f"block{i}.{site}": _fit_weight(getattr(bw, site), qcfg)
+                  for i, bw in enumerate(blocks) for site in WEIGHT_SITES})
     _append_pass(out.meta, "weight-recalibrate")
     _append_pass(out.meta, "softmax-base-change")
 
@@ -385,10 +401,7 @@ def quantize_model(rep_c):
     weight_mse = {}
     for key in _site_keys(cfg, WEIGHT_SITES):
         w = out.tensors.pop(key)
-        try:
-            codes = uniform_quantize(w, sites[key])
-        except ValueError as e:
-            raise PipelineError(f"site {key}: {e}") from None
+        codes = uniform_quantize(w, sites[key])
         out.tensors[key + ".codes"] = codes.astype(np.uint8)
         weight_mse[key] = _mse(uniform_dequantize(codes, sites[key]), w)
     out.meta["weight_mse"] = weight_mse
@@ -431,28 +444,14 @@ class EvalReport:
 
 
 def _config_match(fp_c, q_c):
-    a, b = fp_c.meta.get("model_config", {}), q_c.meta.get("model_config", {})
-    for key in sorted(set(a) | set(b)):
-        if a.get(key) != b.get(key):
-            raise PipelineError(
-                f"model config mismatch at {key!r}: {a.get(key)} != {b.get(key)}"
-            )
+    a, b = fp_c.config().to_json(), q_c.config().to_json()
+    for key in sorted(a):
+        if a[key] != b[key]:
+            raise PipelineError(f"model config mismatch at {key!r}: {a[key]} != {b[key]}")
 
 
 def _mse(a, b):
     return float(np.mean((as_tensor(a) - as_tensor(b)) ** 2))
-
-
-def _quantized_weights(blocks, qcfg):
-    """`blocks` with each weight matrix as the `CodeBlock` of `_fit_weights`' quantizer."""
-    weights = _fit_weights(blocks, qcfg)
-
-    def codes(i, site, w):
-        qp = weights[f"block{i}.{site}"]
-        return CodeBlock.from_codes(uniform_quantize(w, qp), qp)
-
-    return [replace(bw, **{site: codes(i, site, getattr(bw, site)) for site in WEIGHT_SITES})
-            for i, bw in enumerate(blocks)]
 
 
 def _add_squared_error(acc, recon, x):
@@ -460,43 +459,6 @@ def _add_squared_error(acc, recon, x):
     err = recon - x
     acc[0] += float(np.sum(err ** 2))
     acc[1] += err.size
-
-
-# Products per pass of `_dot`'s bin sums: each adds a mantissa half below
-# 2**32 to a float64 bin, so the bins of 2**20 of them stay exact integers.
-_DOT_CHUNK = 1 << 20
-
-
-def _dot(a, b):
-    """The correctly rounded sum of a * b, so no BLAS reduction order shows in it.
-
-    Each product is m * 2**(e - 53) with an integer |m| < 2**53 (`np.frexp`).
-    Per exponent e, `np.bincount` sums the high and low 32-bit halves of the
-    m as exact float64 integers, `_DOT_CHUNK` products at a time; the sums
-    make one Python integer, which one true division rounds. That is
-    `math.fsum`'s result, and `math.fsum` still takes a non-finite product,
-    or an exact total of zero, whose sign it decides.
-    """
-    p = (a * b).ravel()
-    if not np.isfinite(p).all():
-        return math.fsum(p.tolist())
-    mant, exp = np.frexp(p)
-    m = np.ldexp(mant, 53).astype(np.int64)
-    base = int(exp.min(initial=0))
-    exp -= base
-    total = 0
-    for lo in range(0, p.size, _DOT_CHUNK):
-        e, mc = exp[lo:lo + _DOT_CHUNK], m[lo:lo + _DOT_CHUNK]
-        high = np.bincount(e, weights=mc >> 32).astype(np.int64).tolist()
-        low = np.bincount(e, weights=mc & 0xFFFFFFFF).astype(np.int64).tolist()
-        part = 0
-        for h, l in zip(reversed(high), reversed(low)):
-            part = (part << 1) + (h << 32) + l
-        total += part
-    if total == 0:
-        return math.fsum(p.tolist())
-    shift = base - 53
-    return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
 def evaluate(fp_c, q_c, acts):
@@ -513,9 +475,11 @@ def evaluate(fp_c, q_c, acts):
     float one), so no capture outlives its site. The two LayerNorm ablation arms run
     the float model on the container's activation sites, with each LayerNorm
     site replaced by its fold record's `source` (channel-wise) or by
-    `ablation.ln_layer_wise` (layer-wise), and with `fp_c`'s unfolded weights
-    fitted by the fold's channel-wise min/max and quantized once, for both
-    arms, into `CodeBlock`s. A quantized container lacking
+    `ablation.ln_layer_wise` (layer-wise). Both arms multiply one list of
+    `CodeBlock`s: `w_o` and `w_2`, which the fold leaves as they are, are the
+    shipped codes, and `w_qkv` and `w_1`, which it rescales, are `fp_c`'s
+    unfolded weights fitted by the fold's channel-wise min/max and quantized
+    once. A quantized container lacking
     its `quantize_config`, an activation site's params, a weight site's
     `weight_mse` or `ablation.ln_layer_wise` raises PipelineError naming what
     is missing, as does a malformed quantize config or weight MSE, a fold
@@ -591,20 +555,30 @@ def evaluate(fp_c, q_c, acts):
 
     fp_out = model_forward(acts, fp_blocks, cfg, capture=_SiteObserver(audit))
     q_out = model_forward(acts, q_blocks, cfg, hooks=sites, capture=_SiteObserver(site_error))
-    del q_blocks        # the arms' weights below take the place of its codes
 
     per_site_mse = dict(sorted({**act_mse, **weight_mse}.items()))
     output_mse = _mse(q_out, fp_out)
     va, vb = q_out.ravel(), fp_out.ravel()
-    output_cosine = _dot(va, vb) / (math.sqrt(_dot(va, va)) * math.sqrt(_dot(vb, vb)))
+    output_cosine = float(np.sum(va * vb)) / (math.sqrt(float(np.sum(va * va)))
+                                             * math.sqrt(float(np.sum(vb * vb))))
 
     code_equality = {name: equal[name][0] for name in records}
     code_equality_rate = float(sum(v[1] for v in equal.values())
                                / sum(v[2] for v in equal.values()))
 
-    # ablation 1: LayerNorm-site granularity, end to end
+    # ablation 1: LayerNorm-site granularity, end to end. The fold rescales
+    # only the LayerNorm consumers, so w_o and w_2 keep their shipped codes
+    consumers = {w_name for _, _, w_name, _ in LN_SITES.values()}
+
+    def unfolded(w):
+        qp = _fit_weight(w, qcfg)
+        return CodeBlock.from_codes(uniform_quantize(w, qp), qp)
+
+    arm_blocks = [replace(fp, **{site: unfolded(getattr(fp, site)) if site in consumers
+                                 else getattr(q, site) for site in WEIGHT_SITES})
+                  for fp, q in zip(fp_blocks, q_blocks)]
+    del q_blocks
     ln_ablation = {}
-    arm_blocks = _quantized_weights(fp_blocks, qcfg)
     for label, table in (("layer_wise", layer_sites), ("channel_wise", chan_sites)):
         ln_ablation[label] = _mse(model_forward(acts, arm_blocks, cfg, hooks=table), fp_out)
     ln_ablation["reparam"] = output_mse

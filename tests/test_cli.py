@@ -220,8 +220,9 @@ def test_float_forward_and_artifact_are_the_same_at_any_blas_thread_count(tmp_pa
     """The unhooked forward, q.rvq and report.json are byte-equal at 1 and 2 BLAS threads.
 
     Every float product runs as exact slice GEMMs and every hooked one as
-    exact integer GEMMs, and the report's cosine sums correctly rounded, so
-    BLAS blocking and threading change no bit anywhere in the chain.
+    exact integer GEMMs, and the report's sums are numpy reductions, which
+    call no BLAS, so BLAS blocking and threading change no bit anywhere in
+    the chain.
     """
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"model": model, "calib_batches": 4, "eval_batches": 2}))
@@ -250,6 +251,16 @@ def _strip(c, path):
     for key in path[:-1]:
         node = node[key]
     del node[path[-1]]
+    return ModelContainer(meta=meta, tensors=c.tensors)
+
+
+def _with(c, path, value):
+    """A copy of container `c` whose metadata holds `value` at key path `path`."""
+    meta = json.loads(json.dumps(c.meta))
+    node = meta
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return ModelContainer(meta=meta, tensors=c.tensors)
 
 
@@ -401,7 +412,8 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and named in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert cli_main(["inspect", str(bad)]) == 1
-        assert named in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert named in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("stage", ["calibrated", "quantized"])
     @pytest.mark.parametrize("damage", ["negative-scale", "zero-past-qmax", "short-scale",
@@ -430,9 +442,52 @@ class TestExitCodes:
                     "--data", str(workspace["eval_data"])]
         for args in (argv, ["inspect", str(bad)]):
             assert cli_main(args) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and key in err and "Traceback" not in err
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and key in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "out.rvq").exists()
+
+    @pytest.mark.parametrize("flag", ["--fp", "--q"])
+    def test_model_config_that_is_no_object_is_data_error(self, workspace, tmp_path, capsys,
+                                                          flag):
+        """`model_config: []` in either file fails eval naming model_config, not a traceback."""
+        bad = tmp_path / "bad.rvq"
+        stage = "fp" if flag == "--fp" else "quantized"
+        write_container(_with(read_container(workspace[stage]), ("model_config",), []), bad)
+        files = {"--fp": str(workspace["fp"]), "--q": str(workspace["quantized"]), flag: str(bad)}
+        assert cli_main(["eval", "--fp", files["--fp"], "--q", files["--q"],
+                         "--data", str(workspace["eval_data"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad model_config")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_layer_wise_table_that_is_no_object_is_data_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.rvq"
+        write_container(_with(read_container(workspace["quantized"]),
+                              ("ablation", "ln_layer_wise"), []), bad)
+        assert cli_main(["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                         "--data", str(workspace["eval_data"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ablation.ln_layer_wise is a list")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("passes", [5, None, "ab", "x", [1], [{}]],
+                             ids=["int", "null", "ab", "x", "list-of-int", "empty-object"])
+    @pytest.mark.parametrize("command, stage", [("reparam", "calibrated"),
+                                                ("quantize", "folded"),
+                                                ("inspect", "quantized")])
+    def test_malformed_pass_log_is_data_error(self, workspace, tmp_path, capsys,
+                                              command, stage, passes):
+        """A pass log that is not a list of step/name objects is named; none is extended."""
+        bad, out = tmp_path / "bad.rvq", tmp_path / "out.rvq"
+        write_container(_with(read_container(workspace[stage]), ("passes",), passes), bad)
+        argv = ([command, str(bad)] if command == "inspect"
+                else [command, "--model", str(bad), "--out", str(out)])
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: passes must be a list")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_ln_site_off_its_fold_target_is_data_error(self, workspace, tmp_path, capsys):
         """A LayerNorm site that is not its fold record's target fails eval before any forward."""

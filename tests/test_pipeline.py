@@ -1,12 +1,10 @@
 """Staged pipeline tests: stage gating, pass trail, determinism, evaluation."""
 
 import json
-import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from scalefold.calibration import calibrate_tensor
 from scalefold.container import (ContainerError, ModelContainer, blocks_from_container,
@@ -16,7 +14,6 @@ from scalefold.pipeline import (
     LN_SITES,
     PipelineError,
     QuantizeConfig,
-    _dot,
     _fit_sites,
     calibrate_model,
     capture_activations,
@@ -380,80 +377,6 @@ def report(chain):
     return evaluate(model_c, q_c, held_out)
 
 
-@st.composite
-def dot_operands(draw):
-    """Vector pairs whose products span 1e-300 to 1e300, cancel, vanish or are subnormal."""
-    n = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 600))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["wide", "cancel", "zeros", "subnormal", "mixed", "plain"]))
-    a, b = rng.normal(size=n), rng.normal(size=n)
-    if kind == "wide":
-        a *= 10.0 ** rng.integers(-150, 151, size=n)
-        b *= 10.0 ** rng.integers(-150, 151, size=n)
-    elif kind == "cancel":
-        # every product meets its negation; one of them is off by an ulp, or none
-        a, b = np.concatenate([a, -a]), np.concatenate([b, b])
-        if n and draw(st.booleans()):
-            a[0] = np.nextafter(a[0], np.inf)
-    elif kind == "zeros":
-        a[rng.random(n) < draw(st.sampled_from([0.5, 1.0]))] = 0.0
-        a *= rng.choice([-1.0, 1.0], size=n)           # signed zeros
-    elif kind == "subnormal":
-        a *= 1e-160
-        b *= 1e-160
-    elif kind == "mixed":
-        a *= rng.choice([1e300, 1.0, 1e-300], size=n)
-        a = np.concatenate([a, [1e300, -1e300]])
-        b = np.concatenate([b, [1.0, 1.0]])
-    return a, b
-
-
-def _fsum_outcome(fn, a, b):
-    """fn(a, b) as (value, sign bit), or the type of what it raised."""
-    try:
-        value = fn(a, b)
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
-    return value, math.copysign(1.0, value)
-
-
-class TestExactDot:
-    """`_dot` is `math.fsum` of the products, bit for bit and sign of zero included."""
-
-    @staticmethod
-    def fsum_dot(a, b):
-        return math.fsum((a * b).tolist())
-
-    @settings(deadline=None, max_examples=400)
-    @given(dot_operands())
-    def test_equals_fsum(self, operands):
-        a, b = operands
-        assert _dot(a, b) == self.fsum_dot(a, b)
-        assert _fsum_outcome(_dot, a, b) == _fsum_outcome(self.fsum_dot, a, b)
-
-    @settings(deadline=None, max_examples=200)
-    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
-                    max_size=40))
-    def test_equals_fsum_on_any_floats(self, pairs):
-        """Infinite or overflowing products go where `math.fsum` takes them."""
-        a, b = (np.array([p[i] for p in pairs], dtype=np.float64) for i in (0, 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = _fsum_outcome(self.fsum_dot, a, b)
-            got = _fsum_outcome(_dot, a, b)
-        if isinstance(want, tuple) and math.isnan(want[0]):
-            assert math.isnan(got[0])
-        else:
-            assert got == want
-
-    @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
-    def test_chunks_change_nothing(self, monkeypatch, chunk):
-        rng = np.random.default_rng(30)
-        a = rng.normal(size=1000) * 10.0 ** rng.integers(-20, 21, size=1000)
-        b = rng.normal(size=1000)
-        monkeypatch.setattr("scalefold.pipeline._DOT_CHUNK", chunk)
-        assert _dot(a, b) == self.fsum_dot(a, b)
-
-
 class TestEvaluate:
     def test_code_equality_is_total(self, report):
         assert report.code_equality_rate == 1.0
@@ -495,30 +418,43 @@ class TestEvaluate:
     def test_ablation_arms_refit_the_pre_fold_weight_sites(self, chain, monkeypatch):
         """Both LayerNorm ablation arms quantize the unfolded float weights, fitted as the fold fits.
 
-        No container holds a pre-fold weight site, so evaluate fits them by
-        channel-wise min/max on the float model and quantizes each float
-        weight once, into one `CodeBlock` that both arms multiply. The fold
-        leaves w_o and w_2 as they are, so their fits are the quantized
-        container's sites; w_qkv and w_1 are fitted afresh. The channel-wise
-        arm takes its LayerNorm sites from the fold records' sources, the
-        layer-wise arm from the naive fits, and both take every other
-        activation site from the carried site table.
+        No container holds the pre-fold sites of the LayerNorm consumers
+        w_qkv and w_1, so evaluate fits them, and only them, by channel-wise
+        min/max on the float model and quantizes each once. The fold leaves
+        w_o and w_2 as they are, so the arms take the quantized container's
+        own codes for them. Both arms multiply one list of `CodeBlock`s. The
+        channel-wise arm takes its LayerNorm sites from the fold records'
+        sources, the layer-wise arm from the naive fits, and both take every
+        other activation site from the carried site table.
         """
         model_c, held_out, calib_c, q_c = chain[0], chain[2], chain[3], chain[5]
-        runs = []
+        runs, fitted = [], []
 
         def spy(x, blocks, cfg, hooks=None, capture=None):
             if hooks is not None:
                 runs.append((blocks, hooks))
             return model_forward(x, blocks, cfg, hooks=hooks, capture=capture)
 
+        def fit_spy(x, *args, **kwargs):
+            fitted.append(np.array(x))
+            return calibrate_tensor(x, *args, **kwargs)
+
         monkeypatch.setattr("scalefold.pipeline.model_forward", spy)
+        monkeypatch.setattr("scalefold.pipeline.calibrate_tensor", fit_spy)
         evaluate(model_c, q_c, held_out)
         _, (layer_blocks, layer_wise), (chan_blocks, channel_wise) = runs
         assert layer_blocks is chan_blocks
+        fp_blocks, q_blocks = blocks_from_container(model_c)[1], blocks_from_container(q_c)[1]
+        consumers = [w for fp in fp_blocks for w in (fp.w_qkv, fp.w_1)]
+        assert len(fitted) == len(consumers)
+        for got, want in zip(fitted, consumers):
+            np.testing.assert_array_equal(got, want)
         shipped = {k: v.to_json() for k, v in load_sites(q_c).items()}
         bits_w = q_c.meta["quantize_config"]["bits_w"]
-        for i, (arm, fp) in enumerate(zip(chan_blocks, blocks_from_container(model_c)[1])):
+        for i, (arm, fp, q) in enumerate(zip(chan_blocks, fp_blocks, q_blocks)):
+            for site in ("w_o", "w_2"):
+                np.testing.assert_array_equal(getattr(arm, site).centred,
+                                              getattr(q, site).centred)
             for site in WEIGHT_SITES:
                 block, w = getattr(arm, site), getattr(fp, site)
                 want = (shipped[f"block{i}.{site}"] if site in ("w_o", "w_2")
