@@ -16,6 +16,11 @@ their split, so each takes a one-scale hook only. Any other product (a
 per-channel activation hook) fake-quantizes its operands and sums them with
 the float `tensors.matmul`, exact slice GEMMs combined in a fixed order,
 which also runs every product of the unhooked float forward.
+With no sink attached, a one-scale uniform `gelu_out` hook takes its codes
+straight from the pre-GELU tensor (`quantizers.gelu_centred`): the tanh
+form of GELU, with the exact CDF only next to a code boundary, gives the
+exact GELU's codes bit for bit. A forward with a sink computes the exact
+GELU, since the sink receives it.
 A block loaded from a quantized container holds its weight matrices as
 `CodeBlock`s, the shipped codes centred once at load, and each weight
 product multiplies those codes with the block's own params, not the table's
@@ -43,7 +48,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .quantizers import (SQRT2, QuantParams, Scheme, centre_codes, fake_quantize,
-                         logsqrt2_quantize, param_view, uniform_centred)
+                         gelu_centred, logsqrt2_quantize, param_view, uniform_centred)
 from .tensors import (ShapeError, as_tensor, gelu, matmul, rowwise_softmax,
                       single_threaded_blas)
 
@@ -274,8 +279,33 @@ def _log_sqrt2_matmul(a, qa, vc, v_qmax):
 def _qmatmul(x, qx, w, qw):
     """`x @ w` with x through hook `qx` and w through `qw`, or a `CodeBlock` w through its own.
 
-    When both hooks are uniform affine, `qx` has one scale and `qw`'s scale
-    is one value or one per output column, both scales leave the inner sum:
+    A one-scale uniform `qx` hands x's centred codes to `_centred_matmul`.
+    When `qx` is log-sqrt2 instead (A of A @ V) and w's params are uniform,
+    the product runs on the parity split of A's codes as exact integer GEMMs
+    (`_log_sqrt2_matmul`). Every other product (no hook, a per-channel
+    activation) fake-quantizes both operands and runs the float
+    `tensors.matmul`, which is bit-identical at any thread count.
+    """
+    if _uniform(qx) and qx.scale.size == 1:
+        return _centred_matmul(uniform_centred(x, qx), qx, w, qw)
+    if isinstance(w, CodeBlock):
+        qw = w.params
+    if qx is not None and qx.scheme is Scheme.LOG_SQRT2 and _uniform(qw):
+        prod = _log_sqrt2_matmul(x, qx, _centred(w, qw), qw.qmax)
+        prod *= qx.scale * qw.scale
+        return prod
+    return matmul(_apply(x, qx), _apply(w, qw))
+
+
+def _uniform(qp):
+    return qp is not None and qp.scheme is Scheme.UNIFORM
+
+
+def _centred_matmul(xc, qx, w, qw):
+    """`x^ @ w` from the centred codes xc = c_x - z_x of x under one-scale uniform `qx`.
+
+    When w's params (a `CodeBlock`'s own, else `qw`) are uniform affine with
+    one scale or one per output column, both scales leave the inner sum:
 
         x^ @ w^ = ((c_x - z_x) @ (c_w - z_w)) * (s_x * s_w)
 
@@ -283,27 +313,20 @@ def _qmatmul(x, qx, w, qw):
     at 8), so every partial sum of the float64 BLAS product is an integer
     below k * 255**2, far under 2**53 for any inner size k that fits in
     memory: the GEMM is exact, and bit-identical at any blocking or thread
-    count. A stack times one weight matrix runs as one (rows, k) GEMM. When
-    `qx` is log-sqrt2 instead (A of A @ V), the product runs on the parity
-    split of A's codes, again as exact integer GEMMs (`_log_sqrt2_matmul`).
-    Every other product (no hook, a per-channel activation) fake-quantizes
-    both operands and runs the float `tensors.matmul`, which is also
-    bit-identical at any thread count.
+    count. A stack times one weight matrix runs as one (rows, k) GEMM.
+    Otherwise x^ = s_x * xc, the bits of `fake_quantize`, meets w through
+    `qw` in the float `tensors.matmul`.
     """
     if isinstance(w, CodeBlock):
         qw = w.params
-    w_int = qw is not None and qw.scheme is Scheme.UNIFORM
-    x_scheme = None if qx is None else qx.scheme
-    if w_int and x_scheme is Scheme.UNIFORM and qx.scale.size == 1:
-        xc, wc = uniform_centred(x, qx), _centred(w, qw)
-        if wc.ndim == 2:
-            prod = (xc.reshape(-1, xc.shape[-1]) @ wc).reshape(xc.shape[:-1] + wc.shape[-1:])
-        else:
-            prod = xc @ wc
-    elif w_int and x_scheme is Scheme.LOG_SQRT2:
-        prod = _log_sqrt2_matmul(x, qx, _centred(w, qw), qw.qmax)
+    if not _uniform(qw):
+        xc *= qx.scale[0]
+        return matmul(xc, _apply(w, qw))
+    wc = _centred(w, qw)
+    if wc.ndim == 2:
+        prod = (xc.reshape(-1, xc.shape[-1]) @ wc).reshape(xc.shape[:-1] + wc.shape[-1:])
     else:
-        return matmul(_apply(x, qx), _apply(w, qw))
+        prod = xc @ wc
     prod *= qx.scale * qw.scale
     return prod
 
@@ -391,15 +414,24 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
 
 
 def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
-    """Two-layer MLP with exact-CDF GELU on already-normalized tokens."""
+    """Two-layer MLP with exact-CDF GELU on already-normalized tokens.
+
+    With no sink and a one-scale uniform `gelu_out` hook, the float GELU is
+    never formed: `gelu_centred` gives its codes straight from the pre-GELU
+    tensor, the bits `uniform_centred(gelu(h))` gives.
+    """
     hook = _hook_at(hooks, prefix)
     y_ln = _tokens(y_ln, cfg)
     h = _qmatmul(y_ln, hook("ln2_out"), w.w_1, hook("w_1"))
     h += w.b_1
-    hidden = gelu(h)
-    del h               # the pre-GELU buffer must not live through the capture
-    _cap(capture, prefix, "gelu_out", hidden)
-    out = _qmatmul(hidden, hook("gelu_out"), w.w_2, hook("w_2"))
+    qg = hook("gelu_out")
+    if capture is None and _uniform(qg) and qg.scale.size == 1:
+        out = _centred_matmul(gelu_centred(h, qg), qg, w.w_2, hook("w_2"))
+    else:
+        hidden = gelu(h)
+        del h           # the pre-GELU buffer must not live through the capture
+        _cap(capture, prefix, "gelu_out", hidden)
+        out = _qmatmul(hidden, qg, w.w_2, hook("w_2"))
     out += w.b_2
     return out
 

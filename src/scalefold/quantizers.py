@@ -18,9 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import as_int_tensor, as_tensor
+from .tensors import as_int_tensor, as_tensor, gelu
 
 SQRT2 = float(np.sqrt(2.0))
+
+# The tanh form of GELU, 0.5 * h * (1 + tanh(sqrt(2/pi) * (h + 0.044715 * h**3))),
+# as `_tanh_gelu` computes it, lies within this distance of `tensors.gelu` at
+# every float64 h: the largest gap is 4.73e-4, at h = 2.70, and beyond
+# [-40, 40] both give h or -0 (tests/test_quantizers.py checks it).
+GELU_TANH_BOUND = 5e-4
+_TANH_K1 = float(np.sqrt(2.0 / np.pi))
+_TANH_K3 = _TANH_K1 * 0.044715
+
+# Elements of h per chunk of `gelu_centred`: its scratch quotients and their
+# masks stay at a few hundred KiB beside the output, and one sample of the
+# 64x128 model's MLP, 64 x 512, is one chunk.
+_GELU_CHUNK = 1 << 15
 
 
 class Scheme(str, enum.Enum):
@@ -153,8 +166,82 @@ def uniform_centred(x, qp):
     z = param_view(qp.zero_point, x)
     out = np.divide(x, s, out=np.empty(x.shape))
     np.rint(out, out=out)
-    np.maximum(out, -z, out=out)
-    return np.minimum(out, qp.qmax - z, out=out)
+    return _clip_centred(out, qp)
+
+
+def _clip_centred(codes, qp):
+    """Clip rounded codes minus zero points to [-z, 2**b - 1 - z], in place."""
+    z = param_view(qp.zero_point, codes)
+    np.maximum(codes, -z, out=codes)
+    return np.minimum(codes, qp.qmax - z, out=codes)
+
+
+def _tanh_gelu(h, out):
+    """The tanh form of GELU of h, into `out`; within `GELU_TANH_BOUND` of `gelu(h)`.
+
+    h * h overflows to inf for |h| > 1.3e154 and tanh then saturates, so
+    such an h still gives h or -0; h beyond 9e307 gives inf (2 * h
+    overflows), and -inf gives NaN (0 * -inf).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.square(h, out=out)
+        out *= _TANH_K3
+        out += _TANH_K1
+        out *= h
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= h
+        out *= 0.5
+    return out
+
+
+def gelu_centred(h, qp):
+    """`uniform_centred(tensors.gelu(h), qp)` bit for bit, sign bits included, for one-scale qp.
+
+    The exact GELU, h * ndtr(h), costs scipy's scalar CDF per entry. Here
+    each chunk of h takes the tanh form instead (`_tanh_gelu`, a few numpy
+    passes), divided by s and rounded. With m = GELU_TANH_BOUND / s, the
+    exact quotient gelu(h) / s lies within m of the tanh one: where the two
+    forms are different floats at all (-40 < h < 9), their gap is at most
+    4.74e-4 and both quotients are below 9 / s, so the two divisions add a
+    few ulp of 9 / s at most. So a tanh quotient closer than 1/2 - m to its
+    rounded value rounds to the exact code; only the entries at least
+    1/2 - m from it take `uniform_centred(gelu(h), qp)` itself, whose codes
+    the final clip leaves as they are. Both forms carry h's sign, so a zero
+    code's sign is the exact one's too. A quotient that is not finite
+    (h = +-inf or NaN, or h above 9e307, where the tanh form overflows) has
+    a NaN residual and keeps its tanh code: NaN or +inf, where the exact
+    code is NaN or clips to the same top code. Where m >= 1/2 no entry is
+    certain, and the whole tensor takes the exact route. The codes are then
+    clipped as `uniform_centred` clips them.
+
+    The output is the one full-size buffer; the scratch is one chunk's
+    quotients, so the kernel holds less than `gelu` and `uniform_centred`
+    together, which hold two full-size buffers.
+    """
+    if qp.scheme is not Scheme.UNIFORM or qp.scale.size != 1:
+        raise ValueError("gelu_centred takes one-scale uniform params")
+    h = as_tensor(h)
+    s = qp.scale[0]
+    margin = GELU_TANH_BOUND / s
+    if margin >= 0.5:
+        return uniform_centred(gelu(h), qp)
+    certain = 0.5 - margin
+    flat = h.reshape(-1)
+    codes = np.empty(h.shape)
+    out = codes.reshape(-1)
+    scratch = np.empty(min(flat.size, _GELU_CHUNK))
+    for lo in range(0, flat.size, _GELU_CHUNK):
+        hc, cc = flat[lo:lo + _GELU_CHUNK], out[lo:lo + _GELU_CHUNK]
+        x = _tanh_gelu(hc, scratch[:hc.size])
+        x /= s
+        np.rint(x, out=cc)
+        with np.errstate(invalid="ignore"):     # inf - inf where x is infinite
+            x -= cc
+        np.abs(x, out=x)
+        near = np.flatnonzero(x >= certain)
+        cc[near] = uniform_centred(gelu(hc[near]), qp)
+    return _clip_centred(codes, qp)
 
 
 def uniform_quantize(x, qp):

@@ -15,10 +15,11 @@ compute.
 `single_threaded_blas` holds numpy's OpenBLAS at one thread for a region, so
 that threads of our own can each run whole kernels on one core (the sharded
 stacks of `model.model_forward`). The handle is the scipy-openblas64 of
-numpy's wheels, found on first use among the libraries mapped into the
-process and driven through `ctypes` by its exported thread-count functions;
-a process with any other BLAS, or not on Linux, never holds anything, and
-its regions run as they always did.
+numpy's wheels: its exported thread-count functions are looked up on first
+use on numpy's own `_multiarray_umath` extension, whose handle searches the
+libraries it links, and driven through `ctypes`; where numpy links any
+other BLAS, or that lookup fails, nothing is ever held, and the regions run
+as they always did.
 """
 
 import contextlib

@@ -145,10 +145,11 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
 
     Each loaded weight is a CodeBlock whose centred codes plus the zero
     point are the stored codes, and the container holds no float weight
-    matrix. Spies on the two quantizer kernels that `model` calls record the
+    matrix. Spies on the three quantizer kernels that `model` calls record the
     params of every call: no weight site's params (the hook's or the code
-    block's) reach either, while each weight product's activation takes the
-    integer route.
+    block's) reach any, while each weight product's activation takes the
+    integer route, `gelu_out`'s from the pre-GELU tensor since no sink is
+    attached.
     """
     calib = activations_from_container(read_container(workspace["calib_data"]))
     if chain == "library":
@@ -157,7 +158,7 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
         q_c = read_container(workspace["quantized"])
     cfg, blocks = blocks_from_container(q_c)
     hooks = hooks_from_sites(cfg, load_sites(q_c))
-    seen = {"uniform_centred": set(), "fake_quantize": set()}
+    seen = {"uniform_centred": set(), "gelu_centred": set(), "fake_quantize": set()}
 
     def spy(name):
         kernel = getattr(scalefold.model, name)
@@ -179,8 +180,9 @@ def test_forward_multiplies_the_shipped_weight_codes(workspace, monkeypatch, cha
             np.testing.assert_array_equal(block.centred + block.params.zero_point, shipped)
             for ids in seen.values():
                 assert id(hooks[key]) not in ids and id(block.params) not in ids
-        for site in ("ln1_out", "msa_proj_in", "ln2_out", "gelu_out"):
+        for site in ("ln1_out", "msa_proj_in", "ln2_out"):
             assert id(hooks[f"block{i}.{site}"]) in seen["uniform_centred"]
+        assert id(hooks[f"block{i}.gelu_out"]) in seen["gelu_centred"]
 
 
 # a CLI chain in a fresh process: the unhooked forward of the eval data, then q.rvq,

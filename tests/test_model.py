@@ -463,6 +463,35 @@ class TestModelForward:
         assert (a == 0).any()
 
     @pytest.mark.parametrize("bits", [4, 8])
+    def test_a_sink_does_not_change_the_output(self, bits):
+        """The hooked forward is the same bits with no sink as with a plain dict.
+
+        With no sink, `gelu_out`'s uniform one-scale hook takes its codes
+        from the pre-GELU tensor (`gelu_centred`); with one, from the float
+        GELU the sink receives. Both come out equal on a stack and on each
+        sample alone, and the stack equals its per-sample loop with no sink.
+        The GELU scales put about one entry in 100 (4 bits) or 10 (8 bits)
+        within GELU_TANH_BOUND / s of a rounding boundary.
+        """
+        cfg = ModelConfig(patches=8, dim=16, heads=2, head_dim=8, mlp_dim=64, blocks=2)
+        blocks = [random_block(cfg, 60 + i) for i in range(2)]
+        xs = np.random.default_rng(61).normal(size=(6, cfg.patches, cfg.dim))
+        acts = {s: layer_params(0.3 if bits == 4 else 0.02, 1 << (bits - 1), bits)
+                for s in ACTIVATION_SITES}
+        acts["attn_a"] = QuantParams(Scheme.LOG_SQRT2, bits, scale=np.array([1.0]))
+        acts["gelu_out"] = layer_params(0.1 if bits == 4 else 0.01, 2, bits)
+        hooks = model_hooks(*[{**acts, **{s: column_params(getattr(bw, s), bits)
+                                          for s in WEIGHT_SITES}} for bw in blocks])
+        stacked = model_forward(xs, blocks, cfg, hooks=hooks)
+        np.testing.assert_array_equal(stacked, model_forward(xs, blocks, cfg, hooks=hooks,
+                                                             capture={}))
+        for x, want in zip(xs, stacked):
+            alone = model_forward(x, blocks, cfg, hooks=hooks)
+            np.testing.assert_array_equal(alone, model_forward(x, blocks, cfg, hooks=hooks,
+                                                               capture={}))
+            np.testing.assert_array_equal(alone, want)
+
+    @pytest.mark.parametrize("bits", [4, 8])
     def test_hooked_forward_matches_fake_quant_float_matmul(self, bits):
         """The integer path on the shipped codes agrees with fake-quantized folded floats.
 

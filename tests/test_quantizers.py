@@ -7,15 +7,20 @@ example np.power(np.sqrt(2.0), -codes)) drifts by dozens of ulps at large
 codes and would make the bound meaningless.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scalefold.quantizers import (
+    GELU_TANH_BOUND,
     QuantParams,
     Scheme,
+    _tanh_gelu,
     fake_quantize,
+    gelu_centred,
     log2_dequantize,
     log2_dequantize_shift,
     log2_quantize,
@@ -23,9 +28,11 @@ from scalefold.quantizers import (
     logsqrt2_dequantize_shift,
     logsqrt2_quantize,
     parity_indicator,
+    uniform_centred,
     uniform_dequantize,
     uniform_quantize,
 )
+from scalefold.tensors import gelu
 
 mpmath.mp.dps = 60
 
@@ -435,3 +442,111 @@ class TestFakeQuantize:
                    QuantParams(Scheme.LOG2, 4, scale=np.array([1.0])),
                    QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))):
             assert fake_quantize(x, qp).shape == x.shape
+
+
+# where GELU takes its minimum, about -0.17: it falls left of here and rises right of it
+_GELU_ARGMIN = -0.7517915241
+
+
+def _bisect(t, lo, hi, rising):
+    """h in [lo, hi] with gelu(h) at t, to the last float, where GELU rises (or falls) there."""
+    lo, hi = np.broadcast_to(lo, t.shape), np.broadcast_to(hi, t.shape)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        above = (gelu(mid) < t) == rising          # the root lies above mid
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return hi
+
+
+def gelu_preimages(t):
+    """h with gelu(h) at t on each branch of GELU where t has one: every t above the minimum
+    on the rising branch, the negative ones also on the falling branch."""
+    t = t[t > gelu(np.array(_GELU_ARGMIN))]
+    neg = t[t < 0]
+    return np.concatenate([_bisect(t, _GELU_ARGMIN, np.abs(t) + 2.0, rising=True),
+                           _bisect(neg, -40.0, _GELU_ARGMIN, rising=False)])
+
+
+class TestGeluCentred:
+    """`gelu_centred` gives `uniform_centred(gelu(h))` from the tanh form of GELU."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(2, 8), st.one_of(st.floats(5e-4, 1e-3), st.floats(1e-3, 3.0)),
+           st.data())
+    def test_codes_are_the_exact_ones_bit_for_bit(self, bits, scale, data):
+        """Equal int64 views, so the sign of a zero code and NaN's bits count too.
+
+        The values sit within 40 ulp of every h whose exact GELU falls on a
+        rounding boundary (k + 1/2) * s, on both branches of GELU, for every
+        code and one beyond each end, where the tanh form can fall on the
+        other side of the boundary; then +-0, subnormals, +-1e300, +-1e308,
+        +-inf, +-NaN and normal draws. Scales of 1e-3 and below take the
+        exact route.
+        """
+        z = data.draw(st.integers(0, (1 << bits) - 1), label="zero point")
+        qp = uparams(scale, z, bits)
+        k = np.arange(-z - 1, qp.qmax - z + 1) + 0.5
+        roots = gelu_preimages(k * scale)
+        near = roots[:, None] + np.spacing(roots)[:, None] * np.arange(-40, 41)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1e300, -1e300,
+                   1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+        h = np.concatenate([near.ravel(), special, rng.normal(size=500) * 4])
+        # gelu(-inf) is -inf * 0, and 1e308 / s overflows
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = gelu_centred(h, qp), uniform_centred(gelu(h), qp)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_tanh_form_stays_within_the_bound(self):
+        """|tanh form - gelu| <= GELU_TANH_BOUND for every float64 h.
+
+        On a grid of step d = 2**-16 over [-40, 40] the largest gap is
+        4.733e-4. Between grid points the gap can grow by at most
+        max|slope difference| * d / 2: GELU's slope, Phi(h) + h * phi(h),
+        and the tanh form's both lie in [-0.13, 1.13] (their finite
+        differences on the grid say so), so the difference of the slopes is
+        below 1.26 and the growth below 1e-5. The floats of both forms stray
+        from the smooth functions by a few ulp of |h| <= 40, below 1e-13. So
+        the grid's largest gap plus 1e-5 must stay below the bound. Beyond the
+        grid both forms give h exactly above it and -0 below it: there
+        tanh saturates at +-1 and ndtr at 1 and 0.
+        """
+        step = 2.0 ** -16
+        worst = 0.0
+        for lo in range(-40, 40, 8):
+            h = lo + step * np.arange(8 * 2**16 + 1)
+            t, g = _tanh_gelu(h, np.empty_like(h)), gelu(h)
+            worst = max(worst, np.abs(t - g).max())
+            for form in (t, g):
+                slope = np.diff(form) / step
+                assert slope.min() > -0.13 and slope.max() < 1.13
+        assert 4.7e-4 < worst and worst + 1e-5 < GELU_TANH_BOUND
+        far = np.geomspace(40.0, 1e300, 2000)
+        for h, want in ((far, far), (-far, np.full_like(far, -0.0))):
+            for form in (_tanh_gelu(h, np.empty_like(h)), gelu(h)):
+                np.testing.assert_array_equal(form.view(np.int64), want.view(np.int64))
+
+    def test_holds_less_than_gelu_and_uniform_centred(self):
+        """The peak traced memory stays at or below that of the two kernels it replaces.
+
+        Those hold GELU's output and the codes at once, two full-size
+        buffers; the kernel holds the codes and one chunk of scratch.
+        """
+        h = np.random.default_rng(64).normal(size=(64, 4096)) * 4
+        qp = uparams(0.05, 12, 8)
+        peaks, outs = [], []
+        for kernel in (lambda: gelu_centred(h, qp), lambda: uniform_centred(gelu(h), qp)):
+            tracemalloc.start()
+            try:
+                outs.append(kernel())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(outs[0].view(np.int64), outs[1].view(np.int64))
+        assert peaks[0] <= peaks[1]
+
+    def test_rejects_params_it_cannot_take(self):
+        for qp in (uparams([0.1, 0.2], [0, 1], 4),
+                   QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))):
+            with pytest.raises(ValueError, match="one-scale uniform"):
+                gelu_centred(np.zeros((2, 2)), qp)
