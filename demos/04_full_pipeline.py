@@ -28,7 +28,7 @@ t0 = time.perf_counter()
 q_c = run_pipeline(model_c, calib)
 print(f"calibrate + fold + quantize: {time.perf_counter() - t0:.2f}s "
       f"on {calib.shape[0]} batches")
-print("passes:", " -> ".join(p["name"] for p in q_c.meta["passes"]))
+print("stage:", q_c.stage)
 
 report = evaluate(model_c, q_c, held_out)
 print(f"\noutput mse    {report.output_mse:.3e}")

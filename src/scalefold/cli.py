@@ -14,7 +14,7 @@ from .container import (activations_from_container, container_from_activations,
                         write_container)
 from .model import ModelConfig
 from .pipeline import (PipelineError, QuantizeConfig, calibrate_model, evaluate,
-                       load_sites, pass_log, quantize_model, reparameterize_model)
+                       load_sites, quantize_model, reparameterize_model)
 from .synth import SynthSpec, gen_activations, gen_model
 
 
@@ -165,9 +165,8 @@ def _cmd_inspect(args):
     with open(args.path, "rb") as fh:
         raw = fh.read()
     c = from_bytes(raw)
-    # a malformed site table or pass log fails before any line is printed
+    # a malformed site table fails before any line is printed
     sites = load_sites(c) if "sites" in c.meta else None
-    passes = pass_log(c.meta)
     print(f"kind:  {c.kind}")
     if c.stage:
         print(f"stage: {c.stage}")
@@ -189,9 +188,6 @@ def _cmd_inspect(args):
                if name.startswith("reparam_records.") and name.endswith(".scale")]
     if records:
         print(f"fold records: {', '.join(records)}")
-    if passes:
-        trail = " -> ".join(p["name"] for p in passes)
-        print(f"passes: {trail}")
     return 0
 
 

@@ -8,10 +8,10 @@ Layout (format version 2):
     blob          tensor payloads, back to back in tensor-table order
 
 The manifest holds the format version, a stage marker, the model
-configuration, the tensor table, the per-layer quantizer sites and a logical
-pass log. Each tensor-table entry is exactly {name, shape, dtype}; `to_bytes`
-lists the tensors in name order. A payload's byte length follows from its
-shape and dtype, so the blob is exactly the table's payloads in table order:
+configuration, the tensor table and the per-layer quantizer sites. Each
+tensor-table entry is exactly {name, shape, dtype}; `to_bytes` lists the
+tensors in name order. A payload's byte length follows from its shape and
+dtype, so the blob is exactly the table's payloads in table order:
 a blob with bytes left over or missing raises ContainerError, and so does an
 entry with any other field, such as the byte offset and length that version
 1 stored. A file of another version raises ContainerError.

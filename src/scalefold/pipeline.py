@@ -17,9 +17,8 @@ rewrite changes no other activation. The quantize stage ships each
 weight matrix as its integer codes in place of its floats, which is what the
 forward of the loaded container multiplies, and records each weight site's
 quantization MSE, taken from the folded floats, for evaluation. The fold and
-quantize stages carry their input's metadata whole and add their own. Each
-stage appends to a logical pass log; identical inputs produce byte-identical
-containers.
+quantize stages carry their input's metadata whole and add their own.
+Identical inputs produce byte-identical containers.
 
 Every stage writes its per-layer sites to the manifest's `sites` table and
 its per-channel quantizers as tensors (see `container.channel_tensors`):
@@ -270,27 +269,6 @@ def _require_floats(container, role):
         raise PipelineError(f"{role} needs float weights, got a quantized container")
 
 
-def pass_log(meta):
-    """The pass log `meta["passes"]`, empty when absent.
-
-    Anything but a list of {"step": int, "name": str} objects raises
-    ContainerError naming `passes`.
-    """
-    log = meta.get("passes", [])
-    if not isinstance(log, list) or not all(
-            isinstance(p, dict) and sorted(p) == ["name", "step"]
-            and type(p["step"]) is int and isinstance(p["name"], str) for p in log):
-        raise ContainerError(f"passes must be a list of step/name objects, got {log!r:.80}")
-    return log
-
-
-def _append_pass(meta, name):
-    log = list(pass_log(meta))
-    log.append({"step": len(log) + 1, "name": name})
-    meta["passes"] = log
-    return meta
-
-
 def calibrate_model(model_c, acts, qcfg=None):
     """Stage 1: fit every activation quantizer from calibration data.
 
@@ -314,10 +292,8 @@ def calibrate_model(model_c, acts, qcfg=None):
 
     out = container_from_model(cfg, blocks, stage="calibrated")
     out.meta["quantize_config"] = qcfg.to_json()
-    out.meta["calib"] = {"samples": int(acts.shape[0])}
     _store_sites(out, sites)
     out.meta["ablation"] = {"ln_layer_wise": {k: qp.to_json() for k, qp in naive.items()}}
-    _append_pass(out.meta, "fit-quantizers")
     return out
 
 
@@ -360,16 +336,11 @@ def reparameterize_model(calib_c, acts=None):
 
     out = container_from_model(cfg, blocks, stage="reparameterized")
     out.meta = {**calib_c.meta, **out.meta}
-    _append_pass(out.meta, "fold-records")
-    _append_pass(out.meta, "affine-adjust")
-    _append_pass(out.meta, "weight-compensate")
 
     # the weights' first fit, on the rows the fold rescaled; the activations
     # it left unchanged keep their calibrated sites
     sites.update({f"block{i}.{site}": _fit_weight(getattr(bw, site), qcfg)
                   for i, bw in enumerate(blocks) for site in WEIGHT_SITES})
-    _append_pass(out.meta, "weight-recalibrate")
-    _append_pass(out.meta, "softmax-base-change")
 
     _store_sites(out, sites)
     for key, rec in records.items():
@@ -405,7 +376,6 @@ def quantize_model(rep_c):
         out.tensors[key + ".codes"] = codes.astype(np.uint8)
         weight_mse[key] = _mse(uniform_dequantize(codes, sites[key]), w)
     out.meta["weight_mse"] = weight_mse
-    _append_pass(out.meta, "emit-codes")
     return out
 
 

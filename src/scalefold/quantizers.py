@@ -211,9 +211,8 @@ def gelu_centred(h, qp):
     code's sign is the exact one's too. A quotient that is not finite
     (h = +-inf or NaN, or h above 9e307, where the tanh form overflows) has
     a NaN residual and keeps its tanh code: NaN or +inf, where the exact
-    code is NaN or clips to the same top code. Where m >= 1/2 no entry is
-    certain, and the whole tensor takes the exact route. The codes are then
-    clipped as `uniform_centred` clips them.
+    code is NaN or clips to the same top code. The codes are then clipped as
+    `uniform_centred` clips them.
 
     The output is the one full-size buffer; the scratch is one chunk's
     quotients, so the kernel holds less than `gelu` and `uniform_centred`
@@ -223,10 +222,7 @@ def gelu_centred(h, qp):
         raise ValueError("gelu_centred takes one-scale uniform params")
     h = as_tensor(h)
     s = qp.scale[0]
-    margin = GELU_TANH_BOUND / s
-    if margin >= 0.5:
-        return uniform_centred(gelu(h), qp)
-    certain = 0.5 - margin
+    certain = 0.5 - GELU_TANH_BOUND / s
     flat = h.reshape(-1)
     codes = np.empty(h.shape)
     out = codes.reshape(-1)

@@ -371,7 +371,7 @@ class TestMalformedManifest:
 
 @pytest.fixture(scope="module")
 def quantized_bytes():
-    """A small quantized container: manifest with sites, records and a pass log."""
+    """A small quantized container: manifest with sites and fold records."""
     cfg = ModelConfig(patches=2, dim=4, heads=1, head_dim=4, mlp_dim=4, blocks=1)
     spec = SynthSpec(seed=9)
     acts = gen_activations(cfg, spec, 2)

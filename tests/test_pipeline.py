@@ -1,4 +1,4 @@
-"""Staged pipeline tests: stage gating, pass trail, determinism, evaluation."""
+"""Staged pipeline tests: stage gating, manifest keys, determinism, evaluation."""
 
 import json
 import re
@@ -170,7 +170,6 @@ class TestCalibrateStage:
 
     def test_meta_records_inputs(self, chain):
         calib_c = chain[3]
-        assert calib_c.meta["calib"] == {"samples": 8}
         assert QuantizeConfig.from_json(calib_c.meta["quantize_config"]) == QuantizeConfig()
 
     def test_capture_covers_every_site(self, chain):
@@ -183,6 +182,13 @@ class TestCalibrateStage:
 
 
 class TestFoldStage:
+    @pytest.mark.parametrize("index, extra", [(3, set()), (4, set()), (5, {"weight_mse"})],
+                             ids=["calibrated", "reparameterized", "quantized"])
+    def test_stage_manifest_keys(self, chain, index, extra):
+        """Each stage's manifest holds exactly the keys that some reader reads."""
+        keys = {"kind", "stage", "model_config", "quantize_config", "sites", "ablation"}
+        assert set(chain[index].meta) == keys | extra
+
     def test_stage_records_and_dequant_marker(self, chain):
         """Each fold record ships as its source's two tensors, and the manifest holds neither
         records nor a dequantizer marker, which nothing reads."""
@@ -201,16 +207,6 @@ class TestFoldStage:
         for i in range(CFG.blocks):
             qp = QuantParams.from_json(rep_c.meta["sites"][f"block{i}.ln1_out"])
             assert qp.scale.shape == (1,)
-
-    def test_pass_trail_order(self, chain):
-        rep_c = chain[4]
-        names = [p["name"] for p in rep_c.meta["passes"]]
-        steps = [p["step"] for p in rep_c.meta["passes"]]
-        assert steps == list(range(1, len(names) + 1))
-        assert names[0] == "fit-quantizers"
-        assert names.index("weight-recalibrate") > names.index("weight-compensate")
-        assert names.index("weight-compensate") > names.index("affine-adjust")
-        assert "softmax-base-change" in names
 
     def test_ablation_carried_forward(self, chain):
         calib_c, rep_c = chain[3], chain[4]
@@ -302,8 +298,6 @@ class TestQuantizeStage:
     def test_codes_emitted_for_every_weight(self, chain):
         q_c = chain[5]
         assert q_c.stage == "quantized"
-        names = [p["name"] for p in q_c.meta["passes"]]
-        assert names[-1] == "emit-codes"
         for i in range(CFG.blocks):
             for site in WEIGHT_SITES:
                 codes = q_c.tensors[f"block{i}.{site}.codes"]
@@ -766,8 +760,8 @@ def test_default_quantized_container_fits_its_size_budget():
     It is the benchmark's small-lib artifact (64 calibration samples). Its
     per-channel vectors as decimal JSON made it 93.0 kB; as f64 and u4
     tensors it was about 75.0 kB, and without the stored byte offsets,
-    lengths and fold-record targets it is about 73.3 kB, so a re-inflated
-    manifest fails here.
+    lengths, fold-record targets, pass log and calibration count it is
+    about 73.0 kB, so a re-inflated manifest fails here.
     """
     spec = SynthSpec(seed=0)
     model_c = container_from_model(CFG, gen_model(CFG, spec), stage="fp",

@@ -480,8 +480,8 @@ class TestGeluCentred:
         rounding boundary (k + 1/2) * s, on both branches of GELU, for every
         code and one beyond each end, where the tanh form can fall on the
         other side of the boundary; then +-0, subnormals, +-1e300, +-1e308,
-        +-inf, +-NaN and normal draws. Scales of 1e-3 and below take the
-        exact route.
+        +-inf, +-NaN and normal draws. At scales of 1e-3 and below no tanh
+        code is certain, so every entry with a finite quotient is recomputed.
         """
         z = data.draw(st.integers(0, (1 << bits) - 1), label="zero point")
         qp = uparams(scale, z, bits)
