@@ -15,7 +15,7 @@ import scalefold.model
 from scalefold.cli import cli_main
 from scalefold.container import (ModelContainer, activations_from_container,
                                  blocks_from_container, payload_size, read_container,
-                                 write_container)
+                                 to_bytes, write_container)
 from scalefold.model import WEIGHT_SITES, model_forward
 from scalefold.pipeline import hooks_from_sites, load_sites, run_pipeline
 
@@ -472,6 +472,30 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ablation.ln_layer_wise is a list")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("passes", [5, None, "ab", "x", [1], [{}],
+                                        [{"step": 1, "name": "fit-quantizers"}]],
+                             ids=["int", "null", "ab", "x", "list-of-int", "empty-object",
+                                  "older-log"])
+    @pytest.mark.parametrize("command, stage, result", [("reparam", "calibrated", "folded"),
+                                                        ("quantize", "folded", "quantized"),
+                                                        ("inspect", "quantized", None)])
+    def test_pass_log_is_an_unread_key(self, workspace, tmp_path, capsys,
+                                       command, stage, result, passes):
+        """An older file's `passes` key, well-formed or not, is read by no command: each
+        succeeds, and a later stage carries the key through whole and changes nothing else."""
+        bad, out = tmp_path / "bad.rvq", tmp_path / "out.rvq"
+        write_container(_with(read_container(workspace[stage]), ("passes",), passes), bad)
+        argv = ([command, str(bad)] if command == "inspect"
+                else [command, "--model", str(bad), "--out", str(out)])
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "passes" not in captured.out
+        if result is not None:
+            got = read_container(out)
+            assert got.meta["passes"] == passes
+            assert to_bytes(_strip(got, ("passes",))) == to_bytes(
+                read_container(workspace[result]))
 
     def test_ln_site_off_its_fold_target_is_data_error(self, workspace, tmp_path, capsys):
         """A LayerNorm site that is not its fold record's target fails eval before any forward."""
