@@ -14,20 +14,13 @@ from .container import (activations_from_container, container_from_activations,
                         write_container)
 from .model import ModelConfig
 from .pipeline import (PipelineError, QuantizeConfig, calibrate_model, evaluate,
-                       load_sites, quantize_model, reparameterize_model)
+                       load_records, load_sites, quantize_model, reparameterize_model)
 from .synth import SynthSpec, gen_activations, gen_model
 
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _add_bits_flags(p):
-    p.add_argument("--bits-w", type=int, default=4, help="weight bit width (default 4)")
-    p.add_argument("--bits-a", type=int, default=4, help="activation bit width (default 4)")
-    p.add_argument("--percentile", type=float, default=99.99,
-                   help="activation clip percentile (default 99.99)")
 
 
 def build_parser():
@@ -39,15 +32,20 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a synthetic model plus calibration/eval data")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the generator seed")
+    p.add_argument("--seed", type=int, default=SynthSpec().seed,
+                   help=f"generator seed (default {SynthSpec().seed})")
     p.add_argument("--config", default=None,
-                   help="JSON file with model/synth/batch overrides")
+                   help="JSON file with model and sample-count overrides")
 
     p = sub.add_parser("calibrate", help="fit quantizers from calibration data")
     p.add_argument("--model", required=True, help="float model container")
     p.add_argument("--data", required=True, help="calibration activations container")
     p.add_argument("--out", required=True, help="output container path")
-    _add_bits_flags(p)
+    defaults = QuantizeConfig()
+    p.add_argument("--bits-w", type=int, default=defaults.bits_w,
+                   help=f"weight bit width (default {defaults.bits_w})")
+    p.add_argument("--bits-a", type=int, default=defaults.bits_a,
+                   help=f"activation bit width (default {defaults.bits_a})")
 
     p = sub.add_parser("reparam", help="fold channel-wise LayerNorm quantizers into layer-wise ones")
     p.add_argument("--model", required=True, help="calibrated container")
@@ -73,7 +71,7 @@ def build_parser():
 
 # top-level keys of a `gen --config` file; calib_batches and eval_batches,
 # the samples of calib.rvq and eval.rvq, are 32 each unless it sets them
-_GEN_KEYS = ("model", "synth", "calib_batches", "eval_batches")
+_GEN_KEYS = ("model", "calib_batches", "eval_batches")
 
 
 def _batch_count(overrides, key):
@@ -86,20 +84,16 @@ def _batch_count(overrides, key):
 def _cmd_gen(args):
     overrides = _load_json(args.config) if args.config else {}
     if not (isinstance(overrides, dict) and set(overrides) <= set(_GEN_KEYS)
-            and all(isinstance(overrides.get(k, {}), dict) for k in ("model", "synth"))):
+            and isinstance(overrides.get("model", {}), dict)):
         raise ValueError(f"--config takes an object with keys from {list(_GEN_KEYS)}, "
-                         "with objects under model and synth")
+                         "with an object under model")
     cfg = ModelConfig.from_json({**ModelConfig().to_json(), **overrides.get("model", {})})
-    spec_d = {**SynthSpec().to_json(), **overrides.get("synth", {})}
-    if args.seed is not None:
-        spec_d["seed"] = args.seed
-    spec = SynthSpec.from_json(spec_d)
+    spec = SynthSpec(seed=args.seed)
     n_calib, n_eval = (_batch_count(overrides, key) for key in ("calib_batches", "eval_batches"))
 
     os.makedirs(args.out, exist_ok=True)
     blocks = gen_model(cfg, spec)
-    model_c = container_from_model(cfg, blocks, stage="fp",
-                                   meta_extra={"synth_spec": spec.to_json()})
+    model_c = container_from_model(cfg, blocks, stage="fp")
     paths = {
         "model": os.path.join(args.out, "model_fp.rvq"),
         "calib": os.path.join(args.out, "calib.rvq"),
@@ -120,8 +114,7 @@ def _acts(path):
 
 
 def _cmd_calibrate(args):
-    qcfg = QuantizeConfig(bits_w=args.bits_w, bits_a=args.bits_a,
-                          percentile=args.percentile)
+    qcfg = QuantizeConfig(bits_w=args.bits_w, bits_a=args.bits_a)
     out = calibrate_model(read_container(args.model), _acts(args.data), qcfg)
     write_container(out, args.out)
     print(f"calibrated: {args.out}")
@@ -165,8 +158,9 @@ def _cmd_inspect(args):
     with open(args.path, "rb") as fh:
         raw = fh.read()
     c = from_bytes(raw)
-    # a malformed site table fails before any line is printed
+    # a malformed site table or fold record fails before any line is printed
     sites = load_sites(c) if "sites" in c.meta else None
+    records = load_records(c) if c.stage in ("reparameterized", "quantized") else {}
     print(f"kind:  {c.kind}")
     if c.stage:
         print(f"stage: {c.stage}")
@@ -184,8 +178,6 @@ def _cmd_inspect(args):
         for name, qp in sorted(sites.items()):
             gran = f"per_channel  channels={qp.scale.size}" if qp.scale.size > 1 else "per_layer"
             print(f"  {name}  {qp.scheme.value}  b={qp.bits}  {gran}")
-    records = [name[len("reparam_records."):-len(".scale")] for name in sorted(c.tensors)
-               if name.startswith("reparam_records.") and name.endswith(".scale")]
     if records:
         print(f"fold records: {', '.join(records)}")
     return 0

@@ -53,6 +53,11 @@ LN_SITES = {
     "ln2_out": ("gamma2", "beta2", "w_1", "b_1"),
 }
 
+# Uniform activation fits clip to the sample's (100 - p)th and pth
+# percentiles at this p; the post-Softmax log fit and the weight fits take
+# the full range.
+CLIP_PERCENTILE = 99.99
+
 
 class PipelineError(RuntimeError):
     """Inconsistent inputs handed to a pipeline stage."""
@@ -60,18 +65,15 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantizeConfig(JsonFields):
-    """Bit widths and the activation clip percentile."""
+    """Bit widths of the weight and activation quantizers."""
 
     bits_w: int = 4
     bits_a: int = 4
-    percentile: float = 99.99
 
     def __post_init__(self):
         for name in ("bits_w", "bits_a"):
             if not 2 <= int(getattr(self, name)) <= 8:
                 raise ValueError(f"{name} outside [2, 8]")
-        if not 50.0 < float(self.percentile) <= 100.0:
-            raise ValueError("percentile must lie in (50, 100]")
 
 
 def _check_acts(cfg, acts):
@@ -123,7 +125,7 @@ def _fit_site(key, x, qcfg):
     site = _site_of(key)
     if site == "attn_a":
         return calibrate_tensor(x, qcfg.bits_a, scheme=Scheme.LOG_SQRT2)
-    return calibrate_tensor(x, qcfg.bits_a, qcfg.percentile, per_channel=site in LN_SITES)
+    return calibrate_tensor(x, qcfg.bits_a, CLIP_PERCENTILE, per_channel=site in LN_SITES)
 
 
 def _fit_weight(w, qcfg):
@@ -164,9 +166,10 @@ def _site_keys(cfg, names):
 
 
 def _quantize_config(container):
+    _require(container, [("quantize_config",)])
     try:
         return QuantizeConfig.from_json(container.meta["quantize_config"])
-    except (KeyError, ValueError) as e:
+    except ValueError as e:
         raise PipelineError(f"quantize_config: {e}") from None
 
 
@@ -210,37 +213,47 @@ def load_sites(container):
 
     Per-layer sites come from the manifest, per-channel ones from their
     tensors. A manifest entry that is malformed or holds more than one
-    scale, a missing or malformed tensor, and per-channel vectors whose
-    length is not the site's channel count (a weight's output columns, a
-    LayerNorm site's dim) raise ContainerError naming the site; a missing
-    site table or quantize config raises PipelineError.
+    scale, a table that is not an object, a missing or malformed tensor,
+    and per-channel vectors whose length is not the site's channel count (a
+    weight's output columns, a LayerNorm site's dim) raise ContainerError
+    naming the site. A missing or malformed quantize config, a missing site
+    table, a table lacking an activation site of the model and one naming a
+    site the model lacks raise PipelineError naming what is wrong.
     """
-    if not isinstance(container.meta.get("sites"), dict):
-        raise PipelineError(f"{container.stage} container lacks a sites table")
+    bits = _channel_bits(container)
+    _require(container, [("sites",)])
     cfg = container.config()
-    channel = {key: _channel_site(container, key, bits, _channels(cfg, _site_of(key)))
-               for key, bits in _channel_bits(container).items()}
-    return {**_layer_wise_from_json(container.meta["sites"], "sites"), **channel}
+    channel = {key: _channel_site(container, key, b, _channels(cfg, _site_of(key)))
+               for key, b in bits.items()}
+    sites = {**_layer_wise_from_json(container.meta["sites"], "sites"), **channel}
+    _require(container, [("sites", key) for key in _site_keys(cfg, ACTIVATION_SITES)
+                         if key not in sites])
+    return hooks_from_sites(cfg, sites)
 
 
 def load_records(container):
     """The fold record of every LayerNorm site, read back from its source's tensors.
 
     A source is a `quantize_config.bits_a`-bit quantizer with one channel
-    per model dim. A missing or malformed source tensor, or one of another
-    length, raises ContainerError naming it (as in `load_sites`); a source
-    whose derived layer-wise target is not a valid quantizer raises
+    per model dim, and the container's site must be the record's layer-wise
+    target. The site table is loaded first, with `load_sites`' errors. A
+    missing or malformed source tensor, or one of another length, raises
+    ContainerError naming it; a source whose derived target is not a valid
+    quantizer, and a site that is not its record's target, raise
     PipelineError naming the record.
     """
+    sites = load_sites(container)
     cfg, qcfg = container.config(), _quantize_config(container)
     records = {}
     for key in _site_keys(cfg, LN_SITES):
         name = f"reparam_records.{key}"
         records[key] = ReparamRecord(_channel_site(container, name, qcfg.bits_a, cfg.dim))
         try:
-            records[key].target_params()
+            target = records[key].target_params()
         except ValueError as e:
             raise PipelineError(f"fold record {name}: target {e}") from None
+        if sites[key].to_json() != target.to_json():
+            raise PipelineError(f"site {key} is not the target of fold record {name}")
     return records
 
 
@@ -286,7 +299,7 @@ def calibrate_model(model_c, acts, qcfg=None):
     def fit(key, x):
         sites[key] = _fit_site(key, x, qcfg)
         if _site_of(key) in LN_SITES:
-            naive[key] = calibrate_tensor(x, qcfg.bits_a, qcfg.percentile)
+            naive[key] = calibrate_tensor(x, qcfg.bits_a, CLIP_PERCENTILE)
 
     capture_activations(blocks, cfg, acts, capture=_SiteObserver(fit))
 
@@ -310,7 +323,6 @@ def reparameterize_model(calib_c, acts=None):
     """
     if calib_c.stage != "calibrated":
         raise PipelineError(f"fold stage expects a calibrated container, got {calib_c.stage!r}")
-    _require(calib_c, [("quantize_config",), ("sites",)])
     cfg, blocks = blocks_from_container(calib_c)
     qcfg = _quantize_config(calib_c)
     sites = load_sites(calib_c)
@@ -357,13 +369,12 @@ def quantize_model(rep_c):
     folded floats, which the quantized container no longer holds. The
     quantizer tensors of the weights and fold records carry over whole. The
     folded container must carry its quantize config, site table and a fold
-    record per LayerNorm site: PipelineError names a missing manifest entry,
-    and `load_sites` and `load_records` name a missing or malformed tensor.
+    record per LayerNorm site whose target is the site: `load_sites` and
+    `load_records` name what is missing or malformed.
     """
     if rep_c.stage != "reparameterized":
         raise PipelineError(f"quantize stage expects a folded container, got {rep_c.stage!r}")
     cfg, blocks = blocks_from_container(rep_c)
-    _require(rep_c, [("quantize_config",), ("sites",)])
     sites = load_sites(rep_c)
     load_records(rep_c)
     out = container_from_model(cfg, blocks, stage="quantized")
@@ -450,13 +461,11 @@ def evaluate(fp_c, q_c, acts):
     shipped codes, and `w_qkv` and `w_1`, which it rescales, are `fp_c`'s
     unfolded weights fitted by the fold's channel-wise min/max and quantized
     once. A quantized container lacking
-    its `quantize_config`, an activation site's params, a weight site's
-    `weight_mse` or `ablation.ln_layer_wise` raises PipelineError naming what
-    is missing, as does a malformed quantize config or weight MSE, a fold
-    record whose target is not a valid quantizer, a LayerNorm site that is
-    not its fold record's target, or a table naming a site the model lacks; a
-    missing or malformed quantizer tensor, a fold record's source included,
-    raises ContainerError. All of this is checked before any forward runs.
+    its `quantize_config`, a weight site's `weight_mse` or
+    `ablation.ln_layer_wise` raises PipelineError naming what is missing, as
+    does a malformed weight MSE or an ablation table naming a site the model
+    lacks; the site table and fold records fail as `load_sites` and
+    `load_records` say. All of this is checked before any forward runs.
     """
     _config_match(fp_c, q_c)
     if q_c.stage != "quantized":
@@ -466,23 +475,19 @@ def evaluate(fp_c, q_c, acts):
     acts = _check_acts(cfg, acts)
     weight_keys = _site_keys(cfg, WEIGHT_SITES)
     _require(q_c, [("quantize_config",)]
-             + [("sites", key) for key in _site_keys(cfg, ACTIVATION_SITES)]
              + [("weight_mse", key) for key in weight_keys]
              + [("ablation", "ln_layer_wise")])
     qcfg = _quantize_config(q_c)
-    sites = hooks_from_sites(cfg, load_sites(q_c))
+    sites = load_sites(q_c)
+    # the forward runs each LayerNorm site, the audit and the channel-wise
+    # arm its fold record; `load_records` checks the site is the record's target
+    records = load_records(q_c)
     weight_mse = {}
     for key in weight_keys:
         value = q_c.meta["weight_mse"][key]
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value >= 0:
             raise PipelineError(f"weight_mse.{key} is {value!r}, not a nonnegative number")
         weight_mse[key] = float(value)
-    records = load_records(q_c)
-    for key, rec in records.items():
-        # the forward runs the site, the audit and the channel-wise arm the record
-        if sites[key].to_json() != rec.target_params().to_json():
-            raise PipelineError(f"site {key} is not the target of fold record "
-                                f"reparam_records.{key}")
     # the arms' weights are CodeBlocks, which multiply with their own params
     chan_sites = {**{key: qp for key, qp in sites.items() if key not in weight_keys},
                   **{key: rec.source for key, rec in records.items()}}

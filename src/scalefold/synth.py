@@ -1,12 +1,13 @@
-"""Synthetic models and data with controlled quantization difficulty.
+"""Synthetic models and data with a fixed quantization difficulty profile.
 
-Two knobs matter. First, the spread of post-LayerNorm channel spans: the
-generator draws affine gains so that, over a large batch, per-channel
-activation spans hit configurable min/mean/max targets. Wide spread is what
-makes a single layer-wise quantizer lossy and channel-wise calibration
-worthwhile. Second, attention sharpness: Q/K weights are scaled so the
-post-Softmax distribution concentrates near zero with a heavy tail, the
-regime where a sqrt(2)-base log quantizer beats the power-of-two one.
+The profile has two parts. First, the spread of post-LayerNorm channel
+spans: the generator draws affine gains so that, over a large batch,
+per-channel activation spans hit the min/mean/max of CHANNEL_SPAN_TARGETS.
+Wide spread is what makes a single layer-wise quantizer lossy and
+channel-wise calibration worthwhile. Second, attention sharpness: Q/K
+weights are scaled so the post-Softmax distribution concentrates near zero
+with a heavy tail, the regime where a sqrt(2)-base log quantizer beats the
+power-of-two one. The seed alone picks a model and its data.
 """
 
 from dataclasses import dataclass
@@ -26,16 +27,18 @@ NORMAL_SPAN_1024 = 6.55
 # code grid.
 BETA_SPREAD = 0.12
 
+# Post-LayerNorm channel span targets (min, mean, max) over ~1024 rows.
+CHANNEL_SPAN_TARGETS = (3.94, 7.11, 22.2)
+
 # Per-head logit gains form a geometric ladder spanning this ratio around
-# attention_sharpness. Near-flat heads keep most post-Softmax mass tiny while
-# the sharpest head supplies rare near-one peaks, so the pooled distribution
+# _LOGIT_SCALE. Near-flat heads keep most post-Softmax mass tiny while the
+# sharpest head supplies rare near-one peaks, so the pooled distribution
 # concentrates near zero with a heavy tail instead of piling up at 1/N.
 HEAD_SHARPNESS_SPREAD = 1.5
 
-# Logit gain at attention_sharpness = 1.0, calibrated so the default profile
-# keeps at least 99% of post-Softmax values below 0.3 while the tail still
-# reaches near 1.
-_BASE_LOGIT_SCALE = 0.55
+# Logit gain, calibrated so the profile keeps at least 99% of post-Softmax
+# values below 0.3 while the tail still reaches near 1.
+_LOGIT_SCALE = 0.55
 
 # Substream tags so model weights and activation batches never share a
 # generator stream.
@@ -44,30 +47,19 @@ _ACT_STREAM_TAG = 977
 
 @dataclass(frozen=True)
 class SynthSpec(JsonFields):
-    """Generator targets; defaults give the reference difficulty profile."""
+    """The generator's seed; the difficulty profile is the module's constants."""
 
     seed: int = 0
-    channel_range_min: float = 3.94
-    channel_range_mean: float = 7.11
-    channel_range_max: float = 22.2
-    attention_sharpness: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.channel_range_min <= self.channel_range_mean <= self.channel_range_max:
-            raise ValueError("channel range targets must satisfy 0 < min <= mean <= max")
-        if not self.attention_sharpness > 0:
-            raise ValueError("attention_sharpness must be positive")
 
 
-def _span_targets(n, lo, mid, hi, rng):
-    """Per-channel span targets hitting (lo, mid, hi) as (min, mean, max).
+def _span_targets(n, rng):
+    """Per-channel span targets hitting CHANNEL_SPAN_TARGETS as (min, mean, max).
 
     Most channels sit near the mean, with short geometric tails reaching the
     extremes, which mirrors how normalization layers behave: a bulk of
     ordinary channels and a few outliers.
     """
-    if hi - lo < 1e-12 * mid:
-        return np.full(n, mid)
+    lo, mid, hi = CHANNEL_SPAN_TARGETS
     if n < 4:
         # too few channels for tails; interpolate and accept the mean drift
         return rng.permutation(np.geomspace(lo, hi, n))
@@ -89,34 +81,31 @@ def _head_ladder(heads):
     return np.geomspace(1.0 / HEAD_SHARPNESS_SPREAD, HEAD_SHARPNESS_SPREAD, heads)
 
 
-def _affine_pair(rng, n, lo, mid, hi):
-    spans = _span_targets(n, lo, mid, hi, rng)
+def _affine_pair(rng, n):
+    spans = _span_targets(n, rng)
     gamma = spans / NORMAL_SPAN_1024
     beta = rng.normal(0.0, BETA_SPREAD * spans)
     return gamma, beta
 
 
 def gen_model(cfg, spec):
-    """Generate encoder blocks with the spec's difficulty profile.
+    """Generate encoder blocks with the module's difficulty profile.
 
     Deterministic in spec.seed; each block draws from its own substream, so
     blocks could be generated independently or in parallel.
     """
-    lo, mid, hi = (spec.channel_range_min, spec.channel_range_mean,
-                   spec.channel_range_max)
     d, f = cfg.dim, cfg.mlp_dim
     sw = 1.0 / np.sqrt(d)
     blocks = []
     for i in range(cfg.blocks):
         rng = np.random.default_rng([spec.seed, i])
-        gamma1, beta1 = _affine_pair(rng, d, lo, mid, hi)
-        gamma2, beta2 = _affine_pair(rng, d, lo, mid, hi)
+        gamma1, beta1 = _affine_pair(rng, d)
+        gamma2, beta2 = _affine_pair(rng, d)
         w_qkv = rng.normal(0.0, sw, (d, 3 * d))
         b_qkv = rng.normal(0.0, 0.02, 3 * d)
         # scale the Q and K projections per head, hence the logits, hence how
         # peaked each head's post-Softmax rows are
-        gains = np.sqrt(_BASE_LOGIT_SCALE * spec.attention_sharpness
-                        * _head_ladder(cfg.heads))
+        gains = np.sqrt(_LOGIT_SCALE * _head_ladder(cfg.heads))
         for h in range(cfg.heads):
             for off in (0, d):
                 cols = slice(off + h * cfg.head_dim, off + (h + 1) * cfg.head_dim)

@@ -107,26 +107,23 @@ def test_criterion_3_block_fold_invariance():
     spec = SynthSpec(seed=0)
     w = gen_model(cfg, spec)[0]
 
-    pools = {"ln1_out": [], "ln2_out": []}
-    for x in gen_activations(cfg, spec, 8):
-        cap = {}
-        block_forward(x, w, cfg, capture=cap)
-        for site in pools:
-            pools[site].append(cap[site])
+    cap = {}
+    block_forward(gen_activations(cfg, spec, 8), w, cfg, capture=cap)
     fold1 = reparameterize_layernorm_site(
         w.gamma1, w.beta1, w.w_qkv, w.b_qkv,
-        calibrate_tensor(np.stack(pools["ln1_out"]), 4, 99.99, per_channel=True))
+        calibrate_tensor(cap["ln1_out"], 4, 99.99, per_channel=True))
     fold2 = reparameterize_layernorm_site(
         w.gamma2, w.beta2, w.w_1, w.b_1,
-        calibrate_tensor(np.stack(pools["ln2_out"]), 4, 99.99, per_channel=True))
+        calibrate_tensor(cap["ln2_out"], 4, 99.99, per_channel=True))
     w_folded = dataclasses.replace(
         w, gamma1=fold1.gamma, beta1=fold1.beta, w_qkv=fold1.weight, b_qkv=fold1.bias,
         gamma2=fold2.gamma, beta2=fold2.beta, w_1=fold2.weight, b_1=fold2.bias)
 
-    for x in gen_activations(cfg, spec, 32, stream=1):
-        y0 = block_forward(x, w, cfg)
-        y1 = block_forward(x, w_folded, cfg)
-        assert np.max(np.abs(y1 - y0)) <= 1e-9 * np.max(np.abs(y0))
+    x = gen_activations(cfg, spec, 32, stream=1)
+    y0 = block_forward(x, w, cfg)
+    y1 = block_forward(x, w_folded, cfg)
+    # the bound holds for each input on its own
+    assert np.all(np.max(np.abs(y1 - y0), axis=(1, 2)) <= 1e-9 * np.max(np.abs(y0), axis=(1, 2)))
 
 
 def test_criterion_4_halfpower_dequant_exactness():

@@ -106,7 +106,7 @@ class TestChain:
 
     @pytest.mark.parametrize("stage", ["calibrated", "folded", "quantized"])
     def test_inspect_lists_the_fold_records_a_container_ships(self, workspace, capsys, stage):
-        """The `fold records:` line names each record whose source tensors the file holds."""
+        """From the fold on, the `fold records:` line names each LayerNorm site's record."""
         assert cli_main(["inspect", str(workspace[stage])]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("fold records:")]
@@ -266,6 +266,16 @@ def _with(c, path, value):
     return ModelContainer(meta=meta, tensors=c.tensors)
 
 
+def _argv(command, workspace, path, out):
+    """`command` reading the stage file at `path`, writing to `out` if it writes a file."""
+    if command == "inspect":
+        return ["inspect", str(path)]
+    if command == "eval":
+        return ["eval", "--fp", str(workspace["fp"]), "--q", str(path),
+                "--data", str(workspace["eval_data"]), "--out", str(out)]
+    return [command, "--model", str(path), "--out", str(out)]
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli_main([]) == 2
@@ -306,6 +316,15 @@ class TestExitCodes:
         assert rc == 1
         assert "bits_w" in capsys.readouterr().err
 
+    def test_percentile_flag_is_usage_error(self, workspace, tmp_path, capsys):
+        """The clip percentile is a constant: `calibrate --percentile` is an unknown flag."""
+        rc = cli_main(["calibrate", "--model", str(workspace["fp"]),
+                       "--data", str(workspace["calib_data"]),
+                       "--out", str(tmp_path / "o.rvq"), "--percentile", "99"])
+        assert rc == 2
+        assert "--percentile" in capsys.readouterr().err
+        assert not (tmp_path / "o.rvq").exists()
+
     def test_truncated_container_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.rvq"
         bad.write_bytes(b"junkjunk")
@@ -326,6 +345,7 @@ class TestExitCodes:
         {**SMALL, "eval_batches": True},
         {**SMALL, "calib_batches": 0},
         {**SMALL, "eval_batches": "4"},
+        {**SMALL, "synth": {"seed": 1}},
     ])
     def test_gen_rejects_unknown_config_keys(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
@@ -496,6 +516,53 @@ class TestExitCodes:
             assert got.meta["passes"] == passes
             assert to_bytes(_strip(got, ("passes",))) == to_bytes(
                 read_container(workspace[result]))
+
+    @pytest.mark.parametrize("command, stage", [("reparam", "calibrated"),
+                                                ("quantize", "folded"), ("eval", "quantized"),
+                                                ("inspect", "calibrated"), ("inspect", "folded"),
+                                                ("inspect", "quantized")])
+    def test_older_file_with_a_clip_percentile_is_data_error(self, workspace, tmp_path, capsys,
+                                                             command, stage):
+        """A stage file that still holds `quantize_config.percentile` is refused before any output."""
+        bad, out = tmp_path / "old.rvq", tmp_path / "out.rvq"
+        write_container(_with(read_container(workspace[stage]),
+                              ("quantize_config", "percentile"), 99.99), bad)
+        assert cli_main(_argv(command, workspace, bad, out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: quantize_config: ")
+        assert "percentile" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, stage, defect", [
+        ("reparam", "calibrated", "missing"), ("reparam", "calibrated", "unknown"),
+        ("quantize", "folded", "missing"), ("quantize", "folded", "unknown"),
+        ("quantize", "folded", "off-target"),
+        ("inspect", "calibrated", "missing"), ("inspect", "calibrated", "unknown"),
+        ("inspect", "folded", "missing"), ("inspect", "folded", "unknown"),
+        ("inspect", "folded", "off-target"),
+    ])
+    def test_site_table_that_eval_would_refuse_is_data_error(self, workspace, tmp_path, capsys,
+                                                            command, stage, defect):
+        """A table lacking block0.attn_q, naming block0.bogus, or whose block0.ln1_out is not its
+        fold record's target fails the stage that reads it, not only eval."""
+        c = read_container(workspace[stage])
+        if defect == "missing":
+            c, named = _strip(c, ("sites", "block0.attn_q")), "block0.attn_q"
+        elif defect == "unknown":
+            c = _with(c, ("sites", "block0.bogus"), c.meta["sites"]["block0.attn_q"])
+            named = "block0.bogus"
+        else:
+            site = c.meta["sites"]["block0.ln1_out"]
+            c = _with(c, ("sites", "block0.ln1_out"),
+                      {**site, "scale": [3 * site["scale"][0]], "zero_point": [0]})
+            named = "block0.ln1_out"
+        bad, out = tmp_path / "bad.rvq", tmp_path / "out.rvq"
+        write_container(c, bad)
+        assert cli_main(_argv(command, workspace, bad, out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and named in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_ln_site_off_its_fold_target_is_data_error(self, workspace, tmp_path, capsys):
         """A LayerNorm site that is not its fold record's target fails eval before any forward."""

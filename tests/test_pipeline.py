@@ -48,24 +48,24 @@ def chain():
 class TestQuantizeConfig:
     def test_defaults(self):
         qcfg = QuantizeConfig()
-        assert (qcfg.bits_w, qcfg.bits_a, qcfg.percentile) == (4, 4, 99.99)
+        assert (qcfg.bits_w, qcfg.bits_a) == (4, 4)
 
-    @pytest.mark.parametrize("kw", [
-        {"bits_w": 1}, {"bits_w": 9}, {"bits_a": 0},
-        {"percentile": 50.0}, {"percentile": 101.0},
-    ])
+    @pytest.mark.parametrize("kw", [{"bits_w": 1}, {"bits_w": 9}, {"bits_a": 0}])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             QuantizeConfig(**kw)
 
     def test_json_round_trip(self):
-        qcfg = QuantizeConfig(bits_w=3, bits_a=5, percentile=99.0)
+        qcfg = QuantizeConfig(bits_w=3, bits_a=5)
         assert QuantizeConfig.from_json(qcfg.to_json()) == qcfg
 
     def test_json_keys_must_equal_fields(self):
         d = QuantizeConfig().to_json()
         with pytest.raises(ValueError, match="bits_w"):
             QuantizeConfig.from_json({**d, "bits": 8})
+        # an older file's clip percentile is a key the config no longer has
+        with pytest.raises(ValueError, match="percentile"):
+            QuantizeConfig.from_json({**d, "percentile": 99.99})
         del d["bits_w"]
         with pytest.raises(ValueError, match="bits_w"):
             QuantizeConfig.from_json(d)
@@ -760,11 +760,10 @@ def test_default_quantized_container_fits_its_size_budget():
     It is the benchmark's small-lib artifact (64 calibration samples). Its
     per-channel vectors as decimal JSON made it 93.0 kB; as f64 and u4
     tensors it was about 75.0 kB, and without the stored byte offsets,
-    lengths, fold-record targets, pass log and calibration count it is
-    about 73.0 kB, so a re-inflated manifest fails here.
+    lengths, fold-record targets, pass log, calibration count and clip
+    percentile it is 72,968 B, so a re-inflated manifest fails here.
     """
     spec = SynthSpec(seed=0)
-    model_c = container_from_model(CFG, gen_model(CFG, spec), stage="fp",
-                                   meta_extra={"synth_spec": spec.to_json()})
+    model_c = container_from_model(CFG, gen_model(CFG, spec), stage="fp")
     q_c = run_pipeline(model_c, gen_activations(CFG, spec, 64))
     assert len(to_bytes(q_c)) <= 74_000

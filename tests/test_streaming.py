@@ -16,9 +16,9 @@ import pytest
 from scalefold.calibration import calibrate_tensor
 from scalefold.container import blocks_from_container, container_from_model
 from scalefold.model import ACTIVATION_SITES, ModelConfig, model_forward
-from scalefold.pipeline import (LN_SITES, QuantizeConfig, _fit_sites, calibrate_model,
-                                capture_activations, evaluate, load_records, load_sites,
-                                quantize_model, reparameterize_model)
+from scalefold.pipeline import (CLIP_PERCENTILE, LN_SITES, QuantizeConfig, _fit_sites,
+                                calibrate_model, capture_activations, evaluate, load_records,
+                                load_sites, quantize_model, reparameterize_model)
 from scalefold.quantizers import (fake_quantize, log2_dequantize, log2_quantize,
                                   logsqrt2_dequantize, logsqrt2_dequantize_shift,
                                   logsqrt2_quantize, uniform_quantize)
@@ -81,7 +81,7 @@ def test_streamed_calibration_equals_a_whole_capture_fit(staged):
     assert sorted(got) == sorted(want)
     for key, qp in want.items():
         assert got[key].to_json() == qp.to_json(), key
-    naive = {key: calibrate_tensor(caps[key], qcfg.bits_a, qcfg.percentile).to_json()
+    naive = {key: calibrate_tensor(caps[key], qcfg.bits_a, CLIP_PERCENTILE).to_json()
              for key in caps if key.partition(".")[2] in LN_SITES}
     assert calib_c.meta["ablation"]["ln_layer_wise"] == naive
 
