@@ -523,7 +523,7 @@ class TestExitCodes:
                                                 ("inspect", "quantized")])
     def test_older_file_with_a_clip_percentile_is_data_error(self, workspace, tmp_path, capsys,
                                                              command, stage):
-        """A stage file that still holds `quantize_config.percentile` is refused before any output."""
+        """A stage file whose config holds `percentile` is refused before any output."""
         bad, out = tmp_path / "old.rvq", tmp_path / "out.rvq"
         write_container(_with(read_container(workspace[stage]),
                               ("quantize_config", "percentile"), 99.99), bad)
@@ -539,12 +539,12 @@ class TestExitCodes:
         ("quantize", "folded", "off-target"),
         ("inspect", "calibrated", "missing"), ("inspect", "calibrated", "unknown"),
         ("inspect", "folded", "missing"), ("inspect", "folded", "unknown"),
-        ("inspect", "folded", "off-target"),
+        ("inspect", "folded", "off-target"), ("eval", "quantized", "off-target"),
     ])
     def test_site_table_that_eval_would_refuse_is_data_error(self, workspace, tmp_path, capsys,
                                                             command, stage, defect):
         """A table lacking block0.attn_q, naming block0.bogus, or whose block0.ln1_out is not its
-        fold record's target fails the stage that reads it, not only eval."""
+        fold record's target fails every stage that reads it before any forward, as eval does."""
         c = read_container(workspace[stage])
         if defect == "missing":
             c, named = _strip(c, ("sites", "block0.attn_q")), "block0.attn_q"
@@ -563,20 +563,6 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and named in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
-
-    def test_ln_site_off_its_fold_target_is_data_error(self, workspace, tmp_path, capsys):
-        """A LayerNorm site that is not its fold record's target fails eval before any forward."""
-        q_c = read_container(workspace["quantized"])
-        meta = json.loads(json.dumps(q_c.meta))
-        site = meta["sites"]["block0.ln1_out"]
-        site.update(scale=[3 * site["scale"][0]], zero_point=[0])
-        bad = tmp_path / "bad.rvq"
-        write_container(ModelContainer(meta=meta, tensors=q_c.tensors), bad)
-        assert cli_main(["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
-                         "--data", str(workspace["eval_data"])]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "block0.ln1_out" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("stage", ["folded", "quantized"])
     def test_fold_source_whose_target_is_no_quantizer_is_data_error(self, workspace, tmp_path,

@@ -63,7 +63,7 @@ class TestQuantizeConfig:
         d = QuantizeConfig().to_json()
         with pytest.raises(ValueError, match="bits_w"):
             QuantizeConfig.from_json({**d, "bits": 8})
-        # an older file's clip percentile is a key the config no longer has
+        # an older file's config, which held the clip percentile
         with pytest.raises(ValueError, match="percentile"):
             QuantizeConfig.from_json({**d, "percentile": 99.99})
         del d["bits_w"]

@@ -126,6 +126,6 @@ class TestSynthSpec:
         assert SynthSpec.from_json(spec.to_json()) == spec
 
     def test_json_rejects_unknown_key(self):
-        """A spec is its seed: a difficulty target, now a constant, is an unknown key."""
+        """A spec is its seed alone; an older spec's difficulty target is an unknown key."""
         with pytest.raises(ValueError, match="channel_range_min"):
             SynthSpec.from_json({**SynthSpec().to_json(), "channel_range_min": 3.94})
