@@ -23,6 +23,13 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _seed(text):
+    """`gen --seed`: a non-negative integer, else an argparse usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="scalefold",
@@ -32,7 +39,7 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a synthetic model plus calibration/eval data")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=SynthSpec().seed,
+    p.add_argument("--seed", type=_seed, default=SynthSpec().seed,
                    help=f"generator seed (default {SynthSpec().seed})")
     p.add_argument("--config", default=None,
                    help="JSON file with model and sample-count overrides")
@@ -159,8 +166,9 @@ def _cmd_inspect(args):
         raw = fh.read()
     c = from_bytes(raw)
     # a malformed site table or fold record fails before any line is printed
-    sites = load_sites(c) if "sites" in c.meta else None
-    records = load_records(c) if c.stage in ("reparameterized", "quantized") else {}
+    folded = c.stage in ("reparameterized", "quantized")
+    sites = load_sites(c) if folded or "sites" in c.meta else None
+    records = load_records(c, sites) if folded else {}
     print(f"kind:  {c.kind}")
     if c.stage:
         print(f"stage: {c.stage}")

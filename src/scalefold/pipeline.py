@@ -133,14 +133,6 @@ def _fit_weight(w, qcfg):
     return calibrate_tensor(w, qcfg.bits_w, per_channel=True)
 
 
-def _fit_sites(caps, qcfg):
-    """Fit every activation site from the whole-stack capture dict `caps`.
-
-    This is what `calibrate_model` does site by site as its forward streams.
-    """
-    return {key: _fit_site(key, x, qcfg) for key, x in caps.items()}
-
-
 def _layer_wise_from_json(d, where):
     """Per-layer sites from the manifest table at key path `where`.
 
@@ -231,18 +223,17 @@ def load_sites(container):
     return hooks_from_sites(cfg, sites)
 
 
-def load_records(container):
+def load_records(container, sites):
     """The fold record of every LayerNorm site, read back from its source's tensors.
 
     A source is a `quantize_config.bits_a`-bit quantizer with one channel
-    per model dim, and the container's site must be the record's layer-wise
-    target. The site table is loaded first, with `load_sites`' errors. A
-    missing or malformed source tensor, or one of another length, raises
-    ContainerError naming it; a source whose derived target is not a valid
-    quantizer, and a site that is not its record's target, raise
+    per model dim, and the container's site, in `sites` (the table
+    `load_sites(container)` returns), must be the record's layer-wise
+    target. A missing or malformed source tensor, or one of another length,
+    raises ContainerError naming it; a source whose derived target is not a
+    valid quantizer, and a site that is not its record's target, raise
     PipelineError naming the record.
     """
-    sites = load_sites(container)
     cfg, qcfg = container.config(), _quantize_config(container)
     records = {}
     for key in _site_keys(cfg, LN_SITES):
@@ -329,22 +320,16 @@ def reparameterize_model(calib_c, acts=None):
 
     records = {}
     for i, bw in enumerate(blocks):
-        for site, (g_name, b_name, w_name, bias_name) in LN_SITES.items():
+        for site, names in LN_SITES.items():
             key = f"block{i}.{site}"
             try:
-                res = reparameterize_layernorm_site(
-                    getattr(bw, g_name), getattr(bw, b_name),
-                    getattr(bw, w_name), getattr(bw, bias_name),
-                    sites[key],
-                )
+                *folded, records[key] = reparameterize_layernorm_site(
+                    *(getattr(bw, name) for name in names), sites[key])
             except ValueError as e:
                 raise PipelineError(f"site {key}: {e}") from None
-            setattr(bw, g_name, res.gamma)
-            setattr(bw, b_name, res.beta)
-            setattr(bw, w_name, res.weight)
-            setattr(bw, bias_name, res.bias)
-            sites[key] = res.record.target_params()
-            records[key] = res.record
+            for name, value in zip(names, folded):
+                setattr(bw, name, value)
+            sites[key] = records[key].target_params()
 
     out = container_from_model(cfg, blocks, stage="reparameterized")
     out.meta = {**calib_c.meta, **out.meta}
@@ -376,7 +361,7 @@ def quantize_model(rep_c):
         raise PipelineError(f"quantize stage expects a folded container, got {rep_c.stage!r}")
     cfg, blocks = blocks_from_container(rep_c)
     sites = load_sites(rep_c)
-    load_records(rep_c)
+    load_records(rep_c, sites)
     out = container_from_model(cfg, blocks, stage="quantized")
     out.meta = {**rep_c.meta, **out.meta}
     out.tensors = {**rep_c.tensors, **out.tensors}
@@ -481,7 +466,7 @@ def evaluate(fp_c, q_c, acts):
     sites = load_sites(q_c)
     # the forward runs each LayerNorm site, the audit and the channel-wise
     # arm its fold record; `load_records` checks the site is the record's target
-    records = load_records(q_c)
+    records = load_records(q_c, sites)
     weight_mse = {}
     for key in weight_keys:
         value = q_c.meta["weight_mse"][key]

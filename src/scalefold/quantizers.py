@@ -302,13 +302,9 @@ def log2_quantize(x, s, bits):
     return _clip_codes(raw, bits)
 
 
-def log2_dequantize(codes, s, bits=None):
+def log2_dequantize(codes, s, bits):
     """Reconstruct s * 2**(-code). Power-of-two scaling is exact in float64."""
-    codes = as_int_tensor(codes)
-    if np.any(codes < 0):
-        raise ValueError("codes must be nonnegative")
-    if bits is not None:
-        codes = _check_codes(codes, bits)
+    codes = _check_codes(codes, bits)
     return np.ldexp(np.float64(s), -codes)
 
 
@@ -344,7 +340,7 @@ def base_change_scale(s, codes):
     return s * (parity_indicator(codes) * (SQRT2 - 1.0) + 1.0)
 
 
-def logsqrt2_dequantize(codes, s, bits=None):
+def logsqrt2_dequantize(codes, s, bits):
     """Reconstruct s * sqrt(2)**(-code) via the shift-friendly split.
 
     Odd codes fold one sqrt(2) into the scale, even codes leave it alone;
@@ -355,11 +351,7 @@ def logsqrt2_dequantize(codes, s, bits=None):
 
     The result equals s * sqrt(2)**(-code) to within one ulp.
     """
-    codes = as_int_tensor(codes)
-    if np.any(codes < 0):
-        raise ValueError("codes must be nonnegative")
-    if bits is not None:
-        codes = _check_codes(codes, bits)
+    codes = _check_codes(codes, bits)
     return np.ldexp(base_change_scale(s, codes), np.floor_divide(-codes, 2))
 
 

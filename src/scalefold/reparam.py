@@ -8,12 +8,12 @@ the captured statistics: the per-channel variation factors
     r2_d = z_d - z~        (zero-point offset, integer)
 
 are absorbed into the normalization affine parameters and the next linear
-layer. `apply_affine_adjustment` rewrites gamma and beta so the layer itself
-emits the adjusted activations; `apply_weight_compensation` rewrites the
-consumer's weights and bias so the layer output is unchanged in exact
-arithmetic. Quantizing the adjusted activations with (s~, z~) then yields
-the same integer codes as quantizing the originals channel-wise, except for
-inputs landing exactly on rounding ties.
+layer. `reparameterize_layernorm_site` rewrites gamma and beta so the layer
+itself emits the adjusted activations, and the consumer's weights and bias
+so the consumer's output is unchanged in exact arithmetic. Quantizing the
+adjusted activations with (s~, z~) then yields the same integer codes as
+quantizing the originals channel-wise, except for inputs landing exactly on
+rounding ties.
 
 The compensated weight rows are rescaled by r1, so any weight quantizer
 fitted before the fold is stale; callers must re-fit it afterwards.
@@ -21,6 +21,7 @@ fitted before the fold is stale; callers must re-fit it afterwards.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +61,6 @@ class ReparamRecord:
     def r2(self):
         return self.source.zero_point - self.target_zero
 
-    @property
-    def channels(self):
-        return self.source.scale.size
-
     def target_params(self):
         """The layer-wise target quantizer; ValueError if it is not a valid quantizer."""
         return QuantParams(
@@ -73,45 +70,7 @@ class ReparamRecord:
         )
 
 
-def apply_affine_adjustment(gamma, beta, record):
-    """Fold the variation factors into normalization affine parameters.
-
-    gamma~ = gamma / r1 and beta~ = (beta + s * r2) / r1, so the layer now
-    emits x~ = (x + s * r2) / r1 in place of x.
-    """
-    gamma = as_tensor(gamma)
-    beta = as_tensor(beta)
-    if gamma.shape != (record.channels,) or beta.shape != (record.channels,):
-        raise ValueError(
-            f"affine vectors must have {record.channels} channels, "
-            f"got {gamma.shape} and {beta.shape}"
-        )
-    shift = record.source.scale * record.r2
-    return gamma / record.r1, (beta + shift) / record.r1
-
-
-def apply_weight_compensation(weight, bias, record):
-    """Rewrite the consumer so the adjusted activations cancel exactly.
-
-    Row d of the weight matrix is scaled by r1_d, and the bias absorbs the
-    shift: b~ = b - (s * r2) @ W. In exact arithmetic
-    x~ @ W~ + b~ == x @ W + b for every input x. The returned weights need a
-    fresh quantizer fit, since their rows were rescaled.
-    """
-    weight = as_tensor(weight)
-    bias = as_tensor(bias)
-    if weight.ndim != 2 or weight.shape[0] != record.channels:
-        raise ValueError(
-            f"weight must be 2-D with {record.channels} input rows, got {weight.shape}"
-        )
-    if bias.shape != (weight.shape[1],):
-        raise ValueError(f"bias length {bias.shape} does not match weight columns")
-    shift = record.source.scale * record.r2
-    return weight * record.r1[:, np.newaxis], bias - shift @ weight
-
-
-@dataclass(frozen=True, eq=False)
-class SiteReparam:
+class SiteReparam(NamedTuple):
     """Everything produced by folding one normalization site."""
 
     gamma: np.ndarray
@@ -124,20 +83,27 @@ class SiteReparam:
 def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
     """Fold one normalization site end to end.
 
-    Returns the adjusted affine parameters, the compensated consumer weights
-    (which need a fresh quantizer fit), and the audit record, whose
-    `target_params()` is the layer-wise quantizer. A source that is not
-    uniform, or whose target is not a valid quantizer, raises ValueError.
+    The affine parameters become gamma~ = gamma / r1 and
+    beta~ = (beta + s * r2) / r1, so the layer emits x~ = (x + s * r2) / r1
+    in place of x. Row d of the consumer weight is scaled by r1_d and the bias
+    absorbs the shift, b~ = b - (s * r2) @ W, so x~ @ W~ + b~ == x @ W + b in
+    exact arithmetic. The compensated weights need a fresh quantizer fit; the
+    audit record's `target_params()` is the layer-wise quantizer. A source
+    that is not uniform, a target that is not a valid quantizer, and
+    parameters whose shapes do not fit the source's channels raise ValueError.
     """
     record = ReparamRecord(channel_params)
     record.target_params()   # a target that is no quantizer raises before the fold divides by it
-    gamma_adj, beta_adj = apply_affine_adjustment(gamma, beta, record)
-    weight_adj, bias_adj = apply_weight_compensation(weight, bias, record)
-    return SiteReparam(
-        gamma=gamma_adj,
-        beta=beta_adj,
-        weight=weight_adj,
-        bias=bias_adj,
-        record=record,
-    )
-
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    weight, bias = as_tensor(weight), as_tensor(bias)
+    d = channel_params.scale.size
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ValueError(
+            f"affine vectors must have {d} channels, got {gamma.shape} and {beta.shape}")
+    if weight.ndim != 2 or weight.shape[0] != d:
+        raise ValueError(f"weight must be 2-D with {d} input rows, got {weight.shape}")
+    if bias.shape != (weight.shape[1],):
+        raise ValueError(f"bias length {bias.shape} does not match weight columns")
+    r1, shift = record.r1, channel_params.scale * record.r2
+    return SiteReparam(gamma / r1, (beta + shift) / r1,
+                       weight * r1[:, np.newaxis], bias - shift @ weight, record)

@@ -325,6 +325,13 @@ class TestExitCodes:
         assert "--percentile" in capsys.readouterr().err
         assert not (tmp_path / "o.rvq").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "2.5", "five"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
+        """A seed that is no non-negative integer fails in argparse, before `--out` exists."""
+        assert cli_main(["gen", "--out", str(tmp_path / "neg"), "--seed", seed]) == 2
+        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "neg").exists()
+
     def test_truncated_container_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.rvq"
         bad.write_bytes(b"junkjunk")

@@ -14,7 +14,7 @@ from scalefold.pipeline import (
     LN_SITES,
     PipelineError,
     QuantizeConfig,
-    _fit_sites,
+    _fit_site,
     calibrate_model,
     capture_activations,
     evaluate,
@@ -198,7 +198,7 @@ class TestFoldStage:
         recs = {k for k in rep_c.tensors if k.startswith("reparam_records.")}
         assert recs == {f"reparam_records.block{i}.{s}.{t}" for i in range(CFG.blocks)
                         for s in ("ln1_out", "ln2_out") for t in ("scale", "zero")}
-        assert set(load_records(rep_c)) == {
+        assert set(load_records(rep_c, load_sites(rep_c))) == {
             f"block{i}.{s}" for i in range(CFG.blocks) for s in ("ln1_out", "ln2_out")
         }
 
@@ -215,7 +215,8 @@ class TestFoldStage:
     def test_activation_sites_carry_through_the_fold(self, chain):
         """The fold replaces each LayerNorm site by its target and keeps every other activation site."""
         calib_c, rep_c = chain[3], chain[4]
-        records, calibrated = load_records(from_bytes(to_bytes(rep_c))), load_sites(calib_c)
+        read = from_bytes(to_bytes(rep_c))
+        records, calibrated = load_records(read, load_sites(read)), load_sites(calib_c)
         for i in range(CFG.blocks):
             for site in ACTIVATION_SITES:
                 key = f"block{i}.{site}"
@@ -258,7 +259,8 @@ def test_carried_sites_match_a_refit_of_the_folded_model(shape, seed):
     calib = gen_activations(cfg, spec, samples)
     rep_c = reparameterize_model(calibrate_model(model_c, calib, qcfg))
     _, folded = blocks_from_container(rep_c)
-    refit = _fit_sites(capture_activations(folded, cfg, calib), qcfg)
+    refit = {key: _fit_site(key, x, qcfg)
+             for key, x in capture_activations(folded, cfg, calib).items()}
     carried = [f"block{i}.{s}" for i in range(cfg.blocks)
                for s in ACTIVATION_SITES if s not in LN_SITES]
     for key in carried:
@@ -285,7 +287,8 @@ def test_fold_records_read_back_their_targets_bit_exact(shape, seed):
     model_c = container_from_model(cfg, gen_model(cfg, spec))
     rep_c = reparameterize_model(calibrate_model(model_c, gen_activations(cfg, spec, samples),
                                                  QuantizeConfig(bits_w=bits, bits_a=bits)))
-    records = load_records(from_bytes(to_bytes(rep_c)))
+    read = from_bytes(to_bytes(rep_c))
+    records = load_records(read, load_sites(read))
     assert len(records) == 2 * cfg.blocks
     for key, rec in records.items():
         site = QuantParams.from_json(rep_c.meta["sites"][key])
@@ -470,7 +473,7 @@ class TestEvaluate:
             "scale": {**site, "scale": [3 * site["scale"][0]], "zero_point": [0]},
             "zero_point": {**site, "zero_point": [(site["zero_point"][0] + 1) % 16]},
             "bits": {**site, "bits": 5},
-            "channel_wise": load_records(q_c)["block0.ln1_out"].source.to_json(),
+            "channel_wise": load_records(q_c, load_sites(q_c))["block0.ln1_out"].source.to_json(),
         }[change]
         meta = {**q_c.meta, "sites": {**q_c.meta["sites"], "block0.ln1_out": site}}
         # a channel-wise entry is no manifest site at all, so loading the table rejects it
@@ -569,7 +572,7 @@ class TestEvaluate:
             **c.tensors, key + ".scale": np.full(CFG.dim, 1.7e308)})
         named = f"fold record {re.escape(key)}: target scales must be positive and finite"
         with pytest.raises(PipelineError, match=named):
-            load_records(damaged)
+            load_records(damaged, load_sites(damaged))
         with pytest.raises(PipelineError, match=named):
             if stage == "quantized":
                 evaluate(model_c, damaged, held_out)
@@ -739,7 +742,8 @@ class TestQuantizerTensors:
     def test_older_layout_with_vectors_in_json_is_a_clean_error(self, chain):
         """A q container that keeps its weight sites and fold sources in JSON does not load."""
         model_c, held_out, q_c = chain[0], chain[2], chain[5]
-        sites, records = load_sites(q_c), load_records(q_c)
+        sites = load_sites(q_c)
+        records = load_records(q_c, sites)
         meta = json.loads(json.dumps(q_c.meta))
         meta["sites"] = {k: qp.to_json() for k, qp in sites.items()}
         meta["reparam_records"] = {key: {"target_scale": rec.target_scale,

@@ -260,8 +260,8 @@ class TestLog2:
             log2_quantize(np.array([-0.1]), 1.0, 4)
 
     def test_dequantize_examples(self):
-        assert log2_dequantize(np.array([0], dtype=np.int32), 1.7)[0] == 1.7
-        assert log2_dequantize(np.array([3], dtype=np.int32), 1.0)[0] == 0.125
+        assert log2_dequantize(np.array([0], dtype=np.int32), 1.7, 2)[0] == 1.7
+        assert log2_dequantize(np.array([3], dtype=np.int32), 1.0, 2)[0] == 0.125
 
     def test_grid_fixed_points(self):
         for bits in range(2, 9):
@@ -275,7 +275,7 @@ class TestLog2:
         rng = np.random.default_rng(31)
         for s in rng.uniform(1e-4, 10.0, size=20):
             codes = np.arange(256, dtype=np.int32)
-            got = log2_dequantize(codes, s)
+            got = log2_dequantize(codes, s, 8)
             want = [float(mpmath.mpf(s) * mpmath.power(2, -int(c))) for c in codes]
             assert np.all(ulp_distance(got, np.array(want)) == 0)
 
@@ -317,9 +317,9 @@ class TestLogSqrt2:
             parity_indicator(np.array([0, 3, 8, 255], dtype=np.int32)), [0, 1, 0, 1])
 
     def test_dequantize_even_and_odd_branches(self):
-        assert logsqrt2_dequantize(np.array([0], dtype=np.int32), 1.0)[0] == 1.0
-        assert logsqrt2_dequantize(np.array([2], dtype=np.int32), 1.0)[0] == 0.5
-        odd = logsqrt2_dequantize(np.array([3], dtype=np.int32), 1.0)[0]
+        assert logsqrt2_dequantize(np.array([0], dtype=np.int32), 1.0, 2)[0] == 1.0
+        assert logsqrt2_dequantize(np.array([2], dtype=np.int32), 1.0, 2)[0] == 0.5
+        odd = logsqrt2_dequantize(np.array([3], dtype=np.int32), 1.0, 2)[0]
         np.testing.assert_allclose(odd, 2.0 ** -1.5, rtol=1e-15)
 
     def test_one_ulp_of_exact_value_all_codes(self):
@@ -328,21 +328,21 @@ class TestLogSqrt2:
         scales = np.concatenate([[1.0], rng.uniform(1e-4, 10.0, size=30)])
         codes = np.arange(256, dtype=np.int32)
         for s in scales:
-            got = logsqrt2_dequantize(codes, s)
+            got = logsqrt2_dequantize(codes, s, 8)
             want = np.array([exact_sqrt2_pow(s, c) for c in codes])
             assert ulp_distance(got, want).max() <= 1
 
     def test_even_codes_are_exact(self):
         # even codes never touch the sqrt(2) factor, so they are error-free
         codes = np.arange(0, 256, 2, dtype=np.int32)
-        got = logsqrt2_dequantize(codes, 0.816)
+        got = logsqrt2_dequantize(codes, 0.816, 8)
         want = np.array([exact_sqrt2_pow(0.816, c) for c in codes])
         assert np.all(ulp_distance(got, want) == 0)
 
     def test_grid_fixed_points(self):
         for bits in range(2, 9):
             k = np.arange((1 << bits), dtype=np.int32)
-            x = logsqrt2_dequantize(k, 1.0)
+            x = logsqrt2_dequantize(k, 1.0, bits)
             np.testing.assert_array_equal(logsqrt2_quantize(x, 1.0, bits), k)
 
     def test_monotone_codes(self):
@@ -372,6 +372,13 @@ class TestShiftPaths:
                     logsqrt2_dequantize_shift(codes, s, bits),
                     logsqrt2_dequantize(codes, s, bits))
 
+    @pytest.mark.parametrize("dequantize", [log2_dequantize, logsqrt2_dequantize,
+                                            log2_dequantize_shift, logsqrt2_dequantize_shift])
+    def test_codes_outside_the_grid_rejected(self, dequantize):
+        for code in (-1, 16):
+            with pytest.raises(ValueError, match=r"codes outside \[0, 15\]"):
+                dequantize(np.array([0, code], dtype=np.int32), 1.0, 4)
+
     def test_power_of_two_scale_stays_on_integer_grid(self):
         """With s = 2**e, every shifted level is an exact power of two."""
         codes = np.arange(16, dtype=np.int32)
@@ -393,8 +400,8 @@ class TestResolutionOrdering:
 
     def test_levels_superset_at_b4(self):
         s = 1.0
-        ls2_levels = logsqrt2_dequantize(np.arange(16, dtype=np.int32), s)
-        log2_levels = log2_dequantize(np.arange(8, dtype=np.int32), s)
+        ls2_levels = logsqrt2_dequantize(np.arange(16, dtype=np.int32), s, 4)
+        log2_levels = log2_dequantize(np.arange(8, dtype=np.int32), s, 3)
         # log2 level k reappears exactly as half-power level 2k
         np.testing.assert_array_equal(ls2_levels[::2], log2_levels)
 
@@ -414,8 +421,8 @@ class TestResolutionOrdering:
         """Distance to the closest reconstruction level never grows."""
         s = 1.0
         x = np.geomspace(2.0 ** -7.4, 1.0, 5_001)
-        ls2_levels = logsqrt2_dequantize(np.arange(16, dtype=np.int32), s)
-        log2_levels = log2_dequantize(np.arange(16, dtype=np.int32), s)
+        ls2_levels = logsqrt2_dequantize(np.arange(16, dtype=np.int32), s, 4)
+        log2_levels = log2_dequantize(np.arange(16, dtype=np.int32), s, 4)
         d_ls2 = np.abs(x[:, None] - ls2_levels).min(axis=1)
         d_l2 = np.abs(x[:, None] - log2_levels).min(axis=1)
         assert np.all(d_ls2 <= d_l2 + 1e-18)
@@ -432,7 +439,7 @@ class TestFakeQuantize:
 
     def test_grid_points_are_fixed(self):
         qp = QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([0.77]))
-        x = logsqrt2_dequantize(np.arange(16, dtype=np.int32), 0.77)
+        x = logsqrt2_dequantize(np.arange(16, dtype=np.int32), 0.77, 4)
         np.testing.assert_array_equal(fake_quantize(x, qp), x)
 
     def test_shape_preserved(self):

@@ -24,12 +24,7 @@ from scalefold.quantizers import (
     logsqrt2_dequantize,
     uniform_quantize,
 )
-from scalefold.reparam import (
-    ReparamRecord,
-    apply_affine_adjustment,
-    apply_weight_compensation,
-    reparameterize_layernorm_site,
-)
+from scalefold.reparam import ReparamRecord, reparameterize_layernorm_site
 
 
 def channel_params(s, z, bits=4):
@@ -95,73 +90,86 @@ class TestBuildRecord:
         np.testing.assert_array_equal(target.zero_point, [60])
 
 
+def fold_affine(gamma, beta, qp):
+    """gamma~ and beta~ of a site whose consumer is a one-column zero projection."""
+    gamma_adj, beta_adj, *_ = reparameterize_layernorm_site(
+        gamma, beta, np.zeros((len(gamma), 1)), np.zeros(1), qp)
+    return gamma_adj, beta_adj
+
+
+def fold_consumer(weight, bias, qp):
+    """W~ and b~ of a site whose affine parameters are the identity."""
+    d = weight.shape[0]
+    _, _, w_adj, b_adj, _ = reparameterize_layernorm_site(np.ones(d), np.zeros(d), weight, bias, qp)
+    return w_adj, b_adj
+
+
 class TestAffineAdjustment:
     def test_worked_example(self):
         # s~ = 1 and z~ = round(4/3) = 1: r1 = [2, 0.5, 0.5], r2 = [3, -1, -1],
         # s * r2 = [6, -0.5, -0.5]
-        rec = ReparamRecord(channel_params([2.0, 0.5, 0.5], [4, 0, 0]))
-        gamma_adj, beta_adj = apply_affine_adjustment(
-            np.array([2.0, 4.0, 1.0]), np.array([1.0, 0.0, 0.5]), rec)
+        gamma_adj, beta_adj = fold_affine(np.array([2.0, 4.0, 1.0]), np.array([1.0, 0.0, 0.5]),
+                                          channel_params([2.0, 0.5, 0.5], [4, 0, 0]))
         np.testing.assert_array_equal(gamma_adj, [1.0, 8.0, 2.0])
         np.testing.assert_array_equal(beta_adj, [3.5, -1.0, 0.0])
 
     def test_identity_record(self):
-        rec = ReparamRecord(channel_params([0.7, 0.7], [3, 3]))
         gamma, beta = np.array([1.5, -2.0]), np.array([0.1, 0.2])
-        gamma_adj, beta_adj = apply_affine_adjustment(gamma, beta, rec)
+        gamma_adj, beta_adj = fold_affine(gamma, beta, channel_params([0.7, 0.7], [3, 3]))
         np.testing.assert_array_equal(gamma_adj, gamma)
         np.testing.assert_array_equal(beta_adj, beta)
 
     def test_zero_gamma_annihilates(self):
-        rec = ReparamRecord(channel_params([1.0, 4.0], [2, 9]))
-        gamma_adj, _ = apply_affine_adjustment(np.zeros(2), np.ones(2), rec)
+        gamma_adj, _ = fold_affine(np.zeros(2), np.ones(2), channel_params([1.0, 4.0], [2, 9]))
         np.testing.assert_array_equal(gamma_adj, np.zeros(2))
 
     def test_length_mismatch(self):
-        rec = ReparamRecord(channel_params([1.0, 2.0], [0, 1]))
-        with pytest.raises(ValueError):
-            apply_affine_adjustment(np.ones(3), np.ones(3), rec)
+        with pytest.raises(ValueError, match="affine vectors must have 2 channels"):
+            reparameterize_layernorm_site(np.ones(3), np.ones(3), np.ones((2, 1)), np.ones(1),
+                                          channel_params([1.0, 2.0], [0, 1]))
 
 
 class TestWeightCompensation:
     def test_worked_example(self):
         # s~ = 1 and z~ = 1: r1 = [2, 0.5, 0.5], r2 = [1, -1, 0]
-        rec = ReparamRecord(channel_params([2.0, 0.5, 0.5], [2, 0, 1]))
         w = np.array([[1.0], [1.0], [1.0]])
-        w_adj, b_adj = apply_weight_compensation(w, np.zeros(1), rec)
+        w_adj, b_adj = fold_consumer(w, np.zeros(1), channel_params([2.0, 0.5, 0.5], [2, 0, 1]))
         np.testing.assert_array_equal(w_adj, [[2.0], [0.5], [0.5]])
         # b~ = 0 - (2*1*1 + 0.5*(-1)*1 + 0.5*0*1) = -1.5
         np.testing.assert_array_equal(b_adj, [-1.5])
 
     def test_identity_record(self):
-        rec = ReparamRecord(channel_params([0.3] * 4, [7] * 4))
         rng = np.random.default_rng(41)
         w = rng.normal(size=(4, 6))
         b = rng.normal(size=6)
-        w_adj, b_adj = apply_weight_compensation(w, b, rec)
+        w_adj, b_adj = fold_consumer(w, b, channel_params([0.3] * 4, [7] * 4))
         np.testing.assert_array_equal(w_adj, w)
         np.testing.assert_array_equal(b_adj, b)
 
     def test_dimension_mismatch(self):
-        rec = ReparamRecord(channel_params([1.0, 2.0], [0, 1]))
-        with pytest.raises(ValueError):
-            apply_weight_compensation(np.ones((3, 2)), np.ones(2), rec)
-        with pytest.raises(ValueError):
-            apply_weight_compensation(np.ones((2, 2)), np.ones(3), rec)
+        qp = channel_params([1.0, 2.0], [0, 1])
+        with pytest.raises(ValueError, match="weight must be 2-D with 2 input rows"):
+            reparameterize_layernorm_site(np.ones(2), np.ones(2), np.ones((3, 2)), np.ones(2), qp)
+        with pytest.raises(ValueError, match="bias length"):
+            reparameterize_layernorm_site(np.ones(2), np.ones(2), np.ones((2, 2)), np.ones(3), qp)
 
     def test_linear_output_alignment(self):
-        """x @ W + b == x~ @ W~ + b~ with x~ = (x + s*r2)/r1, to 1e-10."""
+        """The folded site computes the same consumer output, to 1e-10.
+
+        For normalized rows u, the site emits x = u * gamma + beta into
+        x @ W + b; the folded site emits u * gamma~ + beta~ into W~ and b~.
+        """
         rng = np.random.default_rng(42)
         for d in (8, 64, 512):
             s = rng.uniform(0.02, 2.0, size=d)
             z = rng.integers(0, 256, size=d)
-            rec = ReparamRecord(channel_params(s, z, bits=8))
+            gamma, beta = rng.normal(size=d) * s * 4, rng.normal(size=d) * s
             w = rng.normal(size=(d, 3 * d)) / np.sqrt(d)
             b = rng.normal(size=3 * d)
-            x = rng.normal(size=(16, d)) * s * 4
-            x_adj = (x + s * rec.r2) / rec.r1
-            lhs = x @ w + b
-            rhs = x_adj @ (w * rec.r1[:, None]) + (b - (s * rec.r2) @ w)
+            u = rng.normal(size=(16, d))
+            site = reparameterize_layernorm_site(gamma, beta, w, b, channel_params(s, z, bits=8))
+            lhs = (u * gamma + beta) @ w + b
+            rhs = (u * site.gamma + site.beta) @ site.weight + site.bias
             denom = np.abs(lhs).max()
             assert np.abs(lhs - rhs).max() <= 1e-10 * max(denom, 1.0)
 
@@ -287,20 +295,6 @@ class TestSiteReparam:
         assert target.scale[0] == 0.9
         assert target.zero_point[0] == 4
 
-    def test_composition_matches_parts(self):
-        rng = np.random.default_rng(51)
-        qp = channel_params([1.0, 2.0, 3.0], [4, 6, 8])
-        gamma, beta = rng.normal(size=3), rng.normal(size=3)
-        w, b = rng.normal(size=(3, 5)), rng.normal(size=5)
-        site = reparameterize_layernorm_site(gamma, beta, w, b, qp)
-        rec = ReparamRecord(qp)
-        g2, b2 = apply_affine_adjustment(gamma, beta, rec)
-        w2, bb2 = apply_weight_compensation(w, b, rec)
-        np.testing.assert_array_equal(site.gamma, g2)
-        np.testing.assert_array_equal(site.beta, b2)
-        np.testing.assert_array_equal(site.weight, w2)
-        np.testing.assert_array_equal(site.bias, bb2)
-
     def test_layer_params_are_per_layer_uniform(self):
         site = reparameterize_layernorm_site(
             np.ones(3), np.zeros(3), np.ones((3, 2)), np.zeros(2),
@@ -324,7 +318,7 @@ class TestBaseChangeScale:
         codes = np.arange(16, dtype=np.int32)
         s = 0.93
         via_scale = np.ldexp(base_change_scale(s, codes), np.floor_divide(-codes, 2))
-        np.testing.assert_array_equal(via_scale, logsqrt2_dequantize(codes, s))
+        np.testing.assert_array_equal(via_scale, logsqrt2_dequantize(codes, s, 4))
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
@@ -357,7 +351,7 @@ class TestRecordValidation:
             ReparamRecord(QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0])))
         one = ReparamRecord(QuantParams(Scheme.UNIFORM, 4, scale=np.array([1.0]),
                                         zero_point=np.array([0])))
-        assert one.channels == 1
+        assert one.source.scale.size == 1
 
     def test_length_mismatch(self):
         """The width is the source's: scales and zero points of unequal length are rejected."""

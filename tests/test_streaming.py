@@ -16,7 +16,7 @@ import pytest
 from scalefold.calibration import calibrate_tensor
 from scalefold.container import blocks_from_container, container_from_model
 from scalefold.model import ACTIVATION_SITES, ModelConfig, model_forward
-from scalefold.pipeline import (CLIP_PERCENTILE, LN_SITES, QuantizeConfig, _fit_sites,
+from scalefold.pipeline import (CLIP_PERCENTILE, LN_SITES, QuantizeConfig, _fit_site,
                                 calibrate_model, capture_activations, evaluate, load_records,
                                 load_sites, quantize_model, reparameterize_model)
 from scalefold.quantizers import (fake_quantize, log2_dequantize, log2_quantize,
@@ -76,7 +76,7 @@ def test_streamed_calibration_equals_a_whole_capture_fit(staged):
     qcfg, model_c, calib, calib_c = staged[1], staged[2], staged[3], staged[5]
     cfg, blocks = blocks_from_container(model_c)
     caps = capture_activations(blocks, cfg, calib)
-    want = _fit_sites(caps, qcfg)
+    want = {key: _fit_site(key, x, qcfg) for key, x in caps.items()}
     got = load_sites(calib_c)
     assert sorted(got) == sorted(want)
     for key, qp in want.items():
@@ -90,7 +90,8 @@ def _reference_report(fp_c, q_c, acts):
     """The report figures `evaluate` streams, from whole-stack plain-dict captures."""
     cfg, fp_blocks = blocks_from_container(fp_c)
     _, q_blocks = blocks_from_container(q_c)
-    sites, records = load_sites(q_c), load_records(q_c)
+    sites = load_sites(q_c)
+    records = load_records(q_c, sites)
     fp_caps, q_caps = {}, {}
     fp_out = model_forward(acts, fp_blocks, cfg, capture=fp_caps)
     q_out = model_forward(acts, q_blocks, cfg, hooks=sites, capture=q_caps)
