@@ -16,6 +16,13 @@ a blob with bytes left over or missing raises ContainerError, and so does an
 entry with any other field, such as the byte offset and length that version
 1 stored. A file of another version raises ContainerError.
 
+Each container has one byte form, the one `to_bytes` writes, and
+`from_bytes` accepts no other: the manifest must be compact JSON with sorted
+keys (`json.dumps(..., sort_keys=True, separators=(",", ":"))` of what it
+parses to), the table must be in name order, and each tensor must carry the
+dtype tag `to_bytes` gives its name and values. So every accepted file
+re-serializes to itself, and equal containers have equal bytes.
+
 Float tensors are "f64" (float64 LE) when their name
 ends in ".scale", so quantizer scales read back bit-exact, and "f32"
 (float32 LE) otherwise. Integer tensors are "u4" when every value lies in
@@ -26,7 +33,7 @@ packs two codes per byte: element 2i in the low nibble of byte i, element
 count leaves the last byte's high nibble zero; a nonzero pad nibble raises
 ContainerError. Both integer tags read back as writable uint8 arrays, both
 float tags as float64, and a non-finite float raises ContainerError.
-Compute stays in float64; 32-bit floats exist only in this file format.
+A float tensor of either tag computes in float64 once read.
 Serialization is deterministic: equal containers produce equal bytes.
 
 A per-channel quantizer ships as two tensors, never in the manifest:
@@ -138,43 +145,55 @@ def to_bytes(container):
     manifest = dict(container.meta)
     manifest["format_version"] = FORMAT_VERSION
     manifest["tensors"] = table
-    doc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    doc = _manifest_bytes(manifest)
     return MAGIC + len(doc).to_bytes(8, "little") + doc + b"".join(chunks)
+
+
+def _manifest_bytes(manifest):
+    """The manifest's one byte form: compact JSON with sorted keys."""
+    return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def from_bytes(raw):
     """Parse and validate container bytes; inverse of `to_bytes`.
 
     The payloads are read back to back in table order, and must fill the
-    blob exactly.
+    blob exactly. Bytes that `to_bytes` would not write for what they parse
+    to raise ContainerError (see the module docstring).
     """
     if len(raw) < 16 or raw[:8] != MAGIC:
         raise ContainerError("bad magic: not a container file")
     doc_len = int.from_bytes(raw[8:16], "little")
     if 16 + doc_len > len(raw):
         raise ContainerError("manifest length exceeds file size")
+    doc = raw[16:16 + doc_len]
     try:
-        manifest = json.loads(raw[16:16 + doc_len].decode("utf-8"))
+        manifest = json.loads(doc.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ContainerError(f"manifest is not valid JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise ContainerError(f"manifest is a JSON {type(manifest).__name__}, not an object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ContainerError(f"unsupported format version {manifest.get('format_version')}")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION or not isinstance(version, int):
+        raise ContainerError(f"unsupported format version {version}")
     if not isinstance(manifest.get("tensors"), list):
         raise ContainerError("manifest has no tensor list")
     blob = raw[16 + doc_len:]
 
     tensors = {}
     offset = 0
+    last = ""
     for entry in manifest["tensors"]:
         if not (isinstance(entry, dict) and entry.keys() == _ENTRY_TYPES.keys()
                 and all(isinstance(entry[k], t) for k, t in _ENTRY_TYPES.items())
-                and all(isinstance(v, int) and v >= 0 for v in entry["shape"])):
+                and all(type(v) is int and v >= 0 for v in entry["shape"])):
             raise ContainerError(f"malformed tensor entry {entry!r}")
         name, tag, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
         if name in tensors:
             raise ContainerError(f"duplicate tensor name {name!r}")
+        if name < last:
+            raise ContainerError(f"tensor table is not in name order: {name!r} follows {last!r}")
+        last = name
         if tag not in _DTYPES:
             raise ContainerError(f"tensor {name!r} has unknown dtype {tag!r}")
         count = math.prod(shape)
@@ -192,10 +211,17 @@ def from_bytes(raw):
             arr = _unpack_u4(name, flat, count)
         else:
             arr = flat.copy()   # own its bytes: frombuffer's view is read-only
+        written = _payload_dtype(name, arr)
+        if written != tag:
+            raise ContainerError(f"tensor {name!r} is stored as {tag}, but to_bytes writes "
+                                 f"it as {written}")
         tensors[name] = arr.reshape(shape)
     if offset != len(blob):
         raise ContainerError(f"blob is {len(blob)} bytes, but its tensors' shapes "
                              f"take {offset}")
+    if _manifest_bytes(manifest) != doc:
+        raise ContainerError("manifest is not compact JSON with sorted keys, the form "
+                             "to_bytes writes")
 
     meta = {k: v for k, v in manifest.items() if k not in ("tensors", "format_version")}
     return ModelContainer(meta=meta, tensors=tensors)

@@ -9,9 +9,10 @@ pipeline fits and the container ships, keyed exactly as `capture` is; a name
 the table lacks is bypassed.
 A product whose two hooks are uniform affine with scales that factor out of
 the inner sum (a layer-wise activation times a layer-wise or per-output-
-channel weight) runs on the integer codes as an exact BLAS GEMM, and so does
-A @ V with a log-sqrt2 A, through the parity split of A's codes into
-power-of-two matrices. The four attention sites act on the heads after
+channel weight) runs on the integer codes as exact float32 BLAS GEMMs over
+chunks of the inner axis, and A @ V with a log-sqrt2 A runs as exact
+float64 GEMMs, through the parity split of A's codes into power-of-two
+matrices. The four attention sites act on the heads after
 their split, so each takes a one-scale hook only. Any other product (a
 per-channel activation hook) fake-quantizes its operands and sums them with
 the float `tensors.matmul`, exact slice GEMMs combined in a fixed order,
@@ -121,9 +122,11 @@ class ModelConfig(JsonFields):
 class CodeBlock:
     """A weight matrix held as its shipped uniform affine codes, centred once.
 
-    `centred` is c - z as integer-valued float64, which the integer GEMMs of
-    `_qmatmul` multiply as it is; `params` is the weight site's quantizer.
-    `dequantize` gives s * (c - z), the bits `fake_quantize` gives on the
+    `centred` is c - z as integer-valued float32, which holds every centred
+    code of at most 8 bits exactly and which the float32 GEMMs of
+    `_centred_matmul` multiply as it is; `params` is the weight site's
+    quantizer. `dequantize` widens the codes to float64 before it scales
+    them, so it gives s * (c - z), the bits `fake_quantize` gives on the
     weight the codes were quantized from.
     """
 
@@ -133,14 +136,16 @@ class CodeBlock:
     @classmethod
     def from_codes(cls, codes, qp):
         """Centre codes on qp's zero points; see `quantizers.centre_codes` for what raises."""
-        return cls(centre_codes(codes, qp), qp)
+        return cls(centre_codes(codes, qp).astype(np.float32), qp)
 
     @property
     def shape(self):
         return self.centred.shape
 
     def dequantize(self):
-        return param_view(self.params.scale, self.centred) * self.centred
+        out = self.centred.astype(np.float64)
+        out *= param_view(self.params.scale, out)
+        return out
 
 
 @dataclass
@@ -230,7 +235,10 @@ def _log_sqrt2_bands(a, qa, vc, v_qmax):
     sums the same bands as each of its samples alone, bit for bit. When every
     exponent is below `width` (always at 4 bits, and at 8 bits for attention
     with no entry below about 2**-width of the scale), band 0 is the only band
-    and its masks are the parity's own.
+    and its masks are the parity's own. The bands stay float64: a float32
+    band would be 10 exponents wide at 8 bits with k = 64, and 3.1% of the
+    64x128 model's block-0 attention codes on held-out data (seed 5) lie past
+    that, so the products would run on two bands instead of one.
     """
     codes = logsqrt2_quantize(a, qa.scale[0], qa.bits)
     odd = (codes & 1).astype(bool)
@@ -301,6 +309,12 @@ def _uniform(qp):
     return qp is not None and qp.scheme is Scheme.UNIFORM
 
 
+# float32 holds every integer up to 2**24, so a float32 GEMM of centred codes
+# is exact while k * qmax_x * qmax_w, its largest partial sum, stays at or
+# below this: k <= 258 at 8/8 bits, k <= 74565 at 4/4.
+_F32_EXACT = 1 << 24
+
+
 def _centred_matmul(xc, qx, w, qw):
     """`x^ @ w` from the centred codes xc = c_x - z_x of x under one-scale uniform `qx`.
 
@@ -309,24 +323,34 @@ def _centred_matmul(xc, qx, w, qw):
 
         x^ @ w^ = ((c_x - z_x) @ (c_w - z_w)) * (s_x * s_w)
 
-    The centred codes are integers with |c - z| <= 255 (QuantParams caps bits
-    at 8), so every partial sum of the float64 BLAS product is an integer
-    below k * 255**2, far under 2**53 for any inner size k that fits in
-    memory: the GEMM is exact, and bit-identical at any blocking or thread
-    count. A stack times one weight matrix runs as one (rows, k) GEMM.
-    Otherwise x^ = s_x * xc, the bits of `fake_quantize`, meets w through
-    `qw` in the float `tensors.matmul`.
+    The centred codes are integers with |c - z| <= qmax, so each product of
+    two is at most qx.qmax * qw.qmax in magnitude. Both operands are cast to
+    float32 (xc's float64 buffer is dropped there), and the inner axis runs
+    in chunks of at most `_F32_EXACT // (qx.qmax * qw.qmax)` entries: every
+    partial sum of a chunk's float32 BLAS GEMM is then an integer of at most
+    2**24, so each chunk is exact, at any blocking or thread count. Each
+    chunk's result is widened to float64 and the chunks are added there,
+    exactly too, before the scales are applied: the output is the exact
+    integer product scaled, bit for bit. A stack times one weight matrix runs
+    as (rows, k) GEMMs. Otherwise x^ = s_x * xc, the bits of `fake_quantize`,
+    meets w through `qw` in the float `tensors.matmul`.
     """
     if isinstance(w, CodeBlock):
         qw = w.params
     if not _uniform(qw):
         xc *= qx.scale[0]
         return matmul(xc, _apply(w, qw))
-    wc = _centred(w, qw)
+    wc = _centred(w, qw).astype(np.float32, copy=False)
+    shape = xc.shape[:-1] + wc.shape[-1:]
+    k = xc.shape[-1]
+    xc = xc.astype(np.float32)
     if wc.ndim == 2:
-        prod = (xc.reshape(-1, xc.shape[-1]) @ wc).reshape(xc.shape[:-1] + wc.shape[-1:])
-    else:
-        prod = xc @ wc
+        xc = xc.reshape(-1, k)
+    step = _F32_EXACT // (qx.qmax * qw.qmax)
+    prod = np.matmul(xc[..., :step], wc[..., :step, :]).astype(np.float64)
+    for lo in range(step, k, step):
+        prod += np.matmul(xc[..., lo:lo + step], wc[..., lo:lo + step, :])
+    prod = prod.reshape(shape)
     prod *= qx.scale * qw.scale
     return prod
 

@@ -9,8 +9,9 @@ forward (which calibration, the fold's refit and every capture use) and any
 hooked product with a per-channel activation quantizer, whose scales do not
 factor out of the inner sum. The other hooked products, A @ V under the
 log-sqrt2 quantizer included, run as exact integer GEMMs on the codes instead
-(see `model`). 32-bit floats appear only in the file container, never in
-compute.
+(see `model`). Those on affine codes are float32 GEMMs over chunks of the
+inner axis short enough that every partial sum is an integer of at most
+2**24, which float32 holds exactly; every other kernel computes in float64.
 
 `single_threaded_blas` holds numpy's OpenBLAS at one thread for a region, so
 that threads of our own can each run whole kernels on one core (the sharded

@@ -276,6 +276,27 @@ def _argv(command, workspace, path, out):
     return [command, "--model", str(path), "--out", str(out)]
 
 
+@pytest.mark.parametrize("module", ["scalefold", "scalefold.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    """`python -m scalefold` and `python -m scalefold.cli` run the command line.
+
+    `gen` writes its files and exits 0; with no command, each form exits 2
+    with argparse's usage error, as `cli_main([])` returns.
+    """
+    src = os.path.dirname(os.path.dirname(scalefold.model.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", module, "gen", "--out", "d", "--seed", "3"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "d" / "model_fp.rvq").is_file()
+    assert read_container(tmp_path / "d" / "model_fp.rvq").stage == "fp"
+    bare = subprocess.run([sys.executable, "-m", module], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert bare.returncode == cli_main([]) == 2
+    assert bare.stderr.startswith("usage: scalefold") and "Traceback" not in bare.stderr
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli_main([]) == 2
@@ -611,6 +632,29 @@ class TestExitCodes:
             assert cli_main(argv) == 1
             captured = capsys.readouterr()
             assert captured.err == "error: unsupported format version 1\n"
+            assert captured.out == ""
+
+    def test_reordered_tensor_table_is_data_error(self, workspace, tmp_path, capsys):
+        """The quantized file with its first two tensors swapped, payloads too, fails cleanly."""
+        raw = workspace["quantized"].read_bytes()
+        doc_len = int.from_bytes(raw[8:16], "little")
+        manifest = json.loads(raw[16:16 + doc_len])
+        tensors = read_container(workspace["quantized"]).tensors
+        first, second = manifest["tensors"][:2]
+        cut = [payload_size(e["name"], tensors[e["name"]])[1] for e in (first, second)]
+        blob = raw[16 + doc_len:]
+        manifest["tensors"][:2] = [second, first]
+        doc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        bad = tmp_path / "reordered.rvq"
+        bad.write_bytes(raw[:8] + len(doc).to_bytes(8, "little") + doc
+                        + blob[cut[0]:sum(cut)] + blob[:cut[0]] + blob[sum(cut):])
+        for argv in (["inspect", str(bad)],
+                     ["eval", "--fp", str(workspace["fp"]), "--q", str(bad),
+                      "--data", str(workspace["eval_data"])]):
+            assert cli_main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: tensor table is not in name order: "
+                                    f"{first['name']!r} follows {second['name']!r}\n")
             assert captured.out == ""
 
     @pytest.mark.parametrize("damage", ["trailing", "short"])

@@ -1,6 +1,7 @@
 """Container format tests: determinism, round trips, malformed input."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -369,6 +370,165 @@ class TestMalformedManifest:
             ModelContainer(meta={"kind": "model", **meta}).config()
 
 
+_CANONICAL = {"sort_keys": True, "separators": (",", ":")}
+_ITEMSIZE = {"f32": 4, "f64": 8, "u8": 1}
+
+
+def _parts(raw):
+    """(manifest, payloads in table order) of container bytes `raw`."""
+    doc_len = int.from_bytes(raw[8:16], "little")
+    manifest = json.loads(raw[16:16 + doc_len])
+    blob, payloads, offset = _blob(raw), [], 0
+    for entry in manifest["tensors"]:
+        count = math.prod(entry["shape"])
+        length = (count + 1) // 2 if entry["dtype"] == "u4" else count * _ITEMSIZE[entry["dtype"]]
+        payloads.append(blob[offset:offset + length])
+        offset += length
+    return manifest, payloads
+
+
+def _assemble(manifest, payloads, dumps=_CANONICAL):
+    doc = json.dumps(manifest, **dumps).encode("utf-8")
+    return MAGIC + len(doc).to_bytes(8, "little") + doc + b"".join(payloads)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _containers():
+    """Containers of random metadata and tensors of every tag, unicode names included."""
+    meta = st.dictionaries(st.text(max_size=6).filter(lambda k: k not in ("tensors",
+                                                                          "format_version")),
+                           _JSON_VALUES, max_size=4)
+
+    @st.composite
+    def build(draw):
+        tensors = {}
+        for stem in draw(st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=4)):
+            tag = draw(st.sampled_from(["f32", "f64", "u4", "u8"]))
+            shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+            if tag in ("f32", "f64"):
+                elements = st.floats(width=32 if tag == "f32" else 64, allow_nan=False,
+                                     allow_infinity=False)
+                arr = draw(hnp.arrays(np.float64, shape, elements=elements))
+            else:
+                top = 15 if tag == "u4" else 255
+                arr = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, top)))
+            tensors[stem + (".scale" if tag == "f64" else "")] = arr
+        return ModelContainer(meta=draw(meta), tensors=tensors)
+
+    return build()
+
+
+def _retagged(raw, data):
+    """`raw` with one tensor stored under another tag, its payload rewritten to match."""
+    manifest, payloads = _parts(raw)
+    table = manifest["tensors"]
+    if not table:
+        return raw
+    i = data.draw(st.integers(0, len(table) - 1))
+    values = from_bytes(raw).tensors[table[i]["name"]]
+    tag = {"u4": "u8", "u8": "f32", "f32": "f64", "f64": "f32"}[table[i]["dtype"]]
+    with np.errstate(over="ignore"):        # an f64 past the f32 range becomes inf
+        payloads[i] = values.astype({"u8": "u1", "f32": "<f4", "f64": "<f8"}[tag]).tobytes()
+    table[i]["dtype"] = tag
+    return _assemble(manifest, payloads)
+
+
+def _perturbed(raw, how, data):
+    """Container bytes `raw` changed in one way that may leave them loadable."""
+    if how == "byte":
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        return raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1:]
+    if how == "retag":
+        return _retagged(raw, data)
+    manifest, payloads = _parts(raw)
+    table = manifest["tensors"]
+    if how == "reorder":
+        order = data.draw(st.permutations(range(len(table))))
+        manifest["tensors"] = [table[i] for i in order]
+        return _assemble(manifest, [payloads[i] for i in order])
+    if how == "format":
+        return _assemble(manifest, payloads, {
+            "sort_keys": data.draw(st.booleans()),
+            "indent": data.draw(st.sampled_from([None, 0, 1])),
+            "separators": data.draw(st.sampled_from([(",", ":"), (", ", ": ")])),
+            "ensure_ascii": data.draw(st.booleans())})
+    if how == "version":
+        manifest["format_version"] = float(FORMAT_VERSION)
+    elif how == "bool_shape":
+        for entry in table:
+            entry["shape"] = [{0: False, 1: True}.get(v, v) for v in entry["shape"]]
+    return _assemble(manifest, payloads)
+
+
+class TestOneByteForm:
+    """A container has one byte form, the one `to_bytes` writes; no other loads."""
+
+    def test_table_out_of_name_order_is_refused(self):
+        raw = to_bytes(tiny_container())
+        manifest, payloads = _parts(raw)
+        assert [e["name"] for e in manifest["tensors"]] == ["a.codes", "b.weight"]
+        manifest["tensors"].reverse()
+        with pytest.raises(ContainerError, match="not in name order: 'a.codes' follows "
+                                                 "'b.weight'"):
+            from_bytes(_assemble(manifest, payloads[::-1]))
+
+    @pytest.mark.parametrize("dumps", [
+        {"sort_keys": True},
+        {"sort_keys": False, "separators": (",", ":")},
+        {"sort_keys": True, "separators": (",", ":"), "indent": 0},
+        {"sort_keys": True, "separators": (",", ":"), "ensure_ascii": False},
+    ], ids=["spaced", "unsorted", "indented", "raw-utf8"])
+    def test_manifest_in_another_json_form_is_refused(self, dumps):
+        c = tiny_container()
+        c.meta["note"] = "\u00e9t\u00e9"
+        manifest, payloads = _parts(to_bytes(c))
+        manifest = {"tensors": manifest.pop("tensors"), **manifest}   # keys out of order
+        raw = _assemble(manifest, payloads, dumps)
+        with pytest.raises(ContainerError, match="compact JSON with sorted keys"):
+            from_bytes(raw)
+        assert from_bytes(_assemble(manifest, payloads)).meta == c.meta
+
+    @pytest.mark.parametrize("name, values, stored, written", [
+        ("w.codes", np.array([1, 15, 0]), "u8", "u4"),
+        ("w", np.array([0.5, -2.0]), "f64", "f32"),
+        ("w.scale", np.array([0.5, -2.0]), "f32", "f64"),
+    ])
+    def test_tag_other_than_the_written_one_is_refused(self, name, values, stored, written):
+        dtype = {"u8": "u1", "f64": "<f8", "f32": "<f4"}[stored]
+        raw = _assemble({"format_version": FORMAT_VERSION, "tensors": [
+            {"dtype": stored, "name": name, "shape": [values.size]}]},
+            [values.astype(dtype).tobytes()])
+        with pytest.raises(ContainerError, match=f"{name!r} is stored as {stored}, but to_bytes "
+                                                 f"writes it as {written}"):
+            from_bytes(raw)
+
+    @pytest.mark.parametrize("how", ["version", "bool_shape"])
+    def test_json_values_equal_to_the_written_ones_are_refused(self, how):
+        """A format version of 2.0, or a shape of [true], compares equal but is not the form."""
+        raw = to_bytes(ModelContainer(meta={}, tensors={"w": np.zeros(1)}))
+        with pytest.raises(ContainerError, match="version 2.0|malformed tensor entry"):
+            from_bytes(_perturbed(raw, how, None))
+
+    @settings(deadline=None, max_examples=300)
+    @given(_containers(), st.sampled_from(["none", "reorder", "format", "retag", "version",
+                                           "bool_shape", "byte"]), st.data())
+    def test_every_accepted_file_reserializes_to_itself(self, c, how, data):
+        raw = to_bytes(c)
+        assert to_bytes(from_bytes(raw)) == raw
+        changed = raw if how == "none" else _perturbed(raw, how, data)
+        try:
+            back = from_bytes(changed)
+        except ContainerError:
+            return
+        assert to_bytes(back) == changed
+
+
 @pytest.fixture(scope="module")
 def quantized_bytes():
     """A small quantized container: manifest with sites and fold records."""
@@ -480,7 +640,7 @@ class TestCodeBlocks:
         for w in WEIGHT_SITES:
             block = getattr(blocks[0], w)
             assert isinstance(block, CodeBlock)
-            assert block.centred.dtype == np.float64
+            assert block.centred.dtype == np.float32
             np.testing.assert_array_equal(block.centred + block.params.zero_point,
                                           q.tensors[f"block0.{w}.codes"])
             assert block.params.bits == q.meta["quantize_config"]["bits_w"] == 3

@@ -593,6 +593,36 @@ class TestModelForward:
             assert [int(v) for v in row] == list(exact)
             assert all(float(v) == v for v in row)
 
+    @pytest.mark.parametrize("bits_x, bits_w, k", [
+        (8, 8, 258), (8, 8, 259), (8, 8, 512), (8, 4, 4387), (4, 8, 4387),
+    ])
+    def test_integer_path_is_exact_across_the_float32_chunk_bound(self, bits_x, bits_w, k):
+        """Worst-case codes at and just past the inner size one float32 GEMM sums exactly.
+
+        Every centred code sits at |c - z| = qmax, so each of the k products
+        is qmax_x * qmax_w in magnitude and of one sign per column. One float32
+        chunk is exact up to k = 2**24 // (qmax_x * qmax_w): 258 at 8/8 bits,
+        4386 at 8/4 and 4/8. Just past it the sum (259 * 255**2 = 16,841,475,
+        or 4387 * 255 * 15) is odd and above 2**24, so a single float32 GEMM
+        rounds it; the chunked product must still equal the Python-int sum,
+        with the weight as a float matrix and as a `CodeBlock`.
+        """
+        n = 4
+        q_x, q_w = 2 ** bits_x - 1, 2 ** bits_w - 1
+        s_x, s_w = 2.0 ** -3, 2.0 ** -np.arange(1, n + 1)
+        qx = layer_params(s_x, 0, bits=bits_x)
+        z_w = np.where(np.arange(n) % 2 == 0, 0, q_w)
+        qw = QuantParams(Scheme.UNIFORM, bits_w, scale=s_w, zero_point=z_w.astype(np.int64))
+        x = np.full((2, 3, k), 2.0 * q_x * s_x)          # clips to code q_x
+        w = np.tile(np.where(z_w == 0, 1e3, -1e3) * s_w, (k, 1))   # clips to q_w or 0
+        exact = [k * q_x * q_w * (1 if z == 0 else -1) for z in z_w]
+        assert (k > (1 << 24) // (q_x * q_w)) == (k != 258)
+        for weight in (w, CodeBlock.from_codes(uniform_quantize(w, qw), qw)):
+            got = _qmatmul(x, qx, weight, qw) / (s_x * s_w)
+            for row in got.reshape(-1, n):
+                assert [int(v) for v in row] == exact
+                assert all(float(v) == v for v in row)
+
     def test_parity_split_agrees_with_a_50_digit_reference(self):
         """A @ V on crafted log-sqrt2 codes that fill every exponent band.
 
@@ -717,7 +747,10 @@ class TestModelForward:
 
     @pytest.mark.parametrize("bits", [4, 8])
     def test_hooked_output_is_the_same_at_any_blas_thread_count(self, bits):
-        """Every hooked product is an exact integer GEMM, so BLAS threading changes no bit."""
+        """Every hooked product is an exact integer GEMM, so BLAS threading changes no bit.
+
+        With mlp_dim 512, the 8-bit w_2 product runs past one float32 chunk.
+        """
         script = textwrap.dedent(f"""
             import hashlib
             from scalefold.container import blocks_from_container, container_from_model
@@ -725,7 +758,7 @@ class TestModelForward:
             from scalefold.pipeline import QuantizeConfig, hooks_from_sites, run_pipeline
             from scalefold.quantizers import QuantParams
             from scalefold.synth import SynthSpec, gen_activations, gen_model
-            cfg = ModelConfig(patches=32, dim=64, heads=2, head_dim=32, mlp_dim=256, blocks=1)
+            cfg = ModelConfig(patches=32, dim=64, heads=2, head_dim=32, mlp_dim=512, blocks=1)
             spec = SynthSpec(seed={bits})
             q_c = run_pipeline(container_from_model(cfg, gen_model(cfg, spec)),
                                gen_activations(cfg, spec, 4),
