@@ -399,29 +399,25 @@ _JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
-def _containers():
+@st.composite
+def _containers(draw):
     """Containers of random metadata and tensors of every tag, unicode names included."""
-    meta = st.dictionaries(st.text(max_size=6).filter(lambda k: k not in ("tensors",
-                                                                          "format_version")),
-                           _JSON_VALUES, max_size=4)
-
-    @st.composite
-    def build(draw):
-        tensors = {}
-        for stem in draw(st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=4)):
-            tag = draw(st.sampled_from(["f32", "f64", "u4", "u8"]))
-            shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
-            if tag in ("f32", "f64"):
-                elements = st.floats(width=32 if tag == "f32" else 64, allow_nan=False,
-                                     allow_infinity=False)
-                arr = draw(hnp.arrays(np.float64, shape, elements=elements))
-            else:
-                top = 15 if tag == "u4" else 255
-                arr = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, top)))
-            tensors[stem + (".scale" if tag == "f64" else "")] = arr
-        return ModelContainer(meta=draw(meta), tensors=tensors)
-
-    return build()
+    tensors = {}
+    for stem in draw(st.lists(st.text(min_size=1, max_size=3), unique=True, max_size=4)):
+        tag = draw(st.sampled_from(["f32", "f64", "u4", "u8"]))
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+        if tag in ("f32", "f64"):
+            elements = st.floats(width=32 if tag == "f32" else 64, allow_nan=False,
+                                 allow_infinity=False)
+            arr = draw(hnp.arrays(np.float64, shape, elements=elements))
+        else:
+            top = 15 if tag == "u4" else 255
+            arr = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, top)))
+        tensors[stem + (".scale" if tag == "f64" else "")] = arr
+    meta = draw(st.dictionaries(
+        st.text(max_size=6).filter(lambda k: k not in ("tensors", "format_version")),
+        _JSON_VALUES, max_size=4))
+    return ModelContainer(meta=meta, tensors=tensors)
 
 
 def _retagged(raw, data):
