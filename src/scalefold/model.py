@@ -37,7 +37,9 @@ takes one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
 as one pass, and each of its samples comes out bit-identical to running
 that sample alone. `model_forward` runs a stack of two or more as one
 such pass per shard of samples, one shard per CPU up to a fixed cap, with
-the same bits and the same sink contract (see there).
+the same bits and the same sink contract (see there). `capture_forward` is
+the unhooked forward cut short after its last site, the last block's
+`gelu_out`, on the same dispatch: calibration reads nothing past it.
 """
 
 import numbers
@@ -444,6 +446,11 @@ def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
     never formed: `gelu_centred` gives its codes straight from the pre-GELU
     tensor, the bits `uniform_centred(gelu(h))` gives.
     """
+    return _mlp(y_ln, w, cfg, hooks, capture, prefix, stop=False)
+
+
+def _mlp(y_ln, w, cfg, hooks, capture, prefix, stop):
+    """`mlp_forward`, or with `stop` its steps up to the gelu_out capture, returning None."""
     hook = _hook_at(hooks, prefix)
     y_ln = _tokens(y_ln, cfg)
     h = _qmatmul(y_ln, hook("ln2_out"), w.w_1, hook("w_1"))
@@ -455,6 +462,8 @@ def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
         hidden = gelu(h)
         del h           # the pre-GELU buffer must not live through the capture
         _cap(capture, prefix, "gelu_out", hidden)
+        if stop:
+            return None
         out = _qmatmul(hidden, qg, w.w_2, hook("w_2"))
     out += w.b_2
     return out
@@ -465,6 +474,11 @@ def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
 
     Hooks are looked up, and captures stored, at `prefix + site`.
     """
+    return _block(x, w, cfg, hooks, capture, prefix, stop=False)
+
+
+def _block(x, w, cfg, hooks, capture, prefix, stop):
+    """`block_forward`; with `stop`, it ends at the gelu_out capture and returns None."""
     x = _tokens(x, cfg)
     x1 = layernorm_forward(x, w.gamma1, w.beta1, cfg.eps)
     _cap(capture, prefix, "ln1_out", x1)
@@ -472,14 +486,21 @@ def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
     y += x
     y1 = layernorm_forward(y, w.gamma2, w.beta2, cfg.eps)
     _cap(capture, prefix, "ln2_out", y1)
-    out = mlp_forward(y1, w, cfg, hooks, capture, prefix)
-    out += y
+    out = _mlp(y1, w, cfg, hooks, capture, prefix, stop)
+    if out is not None:
+        out += y
     return out
 
 
-def _forward(x, blocks, cfg, hooks, capture):
+def _forward(x, blocks, cfg, hooks, capture, stop):
+    """All blocks on x; with `stop`, the pass ends at the last block's gelu_out capture.
+
+    Nothing after that site reaches the sink, so a stopped pass skips the
+    last block's output product, its bias and its residual, and returns None.
+    """
+    last = len(blocks) - 1
     for i, w in enumerate(blocks):
-        x = block_forward(x, w, cfg, hooks=hooks, capture=capture, prefix=f"block{i}.")
+        x = _block(x, w, cfg, hooks, capture, f"block{i}.", stop and i == last)
     return x
 
 
@@ -580,11 +601,12 @@ def _outcome(fn, *args):
         return None, exc
 
 
-def _sharded_forward(x, shards, blocks, cfg, hooks, capture):
+def _sharded_forward(x, shards, blocks, cfg, hooks, capture, stop):
     """`_forward` on `shards` contiguous runs of samples at once, the first in this thread.
 
     Every shard is read back before anything is raised; the exception is the
-    first, in shard order, that is not a shard's broken rendezvous.
+    first, in shard order, that is not a shard's broken rendezvous. A
+    stopped pass returns None.
     """
     parts = np.array_split(x, shards)
     meet = None if capture is None else _Rendezvous(capture, shards)
@@ -592,7 +614,7 @@ def _sharded_forward(x, shards, blocks, cfg, hooks, capture):
     def run(i):
         try:
             return _forward(parts[i], blocks, cfg, hooks,
-                            None if meet is None else _ShardSink(meet, i))
+                            None if meet is None else _ShardSink(meet, i), stop)
         except BaseException:
             if meet is not None:
                 meet.abort()
@@ -605,7 +627,7 @@ def _sharded_forward(x, shards, blocks, cfg, hooks, capture):
     if errors:
         raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
                    errors[0])
-    return np.concatenate([out for out, _ in outcomes])
+    return None if stop else np.concatenate([out for out, _ in outcomes])
 
 
 def model_forward(x, blocks, cfg, hooks=None, capture=None):
@@ -634,10 +656,26 @@ def model_forward(x, blocks, cfg, hooks=None, capture=None):
     set, or another thread's sharded forward is running, and for one
     sample, the forward runs serially in the caller's thread.
     """
+    return _run(x, blocks, cfg, hooks, capture, stop=False)
+
+
+def capture_forward(x, blocks, cfg, capture):
+    """The unhooked float forward of x up to its last site, handing every site to `capture`.
+
+    `capture` receives what `model_forward(x, blocks, cfg, capture=capture)`
+    hands it, in the same order, with the same bits and on the same shards,
+    but the pass ends at the last block's gelu_out capture: the last block's
+    output product, which no site reads, is never computed. Returns None.
+    """
+    _run(x, blocks, cfg, None, capture, stop=True)
+
+
+def _run(x, blocks, cfg, hooks, capture, stop):
+    """`model_forward`'s dispatch: the stack's shards, else the serial `_forward`."""
     x = as_tensor(x)
     shards = _shard_count(x, cfg)
     if shards > 1:
         with single_threaded_blas() as held:
             if held:
-                return _sharded_forward(x, shards, blocks, cfg, hooks, capture)
-    return _forward(x, blocks, cfg, hooks, capture)
+                return _sharded_forward(x, shards, blocks, cfg, hooks, capture, stop)
+    return _forward(x, blocks, cfg, hooks, capture, stop)

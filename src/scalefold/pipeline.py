@@ -1,13 +1,16 @@
 """Calibrate -> fold -> quantize, as staged container transforms.
 
 The flow has no optimization loop. One capture pass, a single forward over
-the whole calibration stack, fits every activation quantizer from data
+the whole calibration stack that ends at its last site, the last block's
+`gelu_out`, fits every activation quantizer from data
 (channel-wise affine on the post-LayerNorm sites, a sqrt(2)-base log
 quantizer on post-Softmax, layer-wise affine elsewhere).
 Each activation site is fitted the moment the forward reaches it: the pass
 hands its sites to an observer (the `capture` sink of `model_forward`),
 which reduces each stack and keeps none, and evaluation measures its
-forwards the same way. No stage holds the captures of a whole stack.
+forwards the same way. No fit reads the model's output, so the capture
+pass never computes the last block's output product. No stage holds the
+captures of a whole stack.
 The fold stage then rewrites each LayerNorm site's affine parameters and
 consumer weights so a single layer-wise quantizer reproduces the
 channel-wise codes, fits all four weight sites of every block by
@@ -39,7 +42,8 @@ import numpy as np
 from .calibration import calibrate_tensor
 from .container import (ContainerError, blocks_from_container, channel_params,
                         channel_tensors, container_from_model)
-from .model import ACTIVATION_SITES, WEIGHT_SITES, CodeBlock, JsonFields, model_forward
+from .model import (ACTIVATION_SITES, WEIGHT_SITES, CodeBlock, JsonFields, capture_forward,
+                    model_forward)
 from .quantizers import (QuantParams, Scheme, fake_quantize,
                          log2_dequantize, log2_quantize, logsqrt2_dequantize,
                          logsqrt2_dequantize_shift, logsqrt2_quantize,
@@ -103,12 +107,16 @@ class _SiteObserver:
 def capture_activations(blocks, cfg, acts, capture=None):
     """Forward the whole stack in one pass, handing each site's stack to `capture`.
 
-    Each capture keeps axis 0. `capture` None collects every site into a new
-    dict, which is returned; any other sink gets each site once, as the
-    forward reaches it, and is returned as it is.
+    The pass ends at its last site, the last block's `gelu_out`
+    (`model.capture_forward`): the sink gets every site that
+    `model_forward(acts, blocks, cfg, capture=...)` hands it, bit for bit,
+    and the last block's output product, which no site reads, is never
+    computed. Each capture keeps axis 0. `capture` None collects every site
+    into a new dict, which is returned; any other sink gets each site once,
+    as the forward reaches it, and is returned as it is.
     """
     capture = {} if capture is None else capture
-    model_forward(_check_acts(cfg, acts), blocks, cfg, capture=capture)
+    capture_forward(_check_acts(cfg, acts), blocks, cfg, capture)
     return capture
 
 
@@ -276,7 +284,8 @@ def _require_floats(container, role):
 def calibrate_model(model_c, acts, qcfg=None):
     """Stage 1: fit every activation quantizer from calibration data.
 
-    One forward over the calibration stack hands each activation site to
+    One forward over the calibration stack, ending at the last block's
+    `gelu_out` (`capture_activations`), hands each activation site to
     `_fit_site` as it reaches it, so no site's stack outlives its fit. Also
     fits naive layer-wise affine parameters for the LayerNorm sites
     (`ablation.ln_layer_wise`), which `evaluate`'s layer-wise arm runs.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import as_int_tensor, as_tensor, gelu
+from .tensors import as_int_tensor, as_tensor, gelu, gelu_limit
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -71,7 +71,7 @@ class QuantParams:
         scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
         if scale.ndim != 1 or scale.size == 0:
             raise ValueError("scale must be a nonempty vector")
-        if not np.all(scale > 0) or not np.all(np.isfinite(scale)):
+        if not (scale.min() > 0 and scale.max() < np.inf):    # a NaN fails min() > 0
             raise ValueError("scales must be positive and finite")
         object.__setattr__(self, "scale", scale)
         if self.scheme is Scheme.UNIFORM:
@@ -83,7 +83,7 @@ class QuantParams:
             zp = zp.astype(np.int64)
             if zp.shape != scale.shape:
                 raise ValueError("zero_point length must match scale length")
-            if np.any(zp < 0) or np.any(zp > _qmax(self.bits)):
+            if zp.min() < 0 or zp.max() > _qmax(self.bits):
                 raise ValueError(f"zero points outside [0, {_qmax(self.bits)}]")
             object.__setattr__(self, "zero_point", zp)
         else:
@@ -181,7 +181,7 @@ def _tanh_gelu(h, out):
 
     h * h overflows to inf for |h| > 1.3e154 and tanh then saturates, so
     such an h still gives h or -0; h beyond 9e307 gives inf (2 * h
-    overflows), and -inf gives NaN (0 * -inf).
+    overflows), and -inf gives -0, as `gelu` does, where 0 * -inf would be NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         np.square(h, out=out)
@@ -192,7 +192,7 @@ def _tanh_gelu(h, out):
         out += 1.0
         out *= h
         out *= 0.5
-    return out
+    return gelu_limit(h, out)
 
 
 def gelu_centred(h, qp):
@@ -208,10 +208,11 @@ def gelu_centred(h, qp):
     rounded value rounds to the exact code; only the entries at least
     1/2 - m from it take `uniform_centred(gelu(h), qp)` itself, whose codes
     the final clip leaves as they are. Both forms carry h's sign, so a zero
-    code's sign is the exact one's too. A quotient that is not finite
-    (h = +-inf or NaN, or h above 9e307, where the tanh form overflows) has
-    a NaN residual and keeps its tanh code: NaN or +inf, where the exact
-    code is NaN or clips to the same top code. The codes are then clipped as
+    code's sign is the exact one's too; h = -inf gives -0 in both. A
+    quotient that is not finite (h = +inf or NaN, or h above 9e307, where
+    the tanh form overflows) has a NaN residual and keeps its tanh code, so
+    it never takes the exact path: NaN or +inf, where the exact code is NaN
+    or clips to the same top code. The codes are then clipped as
     `uniform_centred` clips them.
 
     The output is the one full-size buffer; the scratch is one chunk's

@@ -253,8 +253,24 @@ def rowwise_softmax(x):
 
 
 def gelu(x):
-    """x * Phi(x) with the exact Gaussian CDF, not the tanh approximation."""
+    """x * Phi(x) with the exact Gaussian CDF, not the tanh approximation.
+
+    -inf gives -0, GELU's limit there, where -inf * Phi(-inf) would be NaN;
+    every other input, +inf and NaN included, gives Phi(x) * x.
+    """
     x = as_tensor(x)
-    out = ndtr(x)
-    out *= x
+    out = ndtr(x, out=np.empty(x.shape))
+    with np.errstate(invalid="ignore"):         # -inf * 0, which gelu_limit sets
+        out *= x
+    return gelu_limit(x, out)
+
+
+def gelu_limit(x, out):
+    """`out` with -0, GELU's limit at -inf, wherever x is -inf.
+
+    One read-only pass over x finds whether it holds any -inf; only then is
+    a mask made.
+    """
+    if np.fmin.reduce(x, axis=None, initial=np.inf) == -np.inf:
+        out[np.isneginf(x)] = -0.0
     return out

@@ -246,14 +246,14 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
 def test_criterion_9_pipeline_speed_single_pass(monkeypatch):
     """The staged pipeline finishes in < 10 s on 32 calibration batches and
     runs every pass exactly once: there is no fitting loop to converge. The
-    whole chain makes one float forward over the calibration stack and one
-    fold per LayerNorm site."""
+    whole chain makes one float capture pass over the calibration stack, no
+    other forward, and one fold per LayerNorm site."""
     cfg = ModelConfig()
     spec = SynthSpec()
     model_c = container_from_model(cfg, gen_model(cfg, spec))
     calib = gen_activations(cfg, spec, 32)
 
-    forwards, folds = [], []
+    forwards, captures, folds = [], [], []
 
     def spy(calls, fn):
         def wrapped(*args, **kwargs):
@@ -262,6 +262,7 @@ def test_criterion_9_pipeline_speed_single_pass(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(pipeline, "model_forward", spy(forwards, pipeline.model_forward))
+    monkeypatch.setattr(pipeline, "capture_forward", spy(captures, pipeline.capture_forward))
     monkeypatch.setattr(pipeline, "reparameterize_layernorm_site",
                         spy(folds, pipeline.reparameterize_layernorm_site))
     t0 = time.perf_counter()
@@ -269,6 +270,6 @@ def test_criterion_9_pipeline_speed_single_pass(monkeypatch):
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
 
-    assert len(forwards) == 1 and forwards[0].get("hooks") is None
+    assert len(captures) == 1 and not forwards
     assert len(folds) == 2 * cfg.blocks
     assert to_bytes(q_c) == to_bytes(run_pipeline(model_c, calib))

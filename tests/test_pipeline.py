@@ -9,7 +9,10 @@ import pytest
 from scalefold.calibration import calibrate_tensor
 from scalefold.container import (ContainerError, ModelContainer, blocks_from_container,
                                  container_from_model, from_bytes, to_bytes)
-from scalefold.model import ACTIVATION_SITES, ModelConfig, WEIGHT_SITES, model_forward
+from scalefold import model as model_mod
+from scalefold import pipeline
+from scalefold.model import (ACTIVATION_SITES, ModelConfig, WEIGHT_SITES, capture_forward,
+                             model_forward)
 from scalefold.pipeline import (
     LN_SITES,
     PipelineError,
@@ -181,6 +184,51 @@ class TestCalibrateStage:
         assert caps["block0.ln1_out"].shape == (2, cfg.patches, cfg.dim)
 
 
+def assert_same_captures(got, want):
+    """The same sites in the same order, each with the same shape and bits."""
+    assert list(got) == list(want)
+    for key, x in want.items():
+        assert got[key].shape == x.shape, key
+        np.testing.assert_array_equal(got[key].view(np.int64), x.view(np.int64), err_msg=key)
+
+
+class TestCapturePass:
+    """Calibration's capture pass ends at the last block's gelu_out."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("n_blocks", [2, 3])
+    def test_captures_are_a_full_forwards_bit_for_bit(self, n_blocks, n):
+        cfg = ModelConfig(blocks=n_blocks)
+        spec = SynthSpec(seed=n_blocks)
+        blocks = gen_model(cfg, spec)
+        acts = gen_activations(cfg, spec, n)
+        full = {}
+        model_forward(acts, blocks, cfg, capture=full)
+        assert_same_captures(capture_activations(blocks, cfg, acts), full)
+        assert list(full)[-1] == f"block{n_blocks - 1}.gelu_out"
+
+    def test_calibration_never_multiplies_the_last_w_2(self, chain, monkeypatch):
+        """No float product of calibration takes the last block's w_2; block 0's still does."""
+        model_c, calib = chain[0], chain[1]
+        loaded, operands = [], []
+        real_load, real_matmul = pipeline.blocks_from_container, model_mod.matmul
+
+        def load(container):
+            loaded.append(real_load(container))
+            return loaded[-1]
+
+        def spy(a, b):
+            operands.append(b)
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(pipeline, "blocks_from_container", load)
+        monkeypatch.setattr(model_mod, "matmul", spy)
+        calibrate_model(model_c, calib)
+        blocks = loaded[0][1]
+        assert any(b is blocks[0].w_2 for b in operands)
+        assert not any(b is blocks[-1].w_2 for b in operands)
+
+
 class TestFoldStage:
     @pytest.mark.parametrize("index, extra", [(3, set()), (4, set()), (5, {"weight_mse"})],
                              ids=["calibrated", "reparameterized", "quantized"])
@@ -231,6 +279,7 @@ class TestFoldStage:
         """No forward runs in the fold, and whatever is passed as `acts` is ignored."""
         calib_c, rep_c = chain[3], chain[4]
         monkeypatch.setattr("scalefold.pipeline.model_forward", None)
+        monkeypatch.setattr("scalefold.pipeline.capture_forward", None)
         monkeypatch.setattr("scalefold.pipeline.capture_activations", None)
         assert to_bytes(reparameterize_model(calib_c)) == to_bytes(rep_c)
         assert to_bytes(reparameterize_model(calib_c, np.zeros((1, 2, 3)))) == to_bytes(rep_c)
@@ -355,17 +404,20 @@ class TestDeterminism:
         assert to_bytes(run_pipeline(model_c, calib)) == to_bytes(q_c)
 
     def test_run_pipeline_runs_one_float_forward(self, chain, monkeypatch):
-        """Calibration's capture is the only forward; the fold reads no data."""
+        """Calibration's capture pass is the only forward; the fold reads no data."""
         model_c, calib = chain[0], chain[1]
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("hooks"))
-            return model_forward(*args, **kwargs)
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr("scalefold.pipeline.model_forward", counting)
+        monkeypatch.setattr("scalefold.pipeline.model_forward", counting(model_forward))
+        monkeypatch.setattr("scalefold.pipeline.capture_forward", counting(capture_forward))
         run_pipeline(model_c, calib)
-        assert calls == [None]
+        assert calls == ["capture_forward"]
 
 
 @pytest.fixture(scope="module")

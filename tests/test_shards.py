@@ -109,6 +109,24 @@ def test_sharded_stack_equals_its_per_sample_loop(chain, shards, shard_log, n, n
             np.testing.assert_array_equal(caps[key], value, err_msg=f"{label} {key}")
 
 
+def test_a_sharded_capture_pass_gives_the_serial_forwards_sites(chain, shards, shard_log):
+    """Calibration's capture pass on 2 shards hands over every site of a serial full
+    forward, bit for bit, though it stops at the last block's gelu_out."""
+    xs = gen_activations(CFG, chain[0], 5, stream=1)
+    blocks = blocks_from_container(chain[1])[1]
+    shards(1)
+    serial = {}
+    model_forward(xs, blocks, CFG, capture=serial)
+    shards(2)
+    shard_log.clear()
+    got = capture_activations(blocks, CFG, xs)
+    assert sorted(size for _, size in shard_log) == [2, 3]
+    assert list(got) == list(serial)
+    for key, value in serial.items():
+        np.testing.assert_array_equal(got[key].view(np.int64), value.view(np.int64),
+                                      err_msg=key)
+
+
 class _Keeper:
     """Each site's tensor as handed over, beside a copy taken at the time."""
 

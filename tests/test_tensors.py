@@ -1,6 +1,7 @@
 """Tensor kernel tests: matmul exactness and determinism, softmax, GELU."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -303,6 +304,19 @@ class TestGelu:
         phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         np.testing.assert_allclose(gelu(x), x * phi, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(gelu(np.array(1.0)), 0.8413447460685429, rtol=1e-12)
+
+    def test_negative_infinity_gives_the_limit_without_a_warning(self):
+        """-inf gives -0, GELU's limit, and warns nothing; +inf, NaN and finite
+        inputs keep the bits of Phi(x) * x, whose first operand gives a NaN's sign."""
+        x = np.array([-np.inf, np.inf, np.nan, -np.nan, 0.0, -0.0, -40.0, -1e300, 5e-324, 2.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gelu(x)
+            assert gelu(np.array(-np.inf)).tobytes() == np.array([-0.0]).tobytes()
+            with np.errstate(invalid="ignore"):
+                want = ndtr(x) * x
+        want[0] = -0.0
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_not_tanh_approximation(self):
         # the tanh fit differs from the exact CDF in the fourth decimal near 2
