@@ -32,8 +32,8 @@ never reads the sink back. A plain dict therefore keeps every site of the
 pass; calibration and evaluation instead pass an observer that fits or
 measures each site on arrival and keeps nothing, so neither holds the
 captures of a whole stack. The forward goes on to use each tensor, so a
-sink must not modify it. Every forward function
-takes one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
+sink must not modify it. Both entries, `model_forward` and `capture_forward`,
+take one (patches, dim) sample or an (n, patches, dim) stack; a stack runs
 as one pass, and each of its samples comes out bit-identical to running
 that sample alone. `model_forward` runs a stack of two or more as one
 such pass per shard of samples, one shard per CPU up to a fixed cap, with
@@ -405,16 +405,9 @@ def _split_heads(t, cfg):
     return t.reshape(t.shape[:-1] + (cfg.heads, cfg.head_dim)).swapaxes(-3, -2)
 
 
-def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
+def _msa(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     """Multi-head self-attention on already-normalized tokens, all heads at once."""
     hook = _hook_at(hooks, prefix)
-    # these hooks act on the split heads, where a scale per channel of dim has no axis
-    for site in ("attn_q", "attn_k", "attn_a", "attn_v"):
-        qp = hook(site)
-        if qp is not None and qp.scale.size != 1:
-            raise ValueError(f"{prefix}{site} holds {qp.scale.size} scales; an attention "
-                             "site is layer-wise")
-    x_ln = _tokens(x_ln, cfg)
     d = cfg.dim
 
     qkv = _qmatmul(x_ln, hook("ln1_out"), w.w_qkv, hook("w_qkv"))
@@ -439,20 +432,15 @@ def msa_forward(x_ln, w, cfg, hooks=None, capture=None, prefix=""):
     return out
 
 
-def mlp_forward(y_ln, w, cfg, hooks=None, capture=None, prefix=""):
+def _mlp(y_ln, w, cfg, hooks=None, capture=None, prefix="", stop=False):
     """Two-layer MLP with exact-CDF GELU on already-normalized tokens.
 
     With no sink and a one-scale uniform `gelu_out` hook, the float GELU is
     never formed: `gelu_centred` gives its codes straight from the pre-GELU
-    tensor, the bits `uniform_centred(gelu(h))` gives.
+    tensor, the bits `uniform_centred(gelu(h))` gives. With `stop`, the
+    steps end at the gelu_out capture and return None.
     """
-    return _mlp(y_ln, w, cfg, hooks, capture, prefix, stop=False)
-
-
-def _mlp(y_ln, w, cfg, hooks, capture, prefix, stop):
-    """`mlp_forward`, or with `stop` its steps up to the gelu_out capture, returning None."""
     hook = _hook_at(hooks, prefix)
-    y_ln = _tokens(y_ln, cfg)
     h = _qmatmul(y_ln, hook("ln2_out"), w.w_1, hook("w_1"))
     h += w.b_1
     qg = hook("gelu_out")
@@ -469,20 +457,15 @@ def _mlp(y_ln, w, cfg, hooks, capture, prefix, stop):
     return out
 
 
-def block_forward(x, w, cfg, hooks=None, capture=None, prefix=""):
+def _block(x, w, cfg, hooks=None, capture=None, prefix="", stop=False):
     """One encoder block: x + MSA(LN(x)), then y + MLP(LN(y)).
 
-    Hooks are looked up, and captures stored, at `prefix + site`.
+    Hooks are looked up, and captures stored, at `prefix + site`. With
+    `stop`, the block ends at the gelu_out capture and returns None.
     """
-    return _block(x, w, cfg, hooks, capture, prefix, stop=False)
-
-
-def _block(x, w, cfg, hooks, capture, prefix, stop):
-    """`block_forward`; with `stop`, it ends at the gelu_out capture and returns None."""
-    x = _tokens(x, cfg)
     x1 = layernorm_forward(x, w.gamma1, w.beta1, cfg.eps)
     _cap(capture, prefix, "ln1_out", x1)
-    y = msa_forward(x1, w, cfg, hooks, capture, prefix)
+    y = _msa(x1, w, cfg, hooks, capture, prefix)
     y += x
     y1 = layernorm_forward(y, w.gamma2, w.beta2, cfg.eps)
     _cap(capture, prefix, "ln2_out", y1)
@@ -513,41 +496,18 @@ def _forward(x, blocks, cfg, hooks, capture, stop):
 _MAX_SHARDS = 2
 
 
-def _cpu_quota(root="/sys/fs/cgroup"):
-    """CPUs the process's cgroup CPU quota grants, rounded up, or None without one.
-
-    Reads cgroup v2's `cpu.max`, else v1's `cpu.cfs_quota_us` over
-    `cpu.cfs_period_us`, under `root`, where a container sees its own group.
-    """
-    for names in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
-        try:
-            fields = []
-            for name in names:
-                with open(os.path.join(root, name), encoding="ascii") as fh:
-                    fields += fh.read().split()
-            quota, period = fields[0], int(fields[1])
-            if quota in ("max", "-1"):
-                return None
-            return max(1, (int(quota) + period - 1) // period)
-        except (OSError, ValueError, IndexError, ZeroDivisionError):
-            continue
-    return None
-
-
 def _usable_cpus():
-    """CPUs in the process's affinity mask, fewer if its cgroup's CPU quota grants fewer."""
+    """CPUs in the process's affinity mask, or all of them where the platform has none."""
     try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:                  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cpus if quota is None else min(cpus, quota)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
-def _shard_count(x, cfg):
-    """Shards for `x`: one per usable CPU, at most one per sample and `_MAX_SHARDS`."""
-    if x.ndim != 3 or x.shape[1:] != (cfg.patches, cfg.dim) or len(x) < 2:
-        return 1            # one sample, or a shape the serial forward rejects
+def _shard_count(x):
+    """Shards for tokens `x`: one per usable CPU, at most one per sample and `_MAX_SHARDS`."""
+    if x.ndim == 2 or len(x) < 2:
+        return 1            # one sample, or an empty stack
     return min(len(x), _MAX_SHARDS, _usable_cpus())
 
 
@@ -593,14 +553,6 @@ class _ShardSink:
         self._rendezvous.put(self._shard, name, part)
 
 
-def _outcome(fn, *args):
-    """(result, None), or (None, the exception) if fn raised."""
-    try:
-        return fn(*args), None
-    except BaseException as exc:            # re-raised by the caller, in shard order
-        return None, exc
-
-
 def _sharded_forward(x, shards, blocks, cfg, hooks, capture, stop):
     """`_forward` on `shards` contiguous runs of samples at once, the first in this thread.
 
@@ -612,17 +564,18 @@ def _sharded_forward(x, shards, blocks, cfg, hooks, capture, stop):
     meet = None if capture is None else _Rendezvous(capture, shards)
 
     def run(i):
+        """(shard i's output, None), or (None, what it raised) after aborting the rendezvous."""
         try:
             return _forward(parts[i], blocks, cfg, hooks,
-                            None if meet is None else _ShardSink(meet, i), stop)
-        except BaseException:
+                            None if meet is None else _ShardSink(meet, i), stop), None
+        except BaseException as exc:        # re-raised below, in shard order
             if meet is not None:
                 meet.abort()
-            raise
+            return None, exc
 
     with ThreadPoolExecutor(shards - 1, thread_name_prefix="scalefold-shard") as pool:
         futures = [pool.submit(run, i) for i in range(1, shards)]
-        outcomes = [_outcome(run, 0)] + [_outcome(f.result) for f in futures]
+        outcomes = [run(0)] + [f.result() for f in futures]
     errors = [exc for _, exc in outcomes if exc is not None]
     if errors:
         raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)),
@@ -640,11 +593,13 @@ def model_forward(x, blocks, cfg, hooks=None, capture=None):
     leading axis: a stack captures (n, patches, dim) per site and
     (n, heads, patches, patches) at attn_a.
 
+    Tokens of any other shape raise ShapeError, and a `block{i}.attn_*` hook
+    with more than one scale raises ValueError, both before any block runs.
+
     A stack of two or more samples runs as one contiguous shard of samples
-    per usable CPU (the process's affinity mask, within its cgroup's CPU
-    quota), at most `_MAX_SHARDS` of them since each shard's working set runs
-    at once, each shard a thread of its own (the caller's thread runs the
-    first) with numpy's OpenBLAS held at
+    per CPU in the process's affinity mask, at most `_MAX_SHARDS` of them
+    since each shard's working set runs at once, each shard a thread of its
+    own (the caller's thread runs the first) with numpy's OpenBLAS held at
     one thread meanwhile (`tensors.single_threaded_blas`), so that each core
     runs every kernel of its shard. A sample's output depends on its own
     rows only, and every GEMM is exact at any BLAS thread count, so the
@@ -671,9 +626,17 @@ def capture_forward(x, blocks, cfg, capture):
 
 
 def _run(x, blocks, cfg, hooks, capture, stop):
-    """`model_forward`'s dispatch: the stack's shards, else the serial `_forward`."""
-    x = as_tensor(x)
-    shards = _shard_count(x, cfg)
+    """Both entries' dispatch: every input check, then the stack's shards, else `_forward`."""
+    x = _tokens(x, cfg)
+    for i in range(len(blocks)):
+        hook = _hook_at(hooks, f"block{i}.")
+        # these hooks act on the split heads, where a scale per channel of dim has no axis
+        for site in ("attn_q", "attn_k", "attn_a", "attn_v"):
+            qp = hook(site)
+            if qp is not None and qp.scale.size != 1:
+                raise ValueError(f"block{i}.{site} holds {qp.scale.size} scales; an attention "
+                                 "site is layer-wise")
+    shards = _shard_count(x)
     if shards > 1:
         with single_threaded_blas() as held:
             if held:

@@ -293,7 +293,6 @@ def calibrate_model(model_c, acts, qcfg=None):
     qcfg = qcfg or QuantizeConfig()
     _require_floats(model_c, "calibration")
     cfg, blocks = blocks_from_container(model_c)
-    acts = _check_acts(cfg, acts)
     sites, naive = {}, {}
 
     def fit(key, x):

@@ -3,8 +3,8 @@
 The log-sqrt2 dequantizer is written in its base-changed form
 ``s_adj * 2**floor(-code/2)`` where ``s_adj`` folds a sqrt(2) factor in for
 odd codes. That form needs only a parity bit and a power-of-two multiply, so
-it runs on the same integer shift path as plain log2 dequantization; the
-``*_dequantize_shift`` variants simulate that path with exact fixed-point
+it runs on the same integer shift path as plain log2 dequantization;
+``logsqrt2_dequantize_shift`` simulates that path with exact fixed-point
 integers and must match the float path bit for bit.
 
 A quantizer's scale vector says its kind: one scale is layer-wise, more are
@@ -244,9 +244,12 @@ def gelu_centred(h, qp):
 def uniform_quantize(x, qp):
     """Map values onto the affine integer grid: clip(round(x/s) + z, 0, 2**b - 1).
 
-    Rounding is round-half-to-even. Returns int32 codes of x's shape.
+    Rounding is round-half-to-even. Returns int32 codes of x's shape; ±inf
+    take the end codes, and a NaN raises ValueError.
     """
     codes = uniform_centred(x, qp)
+    if np.isnan(codes.min(initial=0.0)):
+        raise ValueError("uniform_quantize got NaN inputs")
     codes += param_view(qp.zero_point, codes)
     return codes.astype(np.int32)
 
@@ -271,7 +274,11 @@ def uniform_dequantize(codes, qp):
     return param_view(qp.scale, centred) * centred
 
 
-def _log_ratio(x, s, bits, label):
+def _log_codes(x, s, bits, label, per_octave):
+    """clip(round(-per_octave * log2(x/s)), 0, 2**bits - 1) as int32, in one float buffer.
+
+    Zero maps to the maximum code; a negative or NaN input raises ValueError.
+    """
     if not (np.isscalar(s) or np.asarray(s).size == 1):
         raise ValueError(f"{label} takes a single scale")
     s = float(np.asarray(s).reshape(()))
@@ -280,13 +287,12 @@ def _log_ratio(x, s, bits, label):
     if not 2 <= int(bits) <= 8:
         raise ValueError(f"bit width {bits} outside [2, 8]")
     x = as_tensor(x)
-    if x.min(initial=0.0) < 0:
+    if not x.min(initial=0.0) >= 0:                 # a NaN fails it too
         raise ValueError(f"{label} requires nonnegative inputs")
-    return x, s
-
-
-def _clip_codes(raw, bits):
-    # round and clip a freshly computed log-domain array in place
+    raw = np.divide(x, s)
+    with np.errstate(divide="ignore"):
+        np.log2(raw, out=raw)
+    raw *= -per_octave                              # exact: -1 or -2
     np.rint(raw, out=raw)
     np.maximum(raw, 0.0, out=raw)
     return np.minimum(raw, float(_qmax(bits)), out=raw).astype(np.int32)
@@ -295,12 +301,9 @@ def _clip_codes(raw, bits):
 def log2_quantize(x, s, bits):
     """Power-of-two codes: clip(round(-log2(x/s)), 0, 2**bits - 1).
 
-    Zeros land on the deepest level (maximum code); negatives are rejected.
+    Zeros land on the deepest level (maximum code); negatives and NaN are rejected.
     """
-    x, s = _log_ratio(x, s, bits, "log2_quantize")
-    with np.errstate(divide="ignore"):
-        raw = -np.log2(x / s)
-    return _clip_codes(raw, bits)
+    return _log_codes(x, s, bits, "log2_quantize", 1.0)
 
 
 def log2_dequantize(codes, s, bits):
@@ -314,14 +317,9 @@ def logsqrt2_quantize(x, s, bits):
 
     -2 * log2(x/s) is exactly -log(x/s) in base sqrt(2) (the base-change
     constant log2(sqrt(2)) = 1/2 is a power of two, so the rescaling is
-    lossless). Zero maps to the maximum code, negatives are rejected.
+    lossless). Zero maps to the maximum code, negatives and NaN are rejected.
     """
-    x, s = _log_ratio(x, s, bits, "logsqrt2_quantize")
-    raw = np.divide(x, s)
-    with np.errstate(divide="ignore"):
-        np.log2(raw, out=raw)
-    raw *= -2.0
-    return _clip_codes(raw, bits)
+    return _log_codes(x, s, bits, "logsqrt2_quantize", 2.0)
 
 
 def parity_indicator(codes):
@@ -364,20 +362,6 @@ def _shift_pow2(exponents, frac):
     one = 1 << frac
     levels = np.array([float(one >> k) for k in range(frac + 1)])
     return levels[exponents]
-
-
-def log2_dequantize_shift(codes, s, bits):
-    """Integer shift path for log2 dequantization.
-
-    Codes index a fixed-point grid with 2**bits - 1 fraction bits; the level
-    is produced by an arithmetic right shift of the fixed-point one. When s
-    is itself a power of two the whole value stays on the integer grid. The
-    result equals `log2_dequantize` exactly for every code.
-    """
-    codes = _check_codes(codes, bits)
-    frac = _qmax(bits)
-    mant = _shift_pow2(codes, frac)
-    return np.ldexp(np.float64(s) * mant, -frac)
 
 
 def logsqrt2_dequantize_shift(codes, s, bits):

@@ -18,13 +18,12 @@ from scalefold.calibration import calibrate_tensor, percentile_bounds
 from scalefold.cli import cli_main
 from scalefold.container import (container_from_model, read_container,
                                  to_bytes, write_container)
-from scalefold.model import ModelConfig, block_forward
+from scalefold.model import ModelConfig, model_forward
 from scalefold.pipeline import (calibrate_model, capture_activations,
                                 evaluate, quantize_model,
                                 reparameterize_model, run_pipeline)
 from scalefold.quantizers import (QuantParams, Scheme,
-                                  fake_quantize, log2_dequantize,
-                                  log2_dequantize_shift, logsqrt2_dequantize,
+                                  fake_quantize, log2_dequantize, logsqrt2_dequantize,
                                   logsqrt2_dequantize_shift, uniform_quantize)
 from scalefold.reparam import ReparamRecord, reparameterize_layernorm_site
 from scalefold.synth import SynthSpec, gen_activations, gen_model
@@ -108,20 +107,20 @@ def test_criterion_3_block_fold_invariance():
     w = gen_model(cfg, spec)[0]
 
     cap = {}
-    block_forward(gen_activations(cfg, spec, 8), w, cfg, capture=cap)
+    model_forward(gen_activations(cfg, spec, 8), [w], cfg, capture=cap)
     fold1 = reparameterize_layernorm_site(
         w.gamma1, w.beta1, w.w_qkv, w.b_qkv,
-        calibrate_tensor(cap["ln1_out"], 4, 99.99, per_channel=True))
+        calibrate_tensor(cap["block0.ln1_out"], 4, 99.99, per_channel=True))
     fold2 = reparameterize_layernorm_site(
         w.gamma2, w.beta2, w.w_1, w.b_1,
-        calibrate_tensor(cap["ln2_out"], 4, 99.99, per_channel=True))
+        calibrate_tensor(cap["block0.ln2_out"], 4, 99.99, per_channel=True))
     w_folded = dataclasses.replace(
         w, gamma1=fold1.gamma, beta1=fold1.beta, w_qkv=fold1.weight, b_qkv=fold1.bias,
         gamma2=fold2.gamma, beta2=fold2.beta, w_1=fold2.weight, b_1=fold2.bias)
 
     x = gen_activations(cfg, spec, 32, stream=1)
-    y0 = block_forward(x, w, cfg)
-    y1 = block_forward(x, w_folded, cfg)
+    y0 = model_forward(x, [w], cfg)
+    y1 = model_forward(x, [w_folded], cfg)
     # the bound holds for each input on its own
     per_input = (1, 2)
     assert np.all(np.max(np.abs(y1 - y0), axis=per_input)
@@ -129,8 +128,8 @@ def test_criterion_3_block_fold_invariance():
 
 
 def test_criterion_4_halfpower_dequant_exactness():
-    """Parity-scale dequantization is within 1 ulp of s*(sqrt 2)^-code; shift
-    paths reproduce the float paths bit for bit, for every code and width."""
+    """Parity-scale dequantization is within 1 ulp of s*(sqrt 2)^-code; the shift
+    path reproduces the float path bit for bit, for every code and width."""
     rng = np.random.default_rng(440)
     powers = [mp.power(mp.sqrt(2), -c) for c in range(256)]
     for bits in range(2, 9):
@@ -142,9 +141,6 @@ def test_criterion_4_halfpower_dequant_exactness():
             ulp = np.abs(got.view(np.int64) - exact.view(np.int64))
             assert ulp.max() <= 1
 
-            np.testing.assert_array_equal(
-                log2_dequantize_shift(codes, float(s), bits),
-                log2_dequantize(codes, float(s), bits))
             np.testing.assert_array_equal(
                 logsqrt2_dequantize_shift(codes, float(s), bits), got)
 

@@ -24,14 +24,15 @@ from scalefold.model import (
     BlockWeights,
     CodeBlock,
     ModelConfig,
+    _block,
     _log_sqrt2_bands,
     _log_sqrt2_matmul,
+    _mlp,
+    _msa,
     _qmatmul,
-    block_forward,
+    capture_forward,
     layernorm_forward,
-    mlp_forward,
     model_forward,
-    msa_forward,
 )
 from scalefold.quantizers import (SQRT2, QuantParams, Scheme, fake_quantize,
                                   logsqrt2_quantize, uniform_dequantize, uniform_quantize)
@@ -205,7 +206,7 @@ class TestMSA:
         w.w_o = eye
         w.b_o = np.zeros(4)
         x = np.array([[0.3, -1.2, 2.0, 0.7]])
-        np.testing.assert_allclose(msa_forward(x, w, cfg), x, rtol=1e-12)
+        np.testing.assert_allclose(_msa(x, w, cfg), x, rtol=1e-12)
 
     def test_uniform_attention_averages_values(self):
         """Zero Q/K weights flatten every attention row to 1/N."""
@@ -218,13 +219,13 @@ class TestMSA:
         x = rng.normal(size=(cfg.patches, cfg.dim))
         v = x @ w.w_qkv[:, 2 * cfg.dim:]
         want = np.tile(v.mean(axis=0), (cfg.patches, 1)) @ w.w_o + w.b_o
-        np.testing.assert_allclose(msa_forward(x, w, cfg), want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(_msa(x, w, cfg), want, rtol=1e-10, atol=1e-12)
 
     def test_matches_reference_implementation(self):
         cfg = small_cfg()
         w = random_block(cfg, 3)
         x = np.random.default_rng(4).normal(size=(cfg.patches, cfg.dim))
-        np.testing.assert_allclose(msa_forward(x, w, cfg),
+        np.testing.assert_allclose(_msa(x, w, cfg),
                                    reference_msa(x, w, cfg), atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
@@ -232,7 +233,7 @@ class TestMSA:
         w = random_block(cfg, 5)
         x = np.random.default_rng(6).normal(size=(cfg.patches, cfg.dim))
         caps = {}
-        msa_forward(x, w, cfg, capture=caps)
+        _msa(x, w, cfg, capture=caps)
         attn = caps["attn_a"]
         assert attn.shape == (cfg.heads, cfg.patches, cfg.patches)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -242,14 +243,8 @@ class TestMSA:
         cfg1 = ModelConfig(patches=4, dim=8, heads=1, head_dim=8, mlp_dim=16, blocks=1)
         w = random_block(cfg1, 7)
         x = np.random.default_rng(8).normal(size=(4, 8))
-        np.testing.assert_allclose(msa_forward(x, w, cfg1),
+        np.testing.assert_allclose(_msa(x, w, cfg1),
                                    reference_msa(x, w, cfg1), atol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        cfg = small_cfg()
-        w = random_block(cfg, 9)
-        with pytest.raises(ShapeError):
-            msa_forward(np.zeros((3, 8)), w, cfg)
 
 
 class TestMLP:
@@ -258,7 +253,7 @@ class TestMLP:
         w = random_block(cfg, 10)
         w.b_1 = np.zeros(cfg.mlp_dim)
         w.b_2 = np.zeros(cfg.dim)
-        out = mlp_forward(np.zeros((cfg.patches, cfg.dim)), w, cfg)
+        out = _mlp(np.zeros((cfg.patches, cfg.dim)), w, cfg)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_zero_w2_returns_bias(self):
@@ -266,14 +261,14 @@ class TestMLP:
         w = random_block(cfg, 11)
         w.w_2 = np.zeros((cfg.mlp_dim, cfg.dim))
         x = np.random.default_rng(12).normal(size=(cfg.patches, cfg.dim))
-        np.testing.assert_allclose(mlp_forward(x, w, cfg),
+        np.testing.assert_allclose(_mlp(x, w, cfg),
                                    np.tile(w.b_2, (cfg.patches, 1)), atol=1e-15)
 
     def test_matches_reference(self):
         cfg = small_cfg()
         w = random_block(cfg, 13)
         x = np.random.default_rng(14).normal(size=(cfg.patches, cfg.dim))
-        np.testing.assert_allclose(mlp_forward(x, w, cfg),
+        np.testing.assert_allclose(_mlp(x, w, cfg),
                                    reference_mlp(x, w), atol=1e-12)
 
 
@@ -290,13 +285,13 @@ class TestBlockForward:
             w_2=np.zeros((f, d)), b_2=np.zeros(d),
         )
         x = np.random.default_rng(15).normal(size=(cfg.patches, d))
-        np.testing.assert_array_equal(block_forward(x, w, cfg), x)
+        np.testing.assert_array_equal(_block(x, w, cfg), x)
 
     def test_matches_reference_composition(self):
         cfg = small_cfg()
         w = random_block(cfg, 16)
         x = np.random.default_rng(17).normal(size=(cfg.patches, cfg.dim))
-        np.testing.assert_allclose(block_forward(x, w, cfg),
+        np.testing.assert_allclose(_block(x, w, cfg),
                                    reference_block(x, w, cfg), atol=1e-12)
 
     def test_reparam_invariance(self):
@@ -310,10 +305,10 @@ class TestBlockForward:
         w = random_block(cfg, 18)
         rng = np.random.default_rng(19)
         x = rng.normal(size=(cfg.patches, cfg.dim))
-        before = block_forward(x, w, cfg)
+        before = _block(x, w, cfg)
 
         caps = {}
-        block_forward(x, w, cfg, capture=caps)
+        _block(x, w, cfg, capture=caps)
         site1 = reparameterize_layernorm_site(
             w.gamma1, w.beta1, w.w_qkv, w.b_qkv,
             calibrate_tensor(caps["ln1_out"], 4, per_channel=True))
@@ -323,7 +318,7 @@ class TestBlockForward:
         w.gamma1, w.beta1, w.w_qkv, w.b_qkv = site1.gamma, site1.beta, site1.weight, site1.bias
         w.gamma2, w.beta2, w.w_1, w.b_1 = site2.gamma, site2.beta, site2.weight, site2.bias
 
-        after = block_forward(x, w, cfg)
+        after = _block(x, w, cfg)
         denom = np.abs(before).max()
         assert np.abs(after - before).max() <= 1e-9 * denom
 
@@ -333,8 +328,8 @@ class TestHooks:
         cfg = small_cfg()
         w = random_block(cfg, 20)
         x = np.random.default_rng(21).normal(size=(cfg.patches, cfg.dim))
-        np.testing.assert_array_equal(block_forward(x, w, cfg),
-                                      block_forward(x, w, cfg, hooks={}))
+        np.testing.assert_array_equal(_block(x, w, cfg),
+                                      _block(x, w, cfg, hooks={}))
 
     def test_hook_locality(self):
         """A hook at one site must leave every upstream capture untouched."""
@@ -342,12 +337,12 @@ class TestHooks:
         w = random_block(cfg, 22)
         x = np.random.default_rng(23).normal(size=(cfg.patches, cfg.dim))
         clean = {}
-        block_forward(x, w, cfg, capture=clean)
+        _block(x, w, cfg, capture=clean)
 
         qp = QuantParams(Scheme.UNIFORM, 4, scale=np.array([0.1]),
                          zero_point=np.array([8], dtype=np.int64))
         hooked = {}
-        block_forward(x, w, cfg, hooks={"msa_proj_in": qp}, capture=hooked)
+        _block(x, w, cfg, hooks={"msa_proj_in": qp}, capture=hooked)
         upstream = ("ln1_out", "attn_q", "attn_k", "attn_v", "attn_a", "msa_proj_in")
         for site in upstream:
             np.testing.assert_array_equal(hooked[site], clean[site])
@@ -359,8 +354,8 @@ class TestHooks:
         x = np.random.default_rng(25).normal(size=(cfg.patches, cfg.dim))
         qp = QuantParams(Scheme.UNIFORM, 2, scale=np.array([0.5]),
                          zero_point=np.array([2], dtype=np.int64))
-        hooked = block_forward(x, w, cfg, hooks={"ln1_out": qp})
-        assert not np.array_equal(hooked, block_forward(x, w, cfg))
+        hooked = _block(x, w, cfg, hooks={"ln1_out": qp})
+        assert not np.array_equal(hooked, _block(x, w, cfg))
 
     def test_quantization_preserves_shapes(self):
         cfg = small_cfg()
@@ -370,7 +365,7 @@ class TestHooks:
                           zero_point=np.array([7], dtype=np.int64))
         log_qp = QuantParams(Scheme.LOG_SQRT2, 4, scale=np.array([1.0]))
         hooks = {**{s: qp4 for s in ACTIVATION_SITES}, "attn_a": log_qp}
-        out = block_forward(x, w, cfg, hooks=hooks)
+        out = _block(x, w, cfg, hooks=hooks)
         assert out.shape == (cfg.patches, cfg.dim)
 
     @pytest.mark.parametrize("patches", [8, 6])
@@ -779,13 +774,17 @@ class TestModelForward:
             digests.add(done.stdout.strip())
         assert len(digests) == 1 and len(digests.pop()) == 64
 
-    def test_stack_with_wrong_trailing_shape_rejected(self):
+    @pytest.mark.parametrize("entry", ["model_forward", "capture_forward"])
+    @pytest.mark.parametrize("shape", [(3, 8), (4, 9), (8,), (3, 4, 9), (3, 5, 8),
+                                       (2, 3, 4, 8)])
+    def test_mis_shaped_tokens_rejected(self, entry, shape):
+        """Both entries check the tokens, a sample or a stack, before any block runs."""
         cfg = small_cfg()
         blocks = [random_block(cfg, 42)]
-        for shape in ((3, cfg.patches + 1, cfg.dim), (3, cfg.patches, cfg.dim + 1),
-                      (2, 3, cfg.patches, cfg.dim)):
-            with pytest.raises(ShapeError):
-                model_forward(np.zeros(shape), blocks, cfg)
+        forward = model_forward if entry == "model_forward" else (
+            lambda x, blocks, cfg: capture_forward(x, blocks, cfg, {}))
+        with pytest.raises(ShapeError, match=r"expected \(4, 8\) tokens"):
+            forward(np.zeros(shape), blocks, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,9 @@ shard the same way on any machine, and check that:
 - the output is the per-sample loop's, bit for bit, on even and uneven shards;
 - a sink sees what the serial forward shows it, from one thread at a time;
 - a failing shard raises what the serial forward raises, and hangs nothing;
+- a per-channel attention hook raises before any shard starts;
 - the BLAS thread count is one inside and restored after;
-- the shard count follows the CPUs, the cgroup quota and the cap, and the
+- the shard count follows the CPUs in the affinity mask and the cap, and the
   stages stay below one forward's captures at every count a host can reach.
 """
 
@@ -27,6 +28,7 @@ from scalefold.container import (blocks_from_container, container_from_model, fr
 from scalefold.model import ACTIVATION_SITES, ModelConfig, model_forward
 from scalefold.pipeline import (QuantizeConfig, calibrate_model, capture_activations, evaluate,
                                 load_sites, quantize_model, reparameterize_model)
+from scalefold.quantizers import QuantParams, Scheme
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 from scalefold.tensors import _openblas, single_threaded_blas
 
@@ -256,14 +258,21 @@ def _bounded(fn, timeout=60.0):
     return box["value"]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_in_a_held_out_sample_raises_what_the_serial_forward_raises(chain, cpus):
-    """A NaN in held-out sample 3 of 4 fails one shard's matmul, not a broken rendezvous."""
+    """A NaN in held-out sample 3 of 4 fails one shard's matmul, not a broken rendezvous.
+
+    With a dict sink the shards meet at every site, so the other shard is
+    waiting at the next one when the NaN's shard fails. `evaluate` rejects
+    the NaN sooner, in its sink: its code audit quantizes `block0.ln1_out`.
+    """
     spec, model_c, _, q_c = chain
     held_out = gen_activations(CFG, spec, 4, stream=1)
     held_out[3, 0, 0] = np.nan
     cpus(2)
+    blocks = blocks_from_container(model_c)[1]
     with pytest.raises(ValueError, match="^matmul operands must be finite$"):
+        _bounded(lambda: model_forward(held_out, blocks, CFG, capture={}))
+    with pytest.raises(ValueError, match="^uniform_quantize got NaN inputs$"):
         _bounded(lambda: evaluate(model_c, q_c, held_out))
 
 
@@ -328,32 +337,25 @@ def test_a_second_region_runs_unheld_while_one_holds_the_count(blas_threads):
                                              (64, 1, 1)])
 def test_shard_count_is_one_per_cpu_and_sample_up_to_two(cpus, n_cpus, n, want):
     cpus(n_cpus)
-    assert model_mod._shard_count(np.zeros((n, CFG.patches, CFG.dim)), CFG) == want
-    assert model_mod._shard_count(np.zeros((CFG.patches, CFG.dim)), CFG) == 1
+    assert model_mod._shard_count(np.zeros((n, CFG.patches, CFG.dim))) == want
+    assert model_mod._shard_count(np.zeros((CFG.patches, CFG.dim))) == 1
 
 
-@pytest.mark.parametrize("files, want", [
-    ({"cpu.max": "max 100000\n"}, None),
-    ({"cpu.max": "150000 100000\n"}, 2),
-    ({"cpu.max": "50000 100000\n"}, 1),
-    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
-    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
-    ({"cpu/cpu.cfs_quota_us": "300000\n"}, None),
-    ({}, None),
-])
-def test_cpu_quota_is_read_from_cgroup_v2_or_v1(tmp_path, files, want):
-    """A quota of q over period p grants ceil(q / p) CPUs; no quota or no files, None."""
-    for name, text in files.items():
-        (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text)
-    assert model_mod._cpu_quota(str(tmp_path)) == want
-
-
-@pytest.mark.parametrize("quota", [None, 1, 1000])
-def test_usable_cpus_are_the_affinity_mask_within_the_quota(monkeypatch, quota):
-    monkeypatch.setattr(model_mod, "_cpu_quota", lambda: quota)
-    mask = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert model_mod._usable_cpus() == (mask if quota is None else min(mask, quota))
+def test_a_per_channel_attention_hook_raises_before_any_shard_starts(chain, cpus, monkeypatch):
+    """The entry checks every block's attention hooks before it splits the stack."""
+    spec, model_c, _, _ = chain
+    blocks = blocks_from_container(model_c)[1]
+    xs = gen_activations(CFG, spec, 4)
+    started = []
+    monkeypatch.setattr(model_mod, "_sharded_forward", lambda *args: started.append(args))
+    cpus(2)
+    model_forward(xs, blocks, CFG)
+    assert len(started) == 1
+    chan = QuantParams(Scheme.UNIFORM, 4, scale=np.full(CFG.dim, 0.1),
+                       zero_point=np.full(CFG.dim, 8))
+    with pytest.raises(ValueError, match=f"block1.attn_q holds {CFG.dim} scales"):
+        model_forward(xs, blocks, CFG, hooks={"block1.attn_q": chan})
+    assert len(started) == 1
 
 
 WIDE = ModelConfig(patches=64, dim=128, heads=4, head_dim=32, mlp_dim=512)
