@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantizers import QuantParams, Scheme
-from .tensors import as_tensor
+from .tensors import as_tensor, matmul
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +87,8 @@ def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
     beta~ = (beta + s * r2) / r1, so the layer emits x~ = (x + s * r2) / r1
     in place of x. Row d of the consumer weight is scaled by r1_d and the bias
     absorbs the shift, b~ = b - (s * r2) @ W, so x~ @ W~ + b~ == x @ W + b in
-    exact arithmetic. The compensated weights need a fresh quantizer fit; the
+    exact arithmetic; (s * r2) @ W is `tensors.matmul`'s, the same bits under
+    any BLAS kernel. The compensated weights need a fresh quantizer fit; the
     audit record's `target_params()` is the layer-wise quantizer. A source
     that is not uniform, a target that is not a valid quantizer, and
     parameters whose shapes do not fit the source's channels raise ValueError.
@@ -105,5 +106,5 @@ def reparameterize_layernorm_site(gamma, beta, weight, bias, channel_params):
     if bias.shape != (weight.shape[1],):
         raise ValueError(f"bias length {bias.shape} does not match weight columns")
     r1, shift = record.r1, channel_params.scale * record.r2
-    return SiteReparam(gamma / r1, (beta + shift) / r1,
-                       weight * r1[:, np.newaxis], bias - shift @ weight, record)
+    b_new = bias - matmul(shift[np.newaxis], weight)[0]
+    return SiteReparam(gamma / r1, (beta + shift) / r1, weight * r1[:, np.newaxis], b_new, record)
