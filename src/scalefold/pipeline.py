@@ -80,13 +80,15 @@ class QuantizeConfig(JsonFields):
                 raise ValueError(f"{name} outside [2, 8]")
 
 
-def _check_acts(cfg, acts):
+def _check_acts(cfg, acts, what):
     acts = as_tensor(acts)
     if acts.ndim != 3 or acts.shape[1:] != (cfg.patches, cfg.dim):
         raise PipelineError(
             f"activations shaped {acts.shape} do not fit a "
             f"({cfg.patches}, {cfg.dim}) model"
         )
+    if not np.isfinite(acts).all():
+        raise PipelineError(f"{what} activations hold non-finite values")
     return acts
 
 
@@ -113,10 +115,11 @@ def capture_activations(blocks, cfg, acts, capture=None):
     and the last block's output product, which no site reads, is never
     computed. Each capture keeps axis 0. `capture` None collects every site
     into a new dict, which is returned; any other sink gets each site once,
-    as the forward reaches it, and is returned as it is.
+    as the forward reaches it, and is returned as it is. Activations of
+    another shape, or with a non-finite value, raise PipelineError first.
     """
     capture = {} if capture is None else capture
-    capture_forward(_check_acts(cfg, acts), blocks, cfg, capture)
+    capture_forward(_check_acts(cfg, acts, "calibration"), blocks, cfg, capture)
     return capture
 
 
@@ -456,8 +459,9 @@ def evaluate(fp_c, q_c, acts):
     once. A quantized container lacking
     its `quantize_config`, a weight site's `weight_mse` or
     `ablation.ln_layer_wise` raises PipelineError naming what is missing, as
-    does a malformed weight MSE or an ablation table naming a site the model
-    lacks; the site table and fold records fail as `load_sites` and
+    do a malformed weight MSE, an ablation table naming a site the model
+    lacks and held-out activations of another shape or with a non-finite
+    value; the site table and fold records fail as `load_sites` and
     `load_records` say. All of this is checked before any forward runs.
     """
     _config_match(fp_c, q_c)
@@ -465,7 +469,7 @@ def evaluate(fp_c, q_c, acts):
         raise PipelineError(f"evaluate expects a quantized container, got stage {q_c.stage!r}")
     _require_floats(fp_c, "the float reference of evaluate")
     cfg, fp_blocks = blocks_from_container(fp_c)
-    acts = _check_acts(cfg, acts)
+    acts = _check_acts(cfg, acts, "held-out")
     weight_keys = _site_keys(cfg, WEIGHT_SITES)
     _require(q_c, [("quantize_config",)]
              + [("weight_mse", key) for key in weight_keys]

@@ -131,6 +131,20 @@ class TestStageGating:
         with pytest.raises(PipelineError, match="do not fit"):
             calibrate_model(model_c, np.zeros((2, 3, 4)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_activations_are_refused_before_any_forward(self, chain, monkeypatch,
+                                                                   bad):
+        """An inf or NaN in one sample fails the stage by name; no forward runs."""
+        model_c, calib, held_out, q_c = chain[0], chain[1], chain[2], chain[5]
+        monkeypatch.setattr("scalefold.pipeline.capture_forward", None)
+        monkeypatch.setattr("scalefold.pipeline.model_forward", None)
+        calib, held_out = calib.copy(), held_out.copy()
+        calib[-1, 3, 5] = held_out[-1, 0, 0] = bad
+        with pytest.raises(PipelineError, match="^calibration activations hold non-finite"):
+            calibrate_model(model_c, calib)
+        with pytest.raises(PipelineError, match="^held-out activations hold non-finite"):
+            evaluate(model_c, q_c, held_out)
+
 
 class TestCalibrateStage:
     def test_stage_and_site_table(self, chain):

@@ -25,9 +25,10 @@ import pytest
 from scalefold import model as model_mod
 from scalefold.container import (blocks_from_container, container_from_model, from_bytes,
                                  to_bytes)
-from scalefold.model import ACTIVATION_SITES, ModelConfig, model_forward
-from scalefold.pipeline import (QuantizeConfig, calibrate_model, capture_activations, evaluate,
-                                load_sites, quantize_model, reparameterize_model)
+from scalefold.model import ACTIVATION_SITES, ModelConfig, capture_forward, model_forward
+from scalefold.pipeline import (PipelineError, QuantizeConfig, calibrate_model,
+                                capture_activations, evaluate, load_sites, quantize_model,
+                                reparameterize_model)
 from scalefold.quantizers import QuantParams, Scheme
 from scalefold.synth import SynthSpec, gen_activations, gen_model
 from scalefold.tensors import _openblas, single_threaded_blas
@@ -262,8 +263,8 @@ def test_nan_in_a_held_out_sample_raises_what_the_serial_forward_raises(chain, c
     """A NaN in held-out sample 3 of 4 fails one shard's matmul, not a broken rendezvous.
 
     With a dict sink the shards meet at every site, so the other shard is
-    waiting at the next one when the NaN's shard fails. `evaluate` rejects
-    the NaN sooner, in its sink: its code audit quantizes `block0.ln1_out`.
+    waiting at the next one when the NaN's shard fails. `evaluate` refuses
+    the NaN before any forward runs.
     """
     spec, model_c, _, q_c = chain
     held_out = gen_activations(CFG, spec, 4, stream=1)
@@ -272,17 +273,23 @@ def test_nan_in_a_held_out_sample_raises_what_the_serial_forward_raises(chain, c
     blocks = blocks_from_container(model_c)[1]
     with pytest.raises(ValueError, match="^matmul operands must be finite$"):
         _bounded(lambda: model_forward(held_out, blocks, CFG, capture={}))
-    with pytest.raises(ValueError, match="^uniform_quantize got NaN inputs$"):
+    with pytest.raises(PipelineError, match="^held-out activations hold non-finite values$"):
         _bounded(lambda: evaluate(model_c, q_c, held_out))
 
 
 def test_nan_in_a_calibration_sample_raises_what_the_serial_forward_raises(chain, cpus):
-    """A NaN in calibration sample 6 of 8 reaches the sink's fit, which names it."""
+    """A NaN in calibration sample 6 of 8 fails one shard of the capture pass.
+
+    `calibrate_model` refuses the NaN before its capture pass runs.
+    """
     spec, model_c = chain[0], chain[1]
     calib = gen_activations(CFG, spec, 8)
     calib[6, 3, 5] = np.nan
     cpus(2)
-    with pytest.raises(ValueError, match="^calibration sample contains non-finite values$"):
+    blocks = blocks_from_container(model_c)[1]
+    with pytest.raises(ValueError, match="^matmul operands must be finite$"):
+        _bounded(lambda: capture_forward(calib, blocks, CFG, {}))
+    with pytest.raises(PipelineError, match="^calibration activations hold non-finite values$"):
         _bounded(lambda: calibrate_model(model_c, calib))
 
 
