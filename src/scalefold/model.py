@@ -50,8 +50,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .quantizers import (SQRT2, QuantParams, Scheme, centre_codes, fake_quantize,
-                         gelu_centred, logsqrt2_quantize, param_view, uniform_centred)
+from .quantizers import (QuantParams, Scheme, centre_codes, fake_quantize, gelu_centred,
+                         logsqrt2_quantize, logsqrt2_shift_matmul, param_view, uniform_centred)
 from .tensors import (ShapeError, as_tensor, gelu, matmul, rowwise_softmax,
                       single_threaded_blas)
 
@@ -208,60 +208,9 @@ def _centred(w, qp):
 _LOG_CHUNK = 1 << 15
 
 
-def _bands(e, odd, width):
-    """(band, even mask, odd mask) of each band that holds a code, in band order."""
-    if e.max(initial=0) < width:
-        # every code is in band 0, where the parity masks are the band's masks
-        yield 0, ~odd, odd
-        return
-    band = e // width
-    even = ~odd
-    for b in range(int(band.max()) + 1):
-        inband = band == b
-        if inband.any():
-            yield b, inband & even, inband & odd
-
-
 def _log_sqrt2_bands(a, qa, vc, v_qmax):
-    """Half-power codes of `a` times the centred integer codes `vc`, unscaled.
-
-    With c = logsqrt2_quantize(a), e = (c + 1) >> 1 and p = c & 1, the
-    dequantized operand is s * 2**-e * (sqrt(2) if p else 1): an even and an
-    odd power-of-two matrix. Exponents run in fixed bands of `width`, set by
-    the inner size k and V's bit width only, so that in band [lo, hi] the
-    entries 2**(hi - e) keep every partial sum an integer below
-    k * v_qmax * 2**(width - 1) <= 2**51: in each band the even and the odd
-    matrix are exact GEMMs, one stack of two, combined as
-    ldexp(R_even + sqrt(2) * R_odd, -hi) band by band in order. A band that
-    no code falls in adds exactly zero, so it is skipped; a stack therefore
-    sums the same bands as each of its samples alone, bit for bit. When every
-    exponent is below `width` (always at 4 bits, and at 8 bits for attention
-    with no entry below about 2**-width of the scale), band 0 is the only band
-    and its masks are the parity's own. The bands stay float64: a float32
-    band would be 10 exponents wide at 8 bits with k = 64, and 3.1% of the
-    64x128 model's block-0 attention codes on held-out data (seed 5) lie past
-    that, so the products would run on two bands instead of one.
-    """
-    codes = logsqrt2_quantize(a, qa.scale[0], qa.bits)
-    odd = (codes & 1).astype(bool)
-    e = codes           # (c + 1) >> 1, in the codes' own buffer
-    e += 1
-    e >>= 1
-    k = a.shape[-1]
-    width = 52 - (k * v_qmax - 1).bit_length()      # 52 - ceil(log2(k * v_qmax))
-    acc = np.zeros(a.shape[:-1] + vc.shape[-1:])
-    split = np.empty((2,) + a.shape)                 # the even half, then the odd one
-    for b, even_in, odd_in in _bands(e, odd, width):
-        hi = (b + 1) * width - 1
-        # 2**(hi - e) where the code is in the band and of the half's parity, else 0
-        shift = hi - e
-        np.ldexp(even_in, shift, out=split[0], dtype=np.float64)
-        np.ldexp(odd_in, shift, out=split[1], dtype=np.float64)
-        r_even, r_odd = split @ vc
-        r_odd *= SQRT2
-        r_odd += r_even
-        acc += np.ldexp(r_odd, -hi, out=r_odd)
-    return acc
+    """`quantizers.logsqrt2_shift_matmul` of `a`'s codes under `qa` and `vc`, unscaled."""
+    return logsqrt2_shift_matmul(logsqrt2_quantize(a, qa.scale[0], qa.bits), vc, v_qmax)
 
 
 def _log_sqrt2_matmul(a, qa, vc, v_qmax):

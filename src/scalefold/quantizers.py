@@ -3,9 +3,10 @@
 The log-sqrt2 dequantizer is written in its base-changed form
 ``s_adj * 2**floor(-code/2)`` where ``s_adj`` folds a sqrt(2) factor in for
 odd codes. That form needs only a parity bit and a power-of-two multiply, so
-it runs on the same integer shift path as plain log2 dequantization;
-``logsqrt2_dequantize_shift`` simulates that path with exact fixed-point
-integers and must match the float path bit for bit.
+it runs on the same shift path as plain log2 dequantization:
+``logsqrt2_shift_matmul`` is that path as the quantized A @ V runs it, and
+``logsqrt2_dequantize_shift`` runs it on the levels of the grid, bit for bit
+the float path's values.
 
 A quantizer's scale vector says its kind: one scale is layer-wise, more are
 channel-wise, and the channels are always the tensor's last axis, where
@@ -274,16 +275,21 @@ def uniform_dequantize(codes, qp):
     return param_view(qp.scale, centred) * centred
 
 
-def _log_codes(x, s, bits, label, per_octave):
-    """clip(round(-per_octave * log2(x/s)), 0, 2**bits - 1) as int32, in one float buffer.
-
-    Zero maps to the maximum code; a negative or NaN input raises ValueError.
-    """
+def _one_scale(s, label):
     if not (np.isscalar(s) or np.asarray(s).size == 1):
         raise ValueError(f"{label} takes a single scale")
     s = float(np.asarray(s).reshape(()))
     if not (s > 0 and np.isfinite(s)):
         raise ValueError(f"{label} scale must be positive and finite")
+    return s
+
+
+def _log_codes(x, s, bits, label, per_octave):
+    """clip(round(-per_octave * log2(x/s)), 0, 2**bits - 1) as int32, in one float buffer.
+
+    Zero maps to the maximum code; a negative or NaN input raises ValueError.
+    """
+    s = _one_scale(s, label)
     if not 2 <= int(bits) <= 8:
         raise ValueError(f"bit width {bits} outside [2, 8]")
     x = as_tensor(x)
@@ -354,27 +360,68 @@ def logsqrt2_dequantize(codes, s, bits):
     return np.ldexp(base_change_scale(s, codes), np.floor_divide(-codes, 2))
 
 
-def _shift_pow2(exponents, frac):
-    # 2**(-k) as an exact fixed-point integer: (1 << frac) >> k, then an
-    # exact rescale by 2**-frac. The frac + 1 levels are shifted once with
-    # Python ints, which stay exact for any frac, and the exponents index
-    # them; the levels are powers of two, so float conversion is exact.
-    one = 1 << frac
-    levels = np.array([float(one >> k) for k in range(frac + 1)])
-    return levels[exponents]
+def _bands(e, odd, width):
+    """(band, even mask, odd mask) of each band that holds a code, in band order."""
+    if e.max(initial=0) < width:
+        # every code is in band 0, where the parity masks are the band's masks
+        yield 0, ~odd, odd
+        return
+    band = e // width
+    even = ~odd
+    for b in range(int(band.max()) + 1):
+        inband = band == b
+        if inband.any():
+            yield b, inband & even, inband & odd
+
+
+def logsqrt2_shift_matmul(codes, vc, v_qmax):
+    """Half-power codes times the centred integer codes `vc` (|vc| <= v_qmax), unscaled.
+
+    With e = (c + 1) >> 1, code c dequantizes to s * 2**-e, times sqrt(2) if
+    c is odd: an even and an odd power-of-two matrix. Exponents run in fixed
+    bands of `width`, set by the inner size k and v_qmax only, so that in
+    band [lo, hi] the entries 2**(hi - e) keep every partial sum an integer
+    below k * v_qmax * 2**(width - 1) <= 2**51: in each band the even and the
+    odd matrix are exact GEMMs, one stack of two, combined as
+    ldexp(R_even + sqrt(2) * R_odd, -hi) band by band in order. A band that
+    no code falls in adds exactly zero and is skipped, so a stack sums the
+    same bands as each of its matrices alone, bit for bit. When every
+    exponent is below `width` (always at 4 bits), band 0 is the only band.
+    The bands stay float64: a float32 band would be 10 exponents wide at 8
+    bits with k = 64, which 3.1% of the 64x128 model's attention codes pass.
+    """
+    odd = (codes & 1).astype(bool)
+    e = (codes + 1) >> 1
+    k = codes.shape[-1]
+    width = 52 - (k * v_qmax - 1).bit_length()      # 52 - ceil(log2(k * v_qmax))
+    acc = np.zeros(codes.shape[:-1] + vc.shape[-1:])
+    split = np.empty((2,) + codes.shape)             # the even half, then the odd one
+    for b, even_in, odd_in in _bands(e, odd, width):
+        hi = (b + 1) * width - 1
+        # 2**(hi - e) where the code is in the band and of the half's parity, else 0
+        shift = hi - e
+        np.ldexp(even_in, shift, out=split[0], dtype=np.float64)
+        np.ldexp(odd_in, shift, out=split[1], dtype=np.float64)
+        r_even, r_odd = split @ vc
+        r_odd *= SQRT2
+        r_odd += r_even
+        acc += np.ldexp(r_odd, -hi, out=r_odd)
+    return acc
 
 
 def logsqrt2_dequantize_shift(codes, s, bits):
-    """Integer shift path for log-sqrt2 dequantization.
+    """Log-sqrt2 dequantization on the shift kernel that the quantized A @ V runs.
 
-    The 2**floor(-code/2) factor comes from an arithmetic right shift by
-    ceil(code/2); the parity-adjusted scale multiplies the shifted grid
-    value. Equals `logsqrt2_dequantize` exactly for every code.
+    The grid's 2**bits levels run through `logsqrt2_shift_matmul` as
+    one-element products against V = [[1]], exactly 2**-e times sqrt(2) for
+    an odd code; each code takes its level times s. Equals
+    `logsqrt2_dequantize` bit for bit wherever that result is a normal float
+    and s * sqrt(2) is finite.
     """
     codes = _check_codes(codes, bits)
-    frac = _qmax(bits)
-    mant = _shift_pow2((codes + 1) >> 1, frac)
-    return np.ldexp(base_change_scale(s, codes) * mant, -frac)
+    s = _one_scale(s, "logsqrt2_dequantize_shift")
+    grid = np.arange(1 << bits, dtype=np.int32)[:, np.newaxis]
+    return s * logsqrt2_shift_matmul(grid, np.ones((1, 1)), 1)[codes, 0]
 
 
 def fake_quantize(x, qp):

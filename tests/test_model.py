@@ -670,7 +670,7 @@ class TestModelForward:
 
     @staticmethod
     def band_reference(codes, vc, v_qmax):
-        """`_log_sqrt2_bands` as its docstring states it, one output at a time.
+        """`quantizers.logsqrt2_shift_matmul` as its docstring states it, one output at a time.
 
         In each band [hi - width + 1, hi] that holds a code of the row, in
         band order, the even and the odd codes' terms 2**(hi - e) * vc are

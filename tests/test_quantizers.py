@@ -368,7 +368,7 @@ class TestLogSqrt2:
 
 
 class TestShiftPaths:
-    """The simulated integer shift path must match the float path exactly."""
+    """The shift kernel that the quantized A @ V runs must match the float path exactly."""
 
     def test_logsqrt2_shift_equals_float_exhaustive(self):
         rng = np.random.default_rng(56)
@@ -378,6 +378,20 @@ class TestShiftPaths:
                 np.testing.assert_array_equal(
                     logsqrt2_dequantize_shift(codes, s, bits),
                     logsqrt2_dequantize(codes, s, bits))
+
+    def test_logsqrt2_shift_equals_float_across_the_normal_range(self):
+        """Bit for bit wherever the float path's result is normal and s * sqrt(2) finite.
+
+        At 8 bits the deepest level is 2**-128, so every s from 1e-250 to
+        1e308 keeps every level of every width normal.
+        """
+        for bits in range(2, 9):
+            codes = np.arange(1 << bits, dtype=np.int32)
+            for s in np.geomspace(1e-250, 1e308, 200):
+                want = logsqrt2_dequantize(codes, s, bits)
+                assert np.all(np.isfinite(want)) and want.min() >= np.finfo(float).tiny
+                got = logsqrt2_dequantize_shift(codes, s, bits)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (bits, s)
 
     @pytest.mark.parametrize("dequantize", [log2_dequantize, logsqrt2_dequantize,
                                             logsqrt2_dequantize_shift])
