@@ -30,11 +30,11 @@ print("parity of first 12 codes:", parity_indicator(codes[:12]))
 route_a = logsqrt2_dequantize(codes, s, bits)
 # route B: parity-adjusted scale, then a pure power-of-two shift
 route_b = np.ldexp(scales, np.floor_divide(-codes, 2))
-# route C: the same shift done in integer arithmetic
+# route C: the shift kernel that the quantized A @ V runs, on the grid's levels
 route_c = logsqrt2_dequantize_shift(codes, s, bits)
 
 print("\nbitwise equal, direct vs parity-scale:",
       np.array_equal(route_a, route_b))
-print("bitwise equal, parity-scale vs integer shift:",
+print("bitwise equal, parity-scale vs A @ V shift kernel:",
       np.array_equal(route_b, route_c))
 print(f"reconstruction MSE: {np.mean((route_a - x) ** 2):.3e}")

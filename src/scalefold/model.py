@@ -12,7 +12,7 @@ the inner sum (a layer-wise activation times a layer-wise or per-output-
 channel weight) runs on the integer codes as exact float32 BLAS GEMMs over
 chunks of the inner axis, and A @ V with a log-sqrt2 A runs as exact
 float64 GEMMs, through the parity split of A's codes into power-of-two
-matrices. The four attention sites act on the heads after
+matrices (`quantizers.logsqrt2_shift_matmul`). The four attention sites act on the heads after
 their split, so each takes a one-scale hook only. Any other product (a
 per-channel activation hook) fake-quantizes its operands and sums them with
 the float `tensors.matmul`, exact slice GEMMs combined in a fixed order,

@@ -445,7 +445,7 @@ def evaluate(fp_c, q_c, acts):
     similarity, the integer-code-equality rate at every folded site, and
     two ablations: end-to-end MSE with naive layer-wise / channel-wise /
     folded LayerNorm quantizers, and post-Softmax reconstruction MSE under
-    log2 / log-sqrt2 / the base-changed integer shift path. Each model runs
+    log2 / log-sqrt2 / the quantized A @ V's shift kernel. Each model runs
     once over the whole held-out stack, and an observer on each of the two
     main forwards measures every site as the forward reaches it (the per-site
     MSE on the quantized one; code equality and the Softmax ablation on the
@@ -522,7 +522,7 @@ def evaluate(fp_c, q_c, acts):
             _add_squared_error(sq["log2"], log2_dequantize(log2_quantize(x, s, bits), s, bits), x)
             codesq = logsqrt2_quantize(x, s, bits)
             _add_squared_error(sq["log_sqrt2"], logsqrt2_dequantize(codesq, s, bits), x)
-            # inference route: parity-adjusted scales on the integer shift path
+            # inference route: the shift kernel of the quantized A @ V
             _add_squared_error(sq["base_changed"], logsqrt2_dequantize_shift(codesq, s, bits), x)
 
     fp_out = model_forward(acts, fp_blocks, cfg, capture=_SiteObserver(audit))

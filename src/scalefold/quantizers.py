@@ -5,8 +5,8 @@ The log-sqrt2 dequantizer is written in its base-changed form
 odd codes. That form needs only a parity bit and a power-of-two multiply, so
 it runs on the same shift path as plain log2 dequantization:
 ``logsqrt2_shift_matmul`` is that path as the quantized A @ V runs it, and
-``logsqrt2_dequantize_shift`` runs it on the levels of the grid, bit for bit
-the float path's values.
+``logsqrt2_dequantize_shift`` runs it on the grid's levels, equal to the
+float path bit for bit wherever that gives a normal float.
 
 A quantizer's scale vector says its kind: one scale is layer-wise, more are
 channel-wise, and the channels are always the tensor's last axis, where

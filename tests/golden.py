@@ -121,14 +121,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--write", action="store_true",
                         help="write this host's two entries to golden.json")
-    parser.add_argument("--print", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.print:
-        json.dump(host_entry(), sys.stdout)
-        return
     entries = [host_entry()]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
-    run = subprocess.run([sys.executable, __file__, "--print"], env=env, check=True,
+    script = (f"import json, sys; sys.path.insert(0, {str(GOLDEN.parent)!r}); import golden; "
+              "json.dump(golden.host_entry(), sys.stdout)")
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
     entries.append(tuple(json.loads(run.stdout)))
     table = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
